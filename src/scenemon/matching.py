@@ -19,6 +19,15 @@ therefore the lexicographic order of mapped-object tuples along the visit
 order, which makes results reproducible and lets callers reason about "the
 first embedding".
 
+Predicate pushdown: an optional per-depth `check` sees the partial mapping
+right after each pattern node is mapped and may reject it, which prunes
+every completion of that partial mapping. The monitor uses it to evaluate
+each predicate at the first depth where all of its pattern nodes are bound
+(the feasibility rule of VF2 applied to attribute constraints). Pruning
+removes subtrees without reordering the rest, so the first embedding the
+checked search yields is the first embedding in matcher order that passes
+every check.
+
 `brute_force_embeddings` is an intentionally naive oracle for testing: it
 enumerates the full candidate product and filters. It shares no search code
 with the matcher; keep it that way so the two routes stay independent.
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph
@@ -83,6 +92,10 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
     from ego in the undirected pattern, then by how few scene candidates
     they have, then by pattern id for a total order.
     """
+    return _visit_order(asg, _candidates(asg, csg))
+
+
+def _visit_order(asg: AbstractSceneGraph, cand: dict[str, list[str]]) -> tuple[str, ...]:
     dist = {asg.ego_pattern_id: 0}
     frontier = [asg.ego_pattern_id]
     adj: dict[str, set[str]] = {pid: set() for pid in asg.pattern_nodes}
@@ -97,7 +110,6 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
                     dist[nb] = dist[pid] + 1
                     nxt.append(nb)
         frontier = nxt
-    cand = _candidates(asg, csg)
     return tuple(sorted(
         asg.pattern_nodes,
         key=lambda pid: (dist.get(pid, len(asg.pattern_nodes)), len(cand[pid]), pid),
@@ -118,11 +130,18 @@ def iter_embeddings(
     csg: ConcreteSceneGraph,
     *,
     induced: bool = False,
+    check: Callable[[str, Mapping[str, str]], bool] | None = None,
 ) -> Iterator[Embedding]:
-    """Yield all embeddings in deterministic matcher order."""
+    """Yield all embeddings in deterministic matcher order.
+
+    With `check`, the search calls `check(pid, mapping)` each time it maps
+    pattern node `pid`; `mapping` is the partial mapping including `pid`
+    and must not be modified. A false result prunes every completion of
+    that partial mapping. Without `check`, every embedding is yielded.
+    """
     _require_same_om(asg, csg)
-    order = pattern_order(asg, csg)
     cand = _candidates(asg, csg)
+    order = _visit_order(asg, cand)
     p_out, p_in = _pattern_adjacency(asg)
     mapping: dict[str, str] = {}
     used: set[str] = set()
@@ -172,10 +191,11 @@ def iter_embeddings(
             if not consistent(pid, oid):
                 continue
             mapping[pid] = oid
-            used.add(oid)
-            yield from search(depth + 1)
+            if check is None or check(pid, mapping):
+                used.add(oid)
+                yield from search(depth + 1)
+                used.discard(oid)
             del mapping[pid]
-            used.discard(oid)
 
     yield from search(0)
 

@@ -17,6 +17,18 @@ evaluation completed, the cause is the first failure of the first embedding;
 if any evaluation hit missing data, the verdict is an Error (a data gap must
 not masquerade as a threshold violation).
 
+Predicate pushdown: once the first embedding has failed, its cause is
+settled and only the witness is open. If the scene's data is complete for
+the property (every candidate of every pattern node carries every attribute
+the predicates read from that node), no evaluation can hit missing data, so
+the scan hands over to one search that evaluates each predicate at the
+first depth where all its pattern nodes are bound and prunes the subtree
+below a false one. Its first embedding is the witness; if it yields none,
+the verdict is Violated with the recorded cause. With incomplete data the
+scan goes on unpruned, because pruning could skip the embedding whose
+evaluation would have reported the gap. The verdicts are the same either
+way.
+
 `monitor_stream` applies a list of properties to a time-ordered scene
 stream, yielding per-scene verdicts in (scene order, property order) before
 the next scene is consumed. `PhaseAutomaton` layers maneuver-sequence
@@ -29,11 +41,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .dsl import Expr
 from .errors import MissingAttributeError, StreamOrderError
 from .matching import Embedding, iter_embeddings
-from .predicates import bind, evaluate
+from .predicates import attribute_reads, bind, evaluate
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph
 
 
@@ -105,11 +119,76 @@ def sg_comparison(
             return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
         if first_failure is None:
             first_failure = Cause.predicate_failed(idx if idx is not None else 0)
+            check = _pushdown_check(asg, csg, epsilon)
+            if check is not None:
+                # no evaluation can hit missing data: only the witness is open
+                witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
+                if witness is not None:
+                    return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
+                break
     if not saw_embedding:
         return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=Cause.no_embedding())
     if first_error is not None:
         return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=first_error)
     return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
+
+
+_Reads = tuple[tuple[str, frozenset[str]], ...]  # attributes read, per pattern node
+_Due = dict[str, tuple[tuple[frozenset[str], Expr], ...]]  # (pattern ids, predicate), per node
+
+
+@lru_cache(maxsize=256)
+def _pushdown_plan(predicates: tuple[Expr, ...], ego_pattern_id: str) -> tuple[_Reads, _Due] | None:
+    """Per-property pushdown facts, computed once per property.
+
+    A predicate is filed under each of its pattern nodes and becomes due
+    when the last of them is mapped; one with no node refs is due at depth
+    0, where the ego is mapped. None when the read set is unknown.
+    """
+    reads = attribute_reads(predicates)
+    if reads is None:
+        return None
+    due: dict[str, list[tuple[frozenset[str], Expr]]] = {}
+    for pred in predicates:
+        ids = pred.pattern_ids()
+        for pid in ids or (ego_pattern_id,):
+            due.setdefault(pid, []).append((ids, pred))
+    return tuple(reads.items()), {pid: tuple(v) for pid, v in due.items()}
+
+
+def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> bool:
+    """Whether every class-compatible candidate of every pattern node carries
+    every attribute the predicates read from that node."""
+    for pid, names in reads:
+        cls = asg.pattern_nodes[pid]
+        pool = ((csg.nodes[csg.ego_id],) if pid == asg.ego_pattern_id
+                else csg.nodes.values())
+        for obj in pool:
+            if not names <= obj.attributes.keys() and asg.om.is_subclass(obj.cls, cls):
+                return False
+    return True
+
+
+def _pushdown_check(
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, epsilon: float,
+) -> Callable[[str, Mapping[str, str]], bool] | None:
+    """The search's per-depth predicate check, or None unless the scene's
+    data is complete for the property."""
+    plan = _pushdown_plan(asg.predicates, asg.ego_pattern_id)
+    if plan is None:
+        return None
+    reads, due = plan
+    if not _data_complete(asg, csg, reads):
+        return None
+
+    def check(pid: str, mapping: Mapping[str, str]) -> bool:
+        preds = [pred for ids, pred in due.get(pid, ()) if ids <= mapping.keys()]
+        if not preds:
+            return True
+        ok, _ = evaluate(preds, bind(Embedding.from_dict(mapping), csg), epsilon=epsilon)
+        return ok
+
+    return check
 
 
 def monitor_stream(
@@ -188,11 +267,6 @@ class PhaseAutomaton:
             new_index == len(self.phases) - 1 and verdict_for(self.phases[new_index]).satisfied)
         return replace(self, index=new_index, dwell=tuple(dwell),
                        completed=completed, violations=violations)
-
-
-def step_phase(pa: PhaseAutomaton, verdicts: Mapping[str, Verdict]) -> PhaseAutomaton:
-    """Functional alias for PhaseAutomaton.step."""
-    return pa.step(verdicts)
 
 
 # -- verdict records -------------------------------------------------------

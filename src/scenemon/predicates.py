@@ -79,6 +79,35 @@ def dist(a: BoundObject, b: BoundObject) -> float:
 
 
 BUILTIN_FUNCTIONS = {"dist": dist}
+# attributes each builtin function reads from its pattern-node arguments
+NODE_ARG_READS = {"dist": ("position",)}
+
+
+def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]] | None:
+    """The attributes evaluating `predicates` may read, per pattern node.
+
+    None when a predicate calls a function with no implementation here:
+    evaluating it raises, so no read set describes it.
+    """
+    reads: dict[str, set[str]] = {}
+    stack = list(predicates)
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, AttrRef):
+            reads.setdefault(expr.node_id, set()).add(expr.attr)
+        elif isinstance(expr, Call):
+            if expr.fn not in NODE_ARG_READS:
+                return None
+            for arg in expr.args:
+                if isinstance(arg, NodeRef):
+                    reads.setdefault(arg.name, set()).update(NODE_ARG_READS[expr.fn])
+                else:
+                    stack.append(arg)
+        elif isinstance(expr, (Compare, And)):
+            stack += (expr.left, expr.right)
+        elif isinstance(expr, InInterval):
+            stack += (expr.value, expr.lo, expr.hi)
+    return {pid: frozenset(names) for pid, names in reads.items()}
 
 
 def _compare(op: str, left: object, right: object, epsilon: float) -> bool:

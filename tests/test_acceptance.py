@@ -6,6 +6,7 @@ Tolerances and budgets are pinned in the assertions themselves.
 """
 
 import random
+import statistics
 import string
 import time
 
@@ -19,6 +20,7 @@ from scenemon import (
     PhaseAutomaton,
     Result,
     SceneMonError,
+    SceneObject,
     SpecSyntaxError,
     Verdict,
     bind,
@@ -28,6 +30,7 @@ from scenemon import (
     find_embeddings,
     generate_trace,
     load_bundled_asg,
+    make_csg,
     overtake_script,
     parse_asg,
     pattern_order,
@@ -35,7 +38,7 @@ from scenemon import (
     serialize_asg,
     sg_comparison,
 )
-from scenemon.cli import main, run_bench
+from scenemon.cli import build_bench_scene, main, run_bench
 from scenemon.scenarios import _ASSET_FILES, _bundled_text
 
 from conftest import halted_obstacle_scene
@@ -45,16 +48,16 @@ from randscene import random_instance
 # -- C1: search matcher vs exhaustive reference ----------------------------
 
 
-def _reference_verdict(asg, csg):
+def _reference_verdict(asg, csg, epsilon=0.0, induced=False):
     """Verdict rebuilt from the exhaustive matcher, scanned independently."""
     order = pattern_order(asg, csg)
-    embs = sorted(brute_force_embeddings(asg, csg),
+    embs = sorted(brute_force_embeddings(asg, csg, induced=induced),
                   key=lambda e: tuple(e[p] for p in order))
     first_failure = None
     first_error = None
     for emb in embs:
         try:
-            ok, idx = evaluate(asg.predicates, bind(emb, csg))
+            ok, idx = evaluate(asg.predicates, bind(emb, csg), epsilon=epsilon)
         except MissingAttributeError as exc:
             if first_error is None:
                 first_error = Cause.missing_attribute(exc.ref)
@@ -91,6 +94,41 @@ def test_c1_oracle_equivalence(om):
     assert divergences == []
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.1f}s"
     print("ACCEPTANCE C1 (oracle equivalence, 1000 cases): PASS")
+
+
+def test_c1_pushdown_matches_oracle(om, monkeypatch):
+    """Pruned verdicts equal the exhaustive reference across epsilon and
+    induced matching, with the pruned search taken often enough to count."""
+    import scenemon.monitor
+
+    pruned_searches = []
+    unpruned = scenemon.monitor.iter_embeddings
+
+    def counting(asg, csg, **kwargs):
+        if kwargs.get("check") is not None:
+            pruned_searches.append(asg.name)
+        return unpruned(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", counting)
+    rng = random.Random(20261017)
+    mismatches = []
+    results = set()
+    for i in range(500):
+        asg, csg = random_instance(rng, om)
+        for epsilon in (0.0, 0.5):
+            for induced in (False, True):
+                got = sg_comparison(asg, csg, epsilon=epsilon, induced=induced)
+                want = _reference_verdict(asg, csg, epsilon, induced)
+                results.add((got.result, got.cause and got.cause.kind))
+                if got != want:
+                    mismatches.append(f"case {i} epsilon={epsilon} "
+                                      f"induced={induced}: {got} != {want}")
+    assert mismatches == []
+    assert len(pruned_searches) > 100
+    assert {(Result.SATISFIED, None),
+            (Result.VIOLATED, CauseKind.NO_EMBEDDING),
+            (Result.VIOLATED, CauseKind.PREDICATE_FAILED),
+            (Result.ERROR, CauseKind.MISSING_ATTRIBUTE)} <= results
 
 
 # -- C2: the bundled braking-trigger property ------------------------------
@@ -334,3 +372,26 @@ def test_c8_dense_scene_latency(om):
     assert report["pattern_nodes"] == 6
     assert report["p50_ms"] < 10.0, report
     print(f"ACCEPTANCE C8 (100-node scene, p50={report['p50_ms']}ms): PASS")
+
+
+def test_c8_halted_ego_worst_case_latency(om):
+    """No embedding satisfies P2-2 with the ego halted: the verdict needs the
+    whole embedding space ruled out, not just a first witness found."""
+    dense = build_bench_scene(400, seed=0, om=om)
+    nodes = [
+        SceneObject(obj.object_id, obj.cls, {**obj.attributes, "velocity": 0.0})
+        if obj.object_id == dense.ego_id else obj
+        for obj in dense.nodes.values()
+    ]
+    csg = make_csg(om, dense.timestamp, dense.ego_id, nodes, dense.edges)
+    asg = load_bundled_asg("P2-2", om)
+    timings = []
+    for _ in range(21):
+        start = time.perf_counter()
+        verdict = sg_comparison(asg, csg)
+        timings.append((time.perf_counter() - start) * 1000.0)
+    assert verdict.result is Result.VIOLATED
+    assert verdict.cause == Cause.predicate_failed(2)
+    p50 = statistics.median(timings)
+    assert p50 < 30.0, f"p50 {p50:.1f} ms"
+    print(f"ACCEPTANCE C8 (400-node halted-ego scene, p50={p50:.2f}ms): PASS")

@@ -12,6 +12,7 @@ from scenemon import (
     Verdict,
     builtin_asgs,
     generate_trace,
+    load_bundled_asg,
     make_csg,
     monitor_stream,
     parse_asg,
@@ -61,10 +62,10 @@ def test_error_on_missing_attribute(ahead_asg, scene_factory):
     assert v.cause == Cause.missing_attribute("obstacle.velocity")
 
 
-def _multi_obstacle_scene(om, specs):
+def _multi_obstacle_scene(om, specs, ego_speed=8.0):
     """specs: list of (object_id, attrs) halted-candidate obstacles."""
     nodes = [
-        SceneObject("ego", "Vehicle", {"velocity": 8.0, "position": (0.0, 0.0)}),
+        SceneObject("ego", "Vehicle", {"velocity": ego_speed, "position": (0.0, 0.0)}),
         SceneObject("lane1", "Lane", {}),
     ]
     edges = [("ego", "isIn", "lane1")]
@@ -116,6 +117,91 @@ def test_failure_cause_comes_from_first_failing_embedding(om, ahead_asg):
     ])
     v = sg_comparison(ahead_asg, csg)
     assert v.cause == Cause.predicate_failed(1)
+
+
+# -- predicate pushdown: the cause rule with the ego halted ----------------
+# P2-1 asserts dist(ego, obstacle) >= 5, then ego.velocity > 0. With the ego
+# halted the pruned search rejects every embedding at depth 0, so the cause
+# must still come from the first embedding's own evaluation.
+
+
+def _halted(om, specs):
+    return _multi_obstacle_scene(om, specs, ego_speed=0.0)
+
+
+def _obstacle_at(x):
+    return {"velocity": 0.0, "position": (x, 0.0)}
+
+
+def test_pushdown_keeps_first_embedding_cause(om):
+    p21 = load_bundled_asg("P2-1", om)
+    near_first = _halted(om, [("a0", _obstacle_at(3.0)), ("b1", _obstacle_at(10.0))])
+    assert sg_comparison(p21, near_first) == Verdict(
+        0.0, "P2-1", Result.VIOLATED, cause=Cause.predicate_failed(0))
+    far_first = _halted(om, [("a0", _obstacle_at(10.0)), ("b1", _obstacle_at(3.0))])
+    assert sg_comparison(p21, far_first) == Verdict(
+        0.0, "P2-1", Result.VIOLATED, cause=Cause.predicate_failed(1))
+
+
+def test_pushdown_falls_back_on_a_later_data_gap(om):
+    # a0 fails ego.velocity > 0; b1 has no position, so the unpruned scan
+    # reaches the gap, which a search pruned at depth 0 would never see
+    csg = _halted(om, [("a0", _obstacle_at(10.0)), ("b1", {"velocity": 0.0})])
+    v = sg_comparison(load_bundled_asg("P2-1", om), csg)
+    assert v.result is Result.ERROR
+    assert v.cause == Cause.missing_attribute("obstacle.position")
+
+
+def test_pushdown_keeps_no_embedding(om):
+    v = sg_comparison(load_bundled_asg("P2-1", om), _halted(om, []))
+    assert v.result is Result.VIOLATED
+    assert v.cause == Cause.no_embedding()
+
+
+STANDOFF = """asg "standoff" {
+  node ego: Vehicle; node obstacle: Static; node other: Vehicle; node lane: Lane;
+  ego ego;
+  edge ego isIn lane; edge obstacle isIn lane; edge other isIn lane;
+  assert dist(ego, obstacle) >= 5;
+  assert dist(obstacle, other) <= 10;
+}"""
+
+
+def test_pushdown_witness_is_first_satisfying_after_pruned_subtrees(om, monkeypatch):
+    import scenemon.monitor
+
+    rejected = []
+    unpruned = scenemon.monitor.iter_embeddings
+
+    def recording(asg, csg, **kwargs):
+        check = kwargs.get("check")
+        if check is not None:
+            def logged(pid, mapping):
+                ok = check(pid, mapping)
+                if not ok:
+                    rejected.append(dict(mapping))
+                return ok
+            kwargs["check"] = logged
+        return unpruned(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
+    # visit order: ego, lane, obstacle (2 candidates), other (3 candidates)
+    nodes = [SceneObject("ego", "Vehicle", {"velocity": 0.0, "position": (0.0, 0.0)}),
+             SceneObject("lane1", "Lane", {})]
+    for oid, cls, x in (("s1", "Static", 2.0), ("s2", "Static", 20.0),
+                        ("v1", "Vehicle", 40.0), ("v2", "Vehicle", 25.0)):
+        nodes.append(SceneObject(oid, cls, _obstacle_at(x)))
+    edges = [(n.object_id, "isIn", "lane1") for n in nodes if n.cls != "Lane"]
+    csg = make_csg(om, 0.0, "ego", nodes, edges)
+    v = sg_comparison(parse_asg(STANDOFF, om), csg)
+    assert v.satisfied
+    assert v.witness.as_dict() == {"ego": "ego", "lane": "lane1",
+                                   "obstacle": "s2", "other": "v2"}
+    # s1's subtree went at the obstacle depth, before its completions
+    assert rejected == [
+        {"ego": "ego", "lane": "lane1", "obstacle": "s1"},
+        {"ego": "ego", "lane": "lane1", "obstacle": "s2", "other": "v1"},
+    ]
 
 
 # -- stream monitoring -----------------------------------------------------
