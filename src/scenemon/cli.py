@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import Iterator, Sequence, TextIO
 
 from .dsl import load_asg
-from .errors import SceneMonError, StreamOrderError
+from .errors import SceneMonError, SceneValidationError, StreamOrderError
 from .matching import brute_force_embeddings, check_embedding, find_embeddings
 from .monitor import (
     CauseKind,
@@ -225,7 +225,10 @@ def _require_unique_names(asgs: Sequence[AbstractSceneGraph]) -> None:
 
 def _load_scene_file(path: str, om: ObjectModel) -> ConcreteSceneGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # as in read_scene_stream
+            raise SceneValidationError(f"{path}: invalid JSON: {exc}") from exc
     return parse_csg(record, om)
 
 

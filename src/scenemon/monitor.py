@@ -290,4 +290,4 @@ def verdict_record(v: Verdict) -> dict:
 
 
 def serialize_verdict(v: Verdict) -> str:
-    return json.dumps(verdict_record(v), separators=(", ", ": "))
+    return json.dumps(verdict_record(v), separators=(", ", ": "), allow_nan=False)

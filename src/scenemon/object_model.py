@@ -1,10 +1,15 @@
 """Object model: the typed vocabulary scenes and properties are checked against.
 
 An ObjectModel declares the class hierarchy, per-class attributes, the
-relationship types that may connect instances, the comparison operators
-available to predicates, and the function symbols (such as dist) usable in
-property specs. Scene graphs and property specs are only meaningful relative
-to one object model, and both validate against it at load time.
+relationship types that may connect instances, and the function symbols
+(such as dist) usable in property specs. Scene graphs and property specs are
+only meaningful relative to one object model, and both validate against it
+at load time.
+
+Constructing an ObjectModel validates its declarations, raising SchemaError
+naming the offending one, and resolves the class hierarchy once into lookup
+tables: the ancestors and the attributes of every class, and the class pairs
+each relationship admits. Every query afterwards is a table lookup.
 
 The schema text format is line-oriented:
 
@@ -22,15 +27,12 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import SchemaError
 from .lexing import KIND_EOF, TokenStream, tokenize
 
 BASE_TYPES: tuple[str, ...] = ("Real", "Int", "Bool", "String", "Vec2")
-
-# Comparison operators predicates may use. Fixed vocabulary, not declared in
-# schema text.
-PREDICATE_SYMBOLS: tuple[str, ...] = ("==", "!=", "<", "<=", ">", ">=")
 
 # Marker for function parameters that take a pattern node rather than a value.
 NODE_PARAM = "node"
@@ -77,64 +79,111 @@ class ObjectModel:
     classes: tuple[ClassDef, ...] = ()
     relationships: tuple[RelationshipType, ...] = ()
     functions: tuple[FunctionSymbol, ...] = ()
-    base_types: tuple[str, ...] = BASE_TYPES
-    predicate_symbols: tuple[str, ...] = PREDICATE_SYMBOLS
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False)
+    # Lookup tables, built once by __post_init__ and read only by this module.
+    _by_name: dict[str, ClassDef] = field(init=False, compare=False, repr=False)
+    # each class -> the class itself and all its ancestors
+    _ancestors: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+    # each class -> attribute name -> declaration, inherited ones first
+    _attributes: dict[str, dict[str, AttributeDef]] = field(
+        init=False, compare=False, repr=False)
+    # each relationship name -> every (source, target) class pair it admits
+    _admitted: dict[str, frozenset[tuple[str, str]]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._by_name.update({c.name: c for c in self.classes})
+        by_name: dict[str, ClassDef] = {}
+        for cls in self.classes:
+            if cls.name in by_name:
+                raise SchemaError(f"duplicate class: {cls.name}")
+            by_name[cls.name] = cls
+        for cls in self.classes:
+            if cls.parent is not None and cls.parent not in by_name:
+                raise SchemaError(f"class {cls.name} extends unknown class {cls.parent}")
+            for a in cls.attributes:
+                if a.type not in BASE_TYPES:
+                    raise SchemaError(f"attribute {cls.name}.{a.name} has unknown type {a.type}")
+        # the one walk up each parent chain, leaf first; it also finds cycles
+        chains: dict[str, dict[str, ClassDef]] = {}
+        for cls in self.classes:
+            chain: dict[str, ClassDef] = {}
+            cur: str | None = cls.name
+            while cur is not None:
+                if cur in chain:
+                    raise SchemaError(f"inheritance cycle through class {cur}")
+                chain[cur] = by_name[cur]
+                cur = chain[cur].parent
+            chains[cls.name] = chain
+        attributes: dict[str, dict[str, AttributeDef]] = {}
+        for name, chain in chains.items():
+            attrs = [a for c in reversed(chain.values()) for a in c.attributes]
+            names = [a.name for a in attrs]
+            for n in names:
+                if names.count(n) > 1:
+                    raise SchemaError(f"attribute {n} declared more than once along {name}")
+            attributes[name] = {a.name: a for a in attrs}
+        ancestors = {name: frozenset(chain) for name, chain in chains.items()}
+        admitted: dict[str, set[tuple[str, str]]] = {}
+        seen_rel: set[RelationshipType] = set()
+        for r in self.relationships:
+            if r.source not in by_name:
+                raise SchemaError(f"relationship {r.name} has unknown source class {r.source}")
+            if r.target not in by_name:
+                raise SchemaError(f"relationship {r.name} has unknown target class {r.target}")
+            if r in seen_rel:
+                raise SchemaError(f"duplicate relationship: {r.name}: {r.source} -> {r.target}")
+            seen_rel.add(r)
+            srcs = [n for n, anc in ancestors.items() if r.source in anc]
+            dsts = [n for n, anc in ancestors.items() if r.target in anc]
+            admitted.setdefault(r.name, set()).update(product(srcs, dsts))
+        seen_fn: set[str] = set()
+        for f in self.functions:
+            if f.name in seen_fn:
+                raise SchemaError(f"duplicate function: {f.name}")
+            seen_fn.add(f.name)
+            for p in f.params:
+                if p != NODE_PARAM and p not in BASE_TYPES:
+                    raise SchemaError(f"function {f.name} has unknown parameter kind {p}")
+            if f.result not in BASE_TYPES:
+                raise SchemaError(f"function {f.name} has unknown result type {f.result}")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_ancestors", ancestors)
+        object.__setattr__(self, "_attributes", attributes)
+        object.__setattr__(self, "_admitted", {k: frozenset(v) for k, v in admitted.items()})
 
     # -- class hierarchy -------------------------------------------------
+
+    def _lookup(self, table: dict, name: str):
+        """`table[name]` for a declared class `name`; SchemaError otherwise."""
+        try:
+            return table[name]
+        except KeyError:
+            raise SchemaError(f"unknown class: {name}") from None
 
     def has_class(self, name: str) -> bool:
         return name in self._by_name
 
     def require_class(self, name: str) -> ClassDef:
-        cls = self._by_name.get(name)
-        if cls is None:
-            raise SchemaError(f"unknown class: {name}")
-        return cls
+        return self._lookup(self._by_name, name)
 
     def is_subclass(self, sub: str, sup: str) -> bool:
         """True iff `sub` equals `sup` or derives from it transitively."""
         self.require_class(sup)
-        cur: str | None = self.require_class(sub).name
-        while cur is not None:
-            if cur == sup:
-                return True
-            cur = self._by_name[cur].parent
-        return False
+        return sup in self._lookup(self._ancestors, sub)
 
     def concrete_classes(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes if not c.abstract)
 
     def attributes_of(self, cls_name: str) -> tuple[AttributeDef, ...]:
         """All attributes of a class, inherited ones first, in declaration order."""
-        chain: list[ClassDef] = []
-        cur: str | None = self.require_class(cls_name).name
-        while cur is not None:
-            cls = self._by_name[cur]
-            chain.append(cls)
-            cur = cls.parent
-        out: list[AttributeDef] = []
-        for cls in reversed(chain):
-            out.extend(cls.attributes)
-        return tuple(out)
+        return tuple(self._lookup(self._attributes, cls_name).values())
 
     def find_attribute(self, cls_name: str, attr: str) -> AttributeDef | None:
-        for a in self.attributes_of(cls_name):
-            if a.name == attr:
-                return a
-        return None
+        return self._lookup(self._attributes, cls_name).get(attr)
 
     # -- relationships and functions -------------------------------------
 
     def relationship_names(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.relationships:
-            if r.name not in seen:
-                seen.append(r.name)
-        return tuple(seen)
+        return tuple(self._admitted)
 
     def find_function(self, name: str) -> FunctionSymbol | None:
         for f in self.functions:
@@ -152,13 +201,10 @@ def is_relationship_allowed(om: ObjectModel, rel: str, src_class: str, dst_class
     """
     om.require_class(src_class)
     om.require_class(dst_class)
-    rows = [r for r in om.relationships if r.name == rel]
-    if not rows:
+    pairs = om._admitted.get(rel)
+    if pairs is None:
         raise SchemaError(f"unknown relationship: {rel}")
-    return any(
-        om.is_subclass(src_class, r.source) and om.is_subclass(dst_class, r.target)
-        for r in rows
-    )
+    return (src_class, dst_class) in pairs
 
 
 # -- schema text parsing ---------------------------------------------------
@@ -184,9 +230,7 @@ def parse_object_model(text: str) -> ObjectModel:
         else:
             tok = ts.peek()
             raise SchemaErrorAt(tok, f"expected class, rel, or fn declaration, found {tok.text!r}")
-    om = ObjectModel(tuple(classes), tuple(relationships), tuple(functions))
-    _validate_object_model(om)
-    return om
+    return ObjectModel(tuple(classes), tuple(relationships), tuple(functions))
 
 
 def SchemaErrorAt(tok, message: str) -> SchemaError:  # noqa: N802 - raise helper
@@ -244,55 +288,6 @@ def _parse_fn(ts: TokenStream) -> FunctionSymbol:
     result = ts.expect_ident("result type").text
     ts.expect_punct(";")
     return FunctionSymbol(name, tuple(params), result)
-
-
-def _validate_object_model(om: ObjectModel) -> None:
-    seen: set[str] = set()
-    for cls in om.classes:
-        if cls.name in seen:
-            raise SchemaError(f"duplicate class: {cls.name}")
-        seen.add(cls.name)
-    by_name = {c.name: c for c in om.classes}
-    for cls in om.classes:
-        if cls.parent is not None and cls.parent not in by_name:
-            raise SchemaError(f"class {cls.name} extends unknown class {cls.parent}")
-        for a in cls.attributes:
-            if a.type not in om.base_types:
-                raise SchemaError(f"attribute {cls.name}.{a.name} has unknown type {a.type}")
-    # hierarchy must be acyclic before attributes_of can walk it
-    for cls in om.classes:
-        slow: str | None = cls.name
-        seen_chain: set[str] = set()
-        while slow is not None:
-            if slow in seen_chain:
-                raise SchemaError(f"inheritance cycle through class {slow}")
-            seen_chain.add(slow)
-            slow = by_name[slow].parent
-    for cls in om.classes:
-        names = [a.name for a in om.attributes_of(cls.name)]
-        for n in names:
-            if names.count(n) > 1:
-                raise SchemaError(f"attribute {n} declared more than once along {cls.name}")
-    seen_rel: set[tuple[str, str, str]] = set()
-    for r in om.relationships:
-        if r.source not in by_name:
-            raise SchemaError(f"relationship {r.name} has unknown source class {r.source}")
-        if r.target not in by_name:
-            raise SchemaError(f"relationship {r.name} has unknown target class {r.target}")
-        key = (r.name, r.source, r.target)
-        if key in seen_rel:
-            raise SchemaError(f"duplicate relationship: {r.name}: {r.source} -> {r.target}")
-        seen_rel.add(key)
-    seen_fn: set[str] = set()
-    for f in om.functions:
-        if f.name in seen_fn:
-            raise SchemaError(f"duplicate function: {f.name}")
-        seen_fn.add(f.name)
-        for p in f.params:
-            if p != NODE_PARAM and p not in om.base_types:
-                raise SchemaError(f"function {f.name} has unknown parameter kind {p}")
-        if f.result not in om.base_types:
-            raise SchemaError(f"function {f.name} has unknown result type {f.result}")
 
 
 def serialize_object_model(om: ObjectModel) -> str:

@@ -19,10 +19,11 @@ The exact record schema is documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import SceneValidationError
+from .errors import SceneValidationError, SchemaError
 from .object_model import ObjectModel, is_relationship_allowed
 
 if TYPE_CHECKING:  # predicate AST lives in dsl.py; only needed for typing
@@ -83,6 +84,17 @@ class AbstractSceneGraph:
 # -- validation ------------------------------------------------------------
 
 
+def _finite(value: object) -> float | None:
+    """`value` as a float if it is a finite number (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return out if math.isfinite(out) else None
+
+
 def _check_attr_value(om: ObjectModel, cls: str, name: str, value: object) -> object:
     """Type-check one attribute value against its declaration; returns the
     normalized value (Real -> float, Vec2 -> tuple of floats)."""
@@ -91,9 +103,10 @@ def _check_attr_value(om: ObjectModel, cls: str, name: str, value: object) -> ob
         raise SceneValidationError(f"class {cls} has no attribute {name}")
     t = decl.type
     if t == "Real":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SceneValidationError(f"attribute {name} expects Real, got {value!r}")
-        return float(value)
+        real = _finite(value)
+        if real is None:
+            raise SceneValidationError(f"attribute {name} expects a finite Real, got {value!r}")
+        return real
     if t == "Int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise SceneValidationError(f"attribute {name} expects Int, got {value!r}")
@@ -107,11 +120,11 @@ def _check_attr_value(om: ObjectModel, cls: str, name: str, value: object) -> ob
             raise SceneValidationError(f"attribute {name} expects String, got {value!r}")
         return value
     if t == "Vec2":
-        ok = (isinstance(value, (list, tuple)) and len(value) == 2
-              and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value))
-        if not ok:
-            raise SceneValidationError(f"attribute {name} expects Vec2, got {value!r}")
-        return (float(value[0]), float(value[1]))
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            vec = (_finite(value[0]), _finite(value[1]))
+            if None not in vec:
+                return vec
+        raise SceneValidationError(f"attribute {name} expects a finite Vec2, got {value!r}")
     raise SceneValidationError(f"attribute {name} has unsupported type {t}")
 
 
@@ -126,7 +139,8 @@ def make_csg(
 
     Validation is closed-world over what the record claims: every node class
     and every provided attribute must be declared, every edge must be allowed
-    by the object model. Attributes that the class declares but the record
+    by the object model, and the timestamp and every Real or Vec2 value must
+    be finite. Attributes that the class declares but the record
     omits stay absent; predicate evaluation reports them as errors later.
     """
     node_map: dict[str, SceneObject] = {}
@@ -135,8 +149,10 @@ def make_csg(
             raise SceneValidationError("node with empty id")
         if obj.object_id in node_map:
             raise SceneValidationError(f"duplicate node id: {obj.object_id}")
-        cls = om.require_class(obj.cls)
-        if cls.abstract:
+        if not om.has_class(obj.cls):
+            raise SceneValidationError(
+                f"node {obj.object_id} has unknown class {obj.cls}")
+        if om.require_class(obj.cls).abstract:
             raise SceneValidationError(
                 f"node {obj.object_id} has abstract class {obj.cls}")
         normalized = {
@@ -150,7 +166,11 @@ def make_csg(
             raise SceneValidationError(f"edge references unknown node {src}")
         if dst not in node_map:
             raise SceneValidationError(f"edge references unknown node {dst}")
-        if not is_relationship_allowed(om, rel, node_map[src].cls, node_map[dst].cls):
+        try:
+            allowed = is_relationship_allowed(om, rel, node_map[src].cls, node_map[dst].cls)
+        except SchemaError as exc:
+            raise SceneValidationError(f"edge ({src}, {rel}, {dst}): {exc}") from None
+        if not allowed:
             raise SceneValidationError(
                 f"edge ({src}, {rel}, {dst}) not allowed: "
                 f"{rel} does not admit {node_map[src].cls} -> {node_map[dst].cls}")
@@ -162,9 +182,10 @@ def make_csg(
     if not om.is_subclass(node_map[ego_id].cls, "Vehicle"):
         raise SceneValidationError(
             f"ego node {ego_id} has class {node_map[ego_id].cls}, expected a Vehicle")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
-        raise SceneValidationError(f"timestamp must be a number, got {timestamp!r}")
-    return ConcreteSceneGraph(float(timestamp), node_map, frozenset(edge_set), ego_id, om)
+    t = _finite(timestamp)
+    if t is None:
+        raise SceneValidationError(f"timestamp must be a finite number, got {timestamp!r}")
+    return ConcreteSceneGraph(t, node_map, frozenset(edge_set), ego_id, om)
 
 
 def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
@@ -192,7 +213,10 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
     for item in raw_edges:
         if not isinstance(item, Mapping) or not {"src", "rel", "dst"} <= set(item):
             raise SceneValidationError(f"malformed edge entry: {item!r}")
-        edges.append((item["src"], item["rel"], item["dst"]))
+        edge = (item["src"], item["rel"], item["dst"])
+        if not all(isinstance(part, str) for part in edge):
+            raise SceneValidationError(f"edge fields src, rel and dst must be strings: {item!r}")
+        edges.append(edge)
     if not isinstance(record["ego"], str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
     return make_csg(om, record["t"], record["ego"], nodes, edges)
@@ -224,7 +248,7 @@ def scene_record(csg: ConcreteSceneGraph) -> dict:
 
 
 def serialize_scene(csg: ConcreteSceneGraph) -> str:
-    return json.dumps(scene_record(csg), separators=(", ", ": "))
+    return json.dumps(scene_record(csg), separators=(", ", ": "), allow_nan=False)
 
 
 def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[ConcreteSceneGraph]:
@@ -235,7 +259,8 @@ def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[Concret
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed text, an int literal past the digit limit, or nesting too deep
             raise SceneValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
         try:
             yield parse_csg(record, om)

@@ -115,6 +115,15 @@ def test_check_missing_scene_file(capsys, tmp_path):
     assert "scenemon: error:" in err
 
 
+def test_check_rejects_undecodable_scene_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = _run(capsys, "check", str(path), "--builtin", "obstacle-ahead")
+    assert code == 2
+    assert "invalid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_check_rejects_duplicate_property_names(capsys, tmp_path, om):
     scene = _write_scene(tmp_path, om)
     code, _, err = _run(capsys, "check", scene,
@@ -269,6 +278,47 @@ def test_monitor_locates_malformed_stream_lines(capsys, tmp_path, om):
                         "--builtin", "obstacle-ahead")
     assert code == 2
     assert "line 2" in err
+
+
+def _edit_edge(field, value):
+    def edit(records):
+        records[1]["edges"][0][field] = value
+    return edit
+
+
+def _edit_node_class(records):
+    records[1]["nodes"][1]["class"] = "Bike"
+
+
+def _edit_rel(records):
+    records[1]["edges"][0]["rel"] = "follows"
+
+
+def _nan_timestamp(records):
+    records[0]["t"], records[1]["t"], records[2]["t"] = 5.0, float("nan"), 1.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_edge("src", [1]), "edge fields src, rel and dst must be strings"),
+    (_edit_edge("dst", {"lane": "lane1"}), "edge fields src, rel and dst must be strings"),
+    (_edit_node_class, "node lane1 has unknown class Bike"),
+    (_edit_rel, "edge (ego, follows, lane1): unknown relationship: follows"),
+    (_nan_timestamp, "timestamp must be a finite number, got nan"),
+], ids=["list-src", "dict-dst", "unknown-class", "unknown-rel", "nan-t"])
+def test_monitor_rejects_hostile_records_at_their_line(capsys, tmp_path, om, edit, message):
+    records = [scene_record(halted_obstacle_scene(om, t=float(t))) for t in range(3)]
+    edit(records)
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = _run(capsys, "monitor", str(path), "--builtin", "obstacle-ahead")
+    assert code == 2
+    assert f"line 2: {message}" in err
+    assert "Traceback" not in err
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    assert len([json.loads(line, parse_constant=reject) for line in out.splitlines()]) == 1
 
 
 # -- bench -----------------------------------------------------------------

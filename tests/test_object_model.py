@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenemon import (
+    ObjectModel,
     SchemaError,
     SpecSyntaxError,
     default_object_model,
@@ -9,6 +11,7 @@ from scenemon import (
     parse_object_model,
     serialize_object_model,
 )
+from scenemon.object_model import AttributeDef, ClassDef, RelationshipType
 
 
 def test_default_schema_classes(om):
@@ -121,3 +124,106 @@ def test_syntax_error_carries_position():
         parse_object_model("class A {\n  speed Real;\n}")
     assert err.value.line == 2
     assert err.value.column >= 1
+
+
+def test_direct_construction_validates():
+    with pytest.raises(SchemaError, match="cycle"):
+        ObjectModel((ClassDef("A", "B", False), ClassDef("B", "A", False)))
+    with pytest.raises(SchemaError, match="extends unknown class Missing"):
+        ObjectModel((ClassDef("A", "Missing", False),))
+
+
+# -- differential: lookup tables against a naive chain walk ---------------
+
+
+def _ref_class(om, name):
+    for cls in om.classes:
+        if cls.name == name:
+            return cls
+    raise SchemaError(f"unknown class: {name}")
+
+
+def _ref_chain(om, name):
+    """The class and its ancestors, leaf first, by walking parent links."""
+    chain = [_ref_class(om, name)]
+    while chain[-1].parent is not None:
+        chain.append(_ref_class(om, chain[-1].parent))
+    return chain
+
+
+def _ref_is_subclass(om, sub, sup):
+    _ref_class(om, sup)
+    return any(cls.name == sup for cls in _ref_chain(om, sub))
+
+
+def _ref_attributes_of(om, name):
+    return tuple(a for cls in reversed(_ref_chain(om, name)) for a in cls.attributes)
+
+
+def _ref_find_attribute(om, name, attr):
+    return next((a for a in _ref_attributes_of(om, name) if a.name == attr), None)
+
+
+def _ref_is_relationship_allowed(om, rel, src, dst):
+    _ref_class(om, src)
+    _ref_class(om, dst)
+    rows = [r for r in om.relationships if r.name == rel]
+    if not rows:
+        raise SchemaError(f"unknown relationship: {rel}")
+    return any(_ref_is_subclass(om, src, r.source) and _ref_is_subclass(om, dst, r.target)
+               for r in rows)
+
+
+def _ref_relationship_names(om):
+    return tuple(dict.fromkeys(r.name for r in om.relationships))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+def _assert_matches_reference(om):
+    names = [c.name for c in om.classes] + ["Unknown"]
+    attrs = sorted({a.name for c in om.classes for a in c.attributes}) + ["unknown"]
+    rels = list(_ref_relationship_names(om)) + ["unknownRel"]
+    assert om.relationship_names() == _ref_relationship_names(om)
+    for a in names:
+        assert _outcome(om.attributes_of, a) == _outcome(_ref_attributes_of, om, a)
+        for attr in attrs:
+            assert (_outcome(om.find_attribute, a, attr)
+                    == _outcome(_ref_find_attribute, om, a, attr))
+        for b in names:
+            assert _outcome(om.is_subclass, a, b) == _outcome(_ref_is_subclass, om, a, b)
+            for rel in rels:
+                assert (_outcome(is_relationship_allowed, om, rel, a, b)
+                        == _outcome(_ref_is_relationship_allowed, om, rel, a, b))
+
+
+def test_default_tables_match_chain_walk(om):
+    _assert_matches_reference(om)
+
+
+@st.composite
+def _acyclic_models(draw):
+    """Random class forests (parents declared in any order), attributes
+    unique along every chain, and random relationship rows."""
+    classes = []
+    for i in range(draw(st.integers(1, 7))):
+        parent = draw(st.sampled_from([None] + [f"C{j}" for j in range(i)]))
+        attrs = tuple(AttributeDef(f"a{i}_{k}", draw(st.sampled_from(["Real", "Vec2"])))
+                      for k in range(draw(st.integers(0, 2))))
+        classes.append(ClassDef(f"C{i}", parent, draw(st.booleans()), attrs))
+    names = st.sampled_from([c.name for c in classes])
+    rows = draw(st.lists(st.builds(RelationshipType, st.sampled_from(["r", "s", "t"]),
+                                   names, names), unique=True, max_size=6))
+    return ObjectModel(tuple(draw(st.permutations(classes))), tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_acyclic_models())
+def test_random_tables_match_chain_walk(model):
+    _assert_matches_reference(model)
+    assert parse_object_model(serialize_object_model(model)) == model

@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenemon import (
     AbstractSceneGraph,
@@ -14,6 +16,8 @@ from scenemon import (
     serialize_scene,
     validate_asg,
 )
+
+from conftest import halted_obstacle_scene
 
 
 def _nodes(om_cls_pairs):
@@ -104,10 +108,96 @@ def test_read_scene_stream_reports_line(om, scene_factory):
         list(read_scene_stream(lines, om))
 
 
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"t": ' + "1" * 5000 + "}"],
+                         ids=["deep-nesting", "long-int"])
+def test_read_scene_stream_locates_undecodable_lines(om, line):
+    with pytest.raises(SceneValidationError, match="line 1"):
+        list(read_scene_stream([line], om))
+
+
 def test_read_scene_stream_skips_blank_lines(om, scene_factory):
     good = serialize_scene(scene_factory())
     scenes = list(read_scene_stream([good, "", good, "\n"], om))
     assert len(scenes) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+def test_non_finite_numbers_rejected(om, bad):
+    with pytest.raises(SceneValidationError, match="timestamp"):
+        make_csg(om, bad, "ego", _nodes([("ego", "Vehicle", {})]), [])
+    with pytest.raises(SceneValidationError, match="velocity"):
+        make_csg(om, 0.0, "ego", _nodes([("ego", "Vehicle", {"velocity": bad})]), [])
+    with pytest.raises(SceneValidationError, match="position"):
+        make_csg(om, 0.0, "ego", _nodes([("ego", "Vehicle", {"position": (0.0, bad)})]), [])
+
+
+def test_unknown_names_in_a_record_are_located(om, scene_factory):
+    good = scene_record(scene_factory())
+    bike = copy.deepcopy(good)
+    bike["nodes"][1]["class"] = "Bike"
+    with pytest.raises(SceneValidationError, match="line 2: node lane1 has unknown class Bike"):
+        list(read_scene_stream([json.dumps(good), json.dumps(bike)], om))
+    follows = copy.deepcopy(good)
+    follows["edges"][0]["rel"] = "follows"
+    with pytest.raises(SceneValidationError,
+                       match=r"line 1: edge \(ego, follows, lane1\): unknown relationship"):
+        list(read_scene_stream([json.dumps(follows)], om))
+
+
+@pytest.mark.parametrize("field, value", [("src", [1]), ("rel", ["isIn"]), ("dst", {"a": 1})])
+def test_edge_fields_must_be_strings(om, scene_factory, field, value):
+    record = scene_record(scene_factory())
+    record["edges"][0][field] = value
+    with pytest.raises(SceneValidationError, match="must be strings"):
+        parse_csg(record, om)
+
+
+def _paths(value, path=()):
+    """The path to every value inside a decoded JSON document, root first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            yield from _paths(item, path + (idx,))
+
+
+def _substituted(document, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(document)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["", "ego", "obs", "lane1", "Vehicle", "Lane", "Bike", "isIn"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_value_in_any_field_is_accepted_or_rejected(om, data):
+    record = scene_record(halted_obstacle_scene(om))
+    path = data.draw(st.sampled_from(list(_paths(record))))
+    hostile = _substituted(record, path, data.draw(_JSON_VALUES))
+    for parse in (lambda: [parse_csg(hostile, om)],
+                  lambda: list(read_scene_stream([json.dumps(hostile)], om))):
+        try:
+            scenes = parse()
+        except SceneValidationError:
+            continue
+        for csg in scenes:
+            serialize_scene(csg)  # strict JSON: a non-finite number raises ValueError
 
 
 def test_validate_asg_rejects_disconnected(om):
