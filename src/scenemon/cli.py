@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
-import random
 import statistics
 import sys
 import time
@@ -44,24 +44,18 @@ from .object_model import ObjectModel, load_object_model
 from .scene_graph import (
     AbstractSceneGraph,
     ConcreteSceneGraph,
-    SceneObject,
     export_dot,
-    make_csg,
     parse_csg,
     read_scene_stream,
     serialize_scene,
 )
 from .scenarios import (
-    LANE_WIDTH,
-    ParticipantState,
+    build_bench_scene,
     builtin_asgs,
     builtin_script,
-    derive_edges,
-    environment_nodes,
     generate_trace,
     load_bundled_asg,
     scenario_names,
-    _two_lane_layout,
 )
 
 
@@ -71,10 +65,24 @@ def _kv_offset(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(
             f"expected KEY=OFFSET, got {text!r}")
     try:
-        return key, float(value)
+        offset = float(value)
     except ValueError:
+        offset = math.nan
+    if not math.isfinite(offset):
         raise argparse.ArgumentTypeError(
-            f"offset for {key!r} must be a number, got {value!r}") from None
+            f"offset for {key!r} must be a finite number, got {value!r}")
+    return key, offset
+
+
+def _step_seconds(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, got {text!r}")
+    return step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shift one scripted safety distance by OFFSET meters during "
              "its phase; repeatable")
     p_gen.add_argument(
-        "--dt", type=float, default=None, metavar="SECONDS",
+        "--dt", type=_step_seconds, default=None, metavar="SECONDS",
         help="override the script's sampling step")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -376,43 +384,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         for csg in generate_trace(script, om):
             print(serialize_scene(csg), file=out)
     return 0
-
-
-def build_bench_scene(
-    n_nodes: int = 100, seed: int = 0, om: ObjectModel | None = None
-) -> ConcreteSceneGraph:
-    """A dense synthetic snapshot: two lanes of traffic around the ego.
-
-    Deterministic for a given seed. The ego straddles the lane boundary so
-    that multi-lane patterns have embeddings to find.
-    """
-    if om is None:
-        om = load_object_model("default")
-    if n_nodes < 5:
-        raise ValueError("bench scene needs at least 5 nodes")
-    rng = random.Random(seed)
-    layout = _two_lane_layout()
-    nodes = environment_nodes(layout)
-    participants = [ParticipantState("ego", (0.0, LANE_WIDTH / 2.0))]
-    nodes.append(SceneObject(
-        "ego", "Vehicle",
-        {"velocity": 8.33, "position": (0.0, LANE_WIDTH / 2.0)}))
-    for i in range(n_nodes - 4):
-        x = rng.uniform(-250.0, 250.0)
-        lane_y = rng.choice((0.0, LANE_WIDTH))
-        y = lane_y + rng.uniform(-0.5, 0.5)
-        if i % 6 == 0:
-            oid, cls, speed = f"s{i:02d}", "Static", 0.0
-            heading = (1.0, 0.0)
-        else:
-            oid, cls = f"v{i:02d}", "Vehicle"
-            speed = rng.uniform(3.0, 14.0)
-            heading = (1.0, 0.0) if lane_y == 0.0 else (-1.0, 0.0)
-        nodes.append(SceneObject(
-            oid, cls, {"velocity": speed, "position": (x, y)}))
-        participants.append(ParticipantState(oid, (x, y), heading))
-    edges = derive_edges(layout, participants)
-    return make_csg(om, 0.0, "ego", nodes, edges)
 
 
 def run_bench(

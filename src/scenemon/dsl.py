@@ -26,7 +26,9 @@ either yields an AbstractSceneGraph or raises a located package error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import SpecSyntaxError, SpecTypeError
 from .lexing import (
@@ -52,7 +54,8 @@ _COMPARE_OPS = ("==", "!=", "<=", ">=", "<", ">")
 def _fmt_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
-    return repr(float(value))
+    # the shortest round-tripping digits, without the exponent repr() may use
+    return format(Decimal(repr(float(value))), "f")
 
 
 @dataclass(frozen=True)
@@ -340,6 +343,18 @@ def _parse_comparison(ts: TokenStream) -> Expr:
     return left
 
 
+def _number(tok: Token) -> float:
+    """The value of a number token; SpecSyntaxError there unless it is a
+    finite float."""
+    try:
+        value = float(tok.text)
+    except ValueError:  # the lexer takes any Unicode digit, float() not all
+        raise SpecSyntaxError(f"invalid number {tok.text!r}", tok.line, tok.column) from None
+    if not math.isfinite(value):
+        raise SpecSyntaxError("number out of the float range", tok.line, tok.column)
+    return value
+
+
 def _parse_operand(ts: TokenStream) -> Expr:
     tok = ts.peek()
     if ts.accept_punct("-"):
@@ -347,10 +362,10 @@ def _parse_operand(ts: TokenStream) -> Expr:
         if num.kind != KIND_NUMBER:
             raise SpecSyntaxError("expected number after '-'", num.line, num.column)
         ts.next()
-        return NumberLit(tok.line, tok.column, -float(num.text))
+        return NumberLit(tok.line, tok.column, -_number(num))
     if tok.kind == KIND_NUMBER:
         ts.next()
-        return NumberLit(tok.line, tok.column, float(tok.text))
+        return NumberLit(tok.line, tok.column, _number(tok))
     if tok.kind == KIND_STRING:
         ts.next()
         return StringLit(tok.line, tok.column, tok.text)

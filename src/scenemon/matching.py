@@ -11,10 +11,13 @@ The default semantics is monomorphism: the scene may contain any number of
 additional edges between matched objects. `induced=True` switches to strict
 induced matching where edges between images must mirror the pattern exactly.
 
-`iter_embeddings` runs a VF2-style backtracking search. The pattern visit
-order is fixed up front (`pattern_order`): ego first, then ascending BFS
-distance from ego, then ascending candidate count, then pattern id; scene
-candidates are tried in lexicographic object-id order. Enumeration order is
+`iter_embeddings` runs a VF2-style backtracking search. A pattern node's
+candidates are the scene's `class_index` entry for its class (the ego node
+has the scene ego alone), so finding them costs one lookup, not a class
+test per scene object. The pattern visit order is fixed up front
+(`pattern_order`): ego first, then ascending BFS distance from ego
+(`pattern_distances`), then ascending candidate count, then pattern id;
+scene candidates are tried in lexicographic object-id order. Enumeration order is
 therefore the lexicographic order of mapped-object tuples along the visit
 order, which makes results reproducible and lets callers reason about "the
 first embedding".
@@ -30,7 +33,8 @@ every check.
 
 `brute_force_embeddings` is an intentionally naive oracle for testing: it
 enumerates the full candidate product and filters. It shares no search code
-with the matcher; keep it that way so the two routes stay independent.
+with the matcher and tests classes with `is_subclass` instead of reading
+the class index; keep it that way so the two routes stay independent.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
-from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph
+from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, pattern_distances
 
 ORACLE_SIZE_BOUND = 12
 
@@ -70,18 +74,15 @@ def _require_same_om(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> None:
             "pattern and scene were validated against different object models")
 
 
-def _candidates(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> dict[str, list[str]]:
+def _candidates(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> dict[str, tuple[str, ...]]:
     """Class-compatible scene objects per pattern node, ego pinned, sorted."""
-    om = asg.om
-    out: dict[str, list[str]] = {}
+    out: dict[str, tuple[str, ...]] = {}
     for pid, cls in asg.pattern_nodes.items():
         if pid == asg.ego_pattern_id:
-            ego_obj = csg.nodes[csg.ego_id]
-            out[pid] = [csg.ego_id] if om.is_subclass(ego_obj.cls, cls) else []
+            ego_cls = csg.nodes[csg.ego_id].cls
+            out[pid] = (csg.ego_id,) if asg.om.is_subclass(ego_cls, cls) else ()
         else:
-            out[pid] = sorted(
-                oid for oid, obj in csg.nodes.items() if om.is_subclass(obj.cls, cls)
-            )
+            out[pid] = csg.class_index.get(cls, ())
     return out
 
 
@@ -95,21 +96,8 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
     return _visit_order(asg, _candidates(asg, csg))
 
 
-def _visit_order(asg: AbstractSceneGraph, cand: dict[str, list[str]]) -> tuple[str, ...]:
-    dist = {asg.ego_pattern_id: 0}
-    frontier = [asg.ego_pattern_id]
-    adj: dict[str, set[str]] = {pid: set() for pid in asg.pattern_nodes}
-    for src, _, dst in asg.pattern_edges:
-        adj[src].add(dst)
-        adj[dst].add(src)
-    while frontier:
-        nxt: list[str] = []
-        for pid in frontier:
-            for nb in adj[pid]:
-                if nb not in dist:
-                    dist[nb] = dist[pid] + 1
-                    nxt.append(nb)
-        frontier = nxt
+def _visit_order(asg: AbstractSceneGraph, cand: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    dist = pattern_distances(asg, asg.ego_pattern_id)
     return tuple(sorted(
         asg.pattern_nodes,
         key=lambda pid: (dist.get(pid, len(asg.pattern_nodes)), len(cand[pid]), pid),

@@ -161,10 +161,12 @@ def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Rea
     every attribute the predicates read from that node."""
     for pid, names in reads:
         cls = asg.pattern_nodes[pid]
-        pool = ((csg.nodes[csg.ego_id],) if pid == asg.ego_pattern_id
-                else csg.nodes.values())
-        for obj in pool:
-            if not names <= obj.attributes.keys() and asg.om.is_subclass(obj.cls, cls):
+        if pid == asg.ego_pattern_id:
+            pool = (csg.ego_id,) if asg.om.is_subclass(csg.nodes[csg.ego_id].cls, cls) else ()
+        else:
+            pool = csg.class_index.get(cls, ())
+        for oid in pool:
+            if not names <= csg.nodes[oid].attributes.keys():
                 return False
     return True
 

@@ -79,7 +79,7 @@ class ObjectModel:
     classes: tuple[ClassDef, ...] = ()
     relationships: tuple[RelationshipType, ...] = ()
     functions: tuple[FunctionSymbol, ...] = ()
-    # Lookup tables, built once by __post_init__ and read only by this module.
+    # Lookup tables, built once by __post_init__ and read only by this class.
     _by_name: dict[str, ClassDef] = field(init=False, compare=False, repr=False)
     # each class -> the class itself and all its ancestors
     _ancestors: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
@@ -165,6 +165,10 @@ class ObjectModel:
     def require_class(self, name: str) -> ClassDef:
         return self._lookup(self._by_name, name)
 
+    def ancestors(self, name: str) -> frozenset[str]:
+        """The class `name` itself and every class it derives from."""
+        return self._lookup(self._ancestors, name)
+
     def is_subclass(self, sub: str, sup: str) -> bool:
         """True iff `sub` equals `sup` or derives from it transitively."""
         self.require_class(sup)
@@ -185,6 +189,14 @@ class ObjectModel:
     def relationship_names(self) -> tuple[str, ...]:
         return tuple(self._admitted)
 
+    def admitted_pairs(self, rel: str) -> frozenset[tuple[str, str]]:
+        """Every (source class, target class) pair a `rel` edge may connect,
+        subclasses included; SchemaError for an unknown relationship."""
+        try:
+            return self._admitted[rel]
+        except KeyError:
+            raise SchemaError(f"unknown relationship: {rel}") from None
+
     def find_function(self, name: str) -> FunctionSymbol | None:
         for f in self.functions:
             if f.name == name:
@@ -201,10 +213,7 @@ def is_relationship_allowed(om: ObjectModel, rel: str, src_class: str, dst_class
     """
     om.require_class(src_class)
     om.require_class(dst_class)
-    pairs = om._admitted.get(rel)
-    if pairs is None:
-        raise SchemaError(f"unknown relationship: {rel}")
-    return (src_class, dst_class) in pairs
+    return (src_class, dst_class) in om.admitted_pairs(rel)
 
 
 # -- schema text parsing ---------------------------------------------------

@@ -22,6 +22,7 @@ false for negative offsets without disturbing any other phase.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -406,6 +407,43 @@ def overtake_script(offsets: dict[str, float] | None = None) -> ScenarioScript:
         ),
         offsets=dict(offsets or {}),
     )
+
+
+def build_bench_scene(
+    n_nodes: int = 100, seed: int = 0, om: ObjectModel | None = None
+) -> ConcreteSceneGraph:
+    """A dense synthetic snapshot: two lanes of traffic around the ego.
+
+    Deterministic for a given seed. The ego straddles the lane boundary so
+    that multi-lane patterns have embeddings to find.
+    """
+    if om is None:
+        om = default_object_model()
+    if n_nodes < 5:
+        raise ValueError("bench scene needs at least 5 nodes")
+    rng = random.Random(seed)
+    layout = _two_lane_layout()
+    nodes = environment_nodes(layout)
+    participants = [ParticipantState("ego", (0.0, LANE_WIDTH / 2.0))]
+    nodes.append(SceneObject(
+        "ego", "Vehicle",
+        {"velocity": 8.33, "position": (0.0, LANE_WIDTH / 2.0)}))
+    for i in range(n_nodes - 4):
+        x = rng.uniform(-250.0, 250.0)
+        lane_y = rng.choice((0.0, LANE_WIDTH))
+        y = lane_y + rng.uniform(-0.5, 0.5)
+        if i % 6 == 0:
+            oid, cls, speed = f"s{i:02d}", "Static", 0.0
+            heading = (1.0, 0.0)
+        else:
+            oid, cls = f"v{i:02d}", "Vehicle"
+            speed = rng.uniform(3.0, 14.0)
+            heading = (1.0, 0.0) if lane_y == 0.0 else (-1.0, 0.0)
+        nodes.append(SceneObject(
+            oid, cls, {"velocity": speed, "position": (x, y)}))
+        participants.append(ParticipantState(oid, (x, y), heading))
+    edges = derive_edges(layout, participants)
+    return make_csg(om, 0.0, "ego", nodes, edges)
 
 
 _SCRIPT_BUILDERS = {"P1": pull_out_script, "P2": overtake_script}

@@ -7,6 +7,16 @@ pattern graph over the same vocabulary plus an ordered list of predicates
 over the pattern nodes. Both validate against an ObjectModel at load time;
 matching and verdicts live in the matching and monitor modules.
 
+Ingest is table-driven, because a dense scene carries thousands of edges
+and every one is checked. `make_csg` admits each edge through a node ->
+class dict and the object model's admitted-pair table, one lookup per
+edge. `ConcreteSceneGraph.__post_init__` is the one place that derives the
+scene's lookup tables, all holding tuples of object ids: `out_edges` and
+`in_edges` (node -> relationship -> neighbours) and `class_index` (each
+class, abstract ancestors included -> the sorted ids of its objects). The
+matcher reads its candidates straight from the class index instead of
+testing every object's class.
+
 Scene records travel as JSON objects (one per line in a stream):
 
     {"t": 0.0, "ego": "ego",
@@ -20,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
 from .object_model import ObjectModel, is_relationship_allowed
@@ -50,25 +61,48 @@ class ConcreteSceneGraph:
     edges: frozenset[tuple[str, str, str]]
     ego_id: str
     om: ObjectModel = field(compare=False, repr=False)
-    # adjacency caches, built once; the graph is treated as immutable
-    out_edges: dict[str, dict[str, set[str]]] = field(
-        default_factory=dict, compare=False, repr=False)
-    in_edges: dict[str, dict[str, set[str]]] = field(
-        default_factory=dict, compare=False, repr=False)
+    # Lookup tables, built once by __post_init__; the graph is treated as
+    # immutable. Tuples, because a stream may keep thousands of scenes.
+    # Adjacency: node id -> relationship -> neighbour ids, in no set order.
+    out_edges: dict[str, dict[str, tuple[str, ...]]] = field(
+        init=False, compare=False, repr=False)
+    in_edges: dict[str, dict[str, tuple[str, ...]]] = field(
+        init=False, compare=False, repr=False)
+    # each class, abstract ancestors included -> sorted ids of its objects
+    class_index: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for nid in self.nodes:
-            self.out_edges[nid] = {}
-            self.in_edges[nid] = {}
+        out_edges: dict[str, dict[str, list[str]]] = {nid: {} for nid in self.nodes}
+        in_edges: dict[str, dict[str, list[str]]] = {nid: {} for nid in self.nodes}
         for src, rel, dst in self.edges:
-            self.out_edges[src].setdefault(rel, set()).add(dst)
-            self.in_edges[dst].setdefault(rel, set()).add(src)
+            rels = out_edges[src]
+            if rel in rels:
+                rels[rel].append(dst)
+            else:
+                rels[rel] = [dst]
+            rels = in_edges[dst]
+            if rel in rels:
+                rels[rel].append(src)
+            else:
+                rels[rel] = [src]
+        members: dict[str, list[str]] = {}
+        for nid in sorted(self.nodes):
+            for cls in self.om.ancestors(self.nodes[nid].cls):
+                members.setdefault(cls, []).append(nid)
+        self.out_edges = _frozen(out_edges)
+        self.in_edges = _frozen(in_edges)
+        self.class_index = {cls: tuple(ids) for cls, ids in members.items()}
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
 
     def labels_between(self, src: str, dst: str) -> set[str]:
-        return {r for r, dsts in self.out_edges.get(src, {}).items() if dst in dsts}
+        return {r for r in self.out_edges.get(src, ()) if (src, r, dst) in self.edges}
+
+
+def _frozen(adjacency: dict[str, dict[str, list[str]]]) -> dict[str, dict[str, tuple[str, ...]]]:
+    return {nid: {rel: tuple(ids) for rel, ids in rels.items()}
+            for nid, rels in adjacency.items()}
 
 
 @dataclass
@@ -160,20 +194,23 @@ def make_csg(
             for name, value in obj.attributes.items()
         }
         node_map[obj.object_id] = SceneObject(obj.object_id, obj.cls, normalized)
+    cls_of = {nid: obj.cls for nid, obj in node_map.items()}
     edge_set: set[tuple[str, str, str]] = set()
     for src, rel, dst in edges:
-        if src not in node_map:
+        src_cls = cls_of.get(src)
+        if src_cls is None:
             raise SceneValidationError(f"edge references unknown node {src}")
-        if dst not in node_map:
+        dst_cls = cls_of.get(dst)
+        if dst_cls is None:
             raise SceneValidationError(f"edge references unknown node {dst}")
         try:
-            allowed = is_relationship_allowed(om, rel, node_map[src].cls, node_map[dst].cls)
+            pairs = om.admitted_pairs(rel)
         except SchemaError as exc:
             raise SceneValidationError(f"edge ({src}, {rel}, {dst}): {exc}") from None
-        if not allowed:
+        if (src_cls, dst_cls) not in pairs:
             raise SceneValidationError(
                 f"edge ({src}, {rel}, {dst}) not allowed: "
-                f"{rel} does not admit {node_map[src].cls} -> {node_map[dst].cls}")
+                f"{rel} does not admit {src_cls} -> {dst_cls}")
         if rel == "inFrontOf" and src == dst:
             raise SceneValidationError(f"inFrontOf self-loop on {src}")
         edge_set.add((src, rel, dst))
@@ -201,22 +238,25 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
         raise SceneValidationError("scene record fields nodes/edges must be arrays")
     nodes = []
     for item in raw_nodes:
-        if not isinstance(item, Mapping) or "id" not in item or "class" not in item:
+        # the dict test first: it is cheap and passes every decoded object
+        if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                or "id" not in item or "class" not in item):
             raise SceneValidationError(f"malformed node entry: {item!r}")
         attrs = item.get("attrs", {})
-        if not isinstance(attrs, Mapping):
+        if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
             raise SceneValidationError(f"node {item['id']}: attrs must be an object")
         if not isinstance(item["id"], str) or not isinstance(item["class"], str):
             raise SceneValidationError(f"malformed node entry: {item!r}")
         nodes.append(SceneObject(item["id"], item["class"], attrs))
     edges = []
     for item in raw_edges:
-        if not isinstance(item, Mapping) or not {"src", "rel", "dst"} <= set(item):
+        if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                or "src" not in item or "rel" not in item or "dst" not in item):
             raise SceneValidationError(f"malformed edge entry: {item!r}")
-        edge = (item["src"], item["rel"], item["dst"])
-        if not all(isinstance(part, str) for part in edge):
+        src, rel, dst = item["src"], item["rel"], item["dst"]
+        if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
             raise SceneValidationError(f"edge fields src, rel and dst must be strings: {item!r}")
-        edges.append(edge)
+        edges.append((src, rel, dst))
     if not isinstance(record["ego"], str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
     return make_csg(om, record["t"], record["ego"], nodes, edges)
@@ -299,29 +339,33 @@ def validate_asg(asg: AbstractSceneGraph) -> None:
             raise SceneValidationError(
                 f"pattern {asg.name!r}: edge ({src}, {rel}, {dst}) not allowed for "
                 f"{asg.pattern_nodes[src]} -> {asg.pattern_nodes[dst]}")
-    # connectivity, undirected
-    if len(asg.pattern_nodes) > 1:
-        adj: dict[str, set[str]] = {pid: set() for pid in asg.pattern_nodes}
-        for src, _, dst in asg.pattern_edges:
-            adj[src].add(dst)
-            adj[dst].add(src)
-        seen = {next(iter(asg.pattern_nodes))}
-        frontier = list(seen)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if seen != set(asg.pattern_nodes):
-            missing = sorted(set(asg.pattern_nodes) - seen)
-            raise SceneValidationError(
-                f"pattern {asg.name!r} is disconnected; unreachable: {', '.join(missing)}")
+    reached = pattern_distances(asg, next(iter(asg.pattern_nodes)))
+    if len(reached) != len(asg.pattern_nodes):
+        missing = sorted(set(asg.pattern_nodes) - reached.keys())
+        raise SceneValidationError(
+            f"pattern {asg.name!r} is disconnected; unreachable: {', '.join(missing)}")
     for idx, pred in enumerate(asg.predicates):
         for pid in sorted(pred.pattern_ids()):
             if pid not in asg.pattern_nodes:
                 raise SceneValidationError(
                     f"pattern {asg.name!r}: predicate {idx} references unknown node {pid}")
+
+
+def pattern_distances(asg: AbstractSceneGraph, start: str) -> dict[str, int]:
+    """Edge count from `start` to each pattern node it reaches, with the
+    pattern read undirected (breadth-first search)."""
+    adj: dict[str, set[str]] = {pid: set() for pid in asg.pattern_nodes}
+    for src, _, dst in asg.pattern_edges:
+        adj[src].add(dst)
+        adj[dst].add(src)
+    dist = {start: 0}
+    frontier = [start]
+    for pid in frontier:  # the list grows while it is read: a FIFO queue
+        for nb in adj[pid]:
+            if nb not in dist:
+                dist[nb] = dist[pid] + 1
+                frontier.append(nb)
+    return dist
 
 
 # -- DOT export ------------------------------------------------------------

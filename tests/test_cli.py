@@ -53,6 +53,18 @@ def test_gen_rejects_malformed_perturbation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"),
+    ("--perturb", "rear_gap=nan"), ("--perturb", "rear_gap=inf"),
+    ("--perturb", "rear_gap=-inf"),
+])
+def test_gen_rejects_non_finite_flag_values(capsys, flag, value):
+    code, out, err = _run(capsys, "gen", "--scenario", "P1", flag, value)
+    assert code == 2
+    assert f"argument {flag}: " in err
+    assert out == ""
+
+
 def test_gen_rejects_unknown_perturbation_key(capsys):
     code, _, err = _run(capsys, "gen", "--scenario", "P1",
                         "--perturb", "bogus=1")

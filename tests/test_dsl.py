@@ -5,9 +5,13 @@ from scenemon import (
     SpecSyntaxError,
     SpecTypeError,
     load_asg,
+    load_bundled_asg,
     parse_asg,
     serialize_asg,
 )
+
+BUNDLED = ("obstacle-ahead", "P1-1", "P1-2", "P1-3",
+           "P2-1", "P2-2", "P2-3", "P2-4", "P2-5")
 
 SMALL = """
 // standing in a parking spot
@@ -54,6 +58,30 @@ def test_negative_literal_and_interval(om):
         'asg "n" { node ego: Vehicle; ego ego; '
         'assert ego.velocity in [-1, 2.5); }', om)
     assert asg.predicates[0].to_text() == "ego.velocity in [-1, 2.5)"
+
+
+@pytest.mark.parametrize("literal, column", [
+    ("1" * 401, 25), ("-" + "1" * 401, 26), ("\u00b2", 25),
+], ids=["401-digits", "negated-401-digits", "superscript-two"])
+def test_number_literal_must_be_a_finite_float(om, literal, column):
+    text = ('asg "n" {\n  node ego: Vehicle; ego ego;\n'
+            f'  assert ego.velocity > {literal};\n}}')
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_asg(text, om)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_property_round_trips(om, name):
+    asg = load_bundled_asg(name, om)
+    assert parse_asg(serialize_asg(asg), om) == asg
+
+
+def test_tiny_literal_round_trips_without_exponent(om):
+    asg = parse_asg('asg "n" { node ego: Vehicle; ego ego; '
+                    'assert ego.velocity > 0.0000000000000000000001; }', om)
+    assert "e" not in asg.predicates[0].to_text().split(">")[1]
+    assert parse_asg(serialize_asg(asg), om) == asg
 
 
 def test_string_escapes(om):

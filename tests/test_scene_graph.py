@@ -1,5 +1,8 @@
 import copy
 import json
+import random
+import types
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,9 @@ from scenemon import (
     AbstractSceneGraph,
     SceneObject,
     SceneValidationError,
+    SchemaError,
     export_dot,
+    is_relationship_allowed,
     make_csg,
     parse_csg,
     read_scene_stream,
@@ -17,7 +22,11 @@ from scenemon import (
     validate_asg,
 )
 
+from scenemon.matching import _candidates
+from scenemon.scene_graph import _check_attr_value, _finite
+
 from conftest import halted_obstacle_scene
+from randscene import random_asg, random_csg
 
 
 def _nodes(om_cls_pairs):
@@ -164,6 +173,12 @@ def _paths(value, path=()):
             yield from _paths(item, path + (idx,))
 
 
+def _at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
 def _substituted(document, path, value):
     if not path:
         return value
@@ -198,6 +213,188 @@ def test_any_json_value_in_any_field_is_accepted_or_rejected(om, data):
             continue
         for csg in scenes:
             serialize_scene(csg)  # strict JSON: a non-finite number raises ValueError
+
+
+# -- differential test of ingest ---------------------------------------------
+
+
+def _reference_ingest(record, om):
+    """Scene ingest the way it worked before the lookup tables: a
+    typing.Mapping structural pass, `is_relationship_allowed` on every edge
+    and `setdefault` adjacency. Returns (timestamp, ego, nodes, edges,
+    out_edges, in_edges), or the SceneValidationError message. Attribute
+    values and the timestamp go through the unchanged `_check_attr_value`
+    and `_finite`."""
+    try:
+        if not isinstance(record, typing.Mapping):
+            raise SceneValidationError(
+                f"scene record must be an object, got {type(record).__name__}")
+        for key in ("t", "ego", "nodes", "edges"):
+            if key not in record:
+                raise SceneValidationError(f"scene record missing field {key!r}")
+        raw_nodes, raw_edges = record["nodes"], record["edges"]
+        if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+            raise SceneValidationError("scene record fields nodes/edges must be arrays")
+        objects = []
+        for item in raw_nodes:
+            if not isinstance(item, typing.Mapping) or "id" not in item or "class" not in item:
+                raise SceneValidationError(f"malformed node entry: {item!r}")
+            attrs = item.get("attrs", {})
+            if not isinstance(attrs, typing.Mapping):
+                raise SceneValidationError(f"node {item['id']}: attrs must be an object")
+            if not isinstance(item["id"], str) or not isinstance(item["class"], str):
+                raise SceneValidationError(f"malformed node entry: {item!r}")
+            objects.append((item["id"], item["class"], attrs))
+        edge_list = []
+        for item in raw_edges:
+            if not isinstance(item, typing.Mapping) or not {"src", "rel", "dst"} <= set(item):
+                raise SceneValidationError(f"malformed edge entry: {item!r}")
+            edge = (item["src"], item["rel"], item["dst"])
+            if not all(isinstance(part, str) for part in edge):
+                raise SceneValidationError(
+                    f"edge fields src, rel and dst must be strings: {item!r}")
+            edge_list.append(edge)
+        if not isinstance(record["ego"], str):
+            raise SceneValidationError("scene record field 'ego' must be a node id")
+        nodes = {}
+        for oid, cls, attrs in objects:
+            if not oid:
+                raise SceneValidationError("node with empty id")
+            if oid in nodes:
+                raise SceneValidationError(f"duplicate node id: {oid}")
+            if not om.has_class(cls):
+                raise SceneValidationError(f"node {oid} has unknown class {cls}")
+            if om.require_class(cls).abstract:
+                raise SceneValidationError(f"node {oid} has abstract class {cls}")
+            nodes[oid] = SceneObject(oid, cls, {
+                name: _check_attr_value(om, cls, name, value) for name, value in attrs.items()})
+        edges = set()
+        for src, rel, dst in edge_list:
+            for end in (src, dst):
+                if end not in nodes:
+                    raise SceneValidationError(f"edge references unknown node {end}")
+            try:
+                allowed = is_relationship_allowed(om, rel, nodes[src].cls, nodes[dst].cls)
+            except SchemaError as exc:
+                raise SceneValidationError(f"edge ({src}, {rel}, {dst}): {exc}") from None
+            if not allowed:
+                raise SceneValidationError(
+                    f"edge ({src}, {rel}, {dst}) not allowed: "
+                    f"{rel} does not admit {nodes[src].cls} -> {nodes[dst].cls}")
+            if rel == "inFrontOf" and src == dst:
+                raise SceneValidationError(f"inFrontOf self-loop on {src}")
+            edges.add((src, rel, dst))
+        ego = record["ego"]
+        if ego not in nodes:
+            raise SceneValidationError(f"ego node {ego!r} not present in scene")
+        if not om.is_subclass(nodes[ego].cls, "Vehicle"):
+            raise SceneValidationError(
+                f"ego node {ego} has class {nodes[ego].cls}, expected a Vehicle")
+        t = _finite(record["t"])
+        if t is None:
+            raise SceneValidationError(
+                f"timestamp must be a finite number, got {record['t']!r}")
+    except SceneValidationError as exc:
+        return str(exc)
+    out_edges = {oid: {} for oid in nodes}
+    in_edges = {oid: {} for oid in nodes}
+    for src, rel, dst in edges:
+        out_edges[src].setdefault(rel, set()).add(dst)
+        in_edges[dst].setdefault(rel, set()).add(src)
+    return t, ego, nodes, frozenset(edges), out_edges, in_edges
+
+
+def _as_sets(adjacency):
+    """Tuple adjacency as the reference's sets; a repeated neighbour fails."""
+    out = {nid: {rel: set(ids) for rel, ids in rels.items()} for nid, rels in adjacency.items()}
+    assert all(len(ids) == len(out[nid][rel])
+               for nid, rels in adjacency.items() for rel, ids in rels.items())
+    return out
+
+
+def _ingest(record, om):
+    try:
+        csg = parse_csg(record, om)
+    except SceneValidationError as exc:
+        return str(exc)
+    return (csg.timestamp, csg.ego_id, csg.nodes, csg.edges,
+            _as_sets(csg.out_edges), _as_sets(csg.in_edges))
+
+
+def _assert_class_tables_match(csg, asgs):
+    """The class index and `_candidates` against an `is_subclass` filter."""
+    om = csg.om
+    for cls in (c.name for c in om.classes):
+        naive = tuple(sorted(oid for oid, obj in csg.nodes.items()
+                             if om.is_subclass(obj.cls, cls)))
+        assert csg.class_index.get(cls, ()) == naive
+    for asg in asgs:
+        ego_ok = om.is_subclass(csg.nodes[csg.ego_id].cls, asg.pattern_nodes[asg.ego_pattern_id])
+        expected = {
+            pid: ((csg.ego_id,) if ego_ok else ()) if pid == asg.ego_pattern_id
+            else tuple(sorted(oid for oid, obj in csg.nodes.items()
+                              if om.is_subclass(obj.cls, cls)))
+            for pid, cls in asg.pattern_nodes.items()}
+        assert {pid: tuple(c) for pid, c in _candidates(asg, csg).items()} == expected
+
+
+def test_ingest_matches_reference_on_random_scenes(om):
+    rng = random.Random(404)
+    for _ in range(200):
+        record = scene_record(random_csg(rng, om))
+        got = _ingest(record, om)
+        assert got == _reference_ingest(record, om)
+        _assert_class_tables_match(parse_csg(record, om), [random_asg(rng, om) for _ in range(3)])
+
+
+@pytest.mark.parametrize("path, value", [
+    (("edges", 1, "dst"), "obs"), (("edges", 0, "rel"), "follows"),
+    (("edges", 0, "rel"), "isPartOf"), (("edges", 0, "src"), "ghost"),
+    (("edges", 2, "dst"), "ghost"), (("edges", 0, "src"), 1), (("edges", 0), ["ego"]),
+    (("nodes", 0, "class"), "Entity"), (("nodes", 1, "class"), "Bike"),
+    (("nodes", 2, "id"), "ego"), (("nodes", 2, "id"), ""), (("nodes", 0, "attrs"), []),
+    (("nodes", 2, "attrs", "velocity"), "fast"), (("ego",), "lane1"), (("ego",), "ghost"),
+    (("t",), float("nan")), (("t",), True),
+])
+def test_single_fault_records_match_reference(om, scene_factory, path, value):
+    record = _substituted(scene_record(scene_factory()), path, value)
+    message = _ingest(record, om)
+    assert isinstance(message, str)
+    assert message == _reference_ingest(record, om)
+
+
+_NAMES = st.sampled_from(["o0", "o1", "o9", "", "Vehicle", "Static", "Road", "Entity",
+                          "isIn", "isPartOf", "inFrontOf", "follows"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_hostile_ingest_matches_reference(om, seed, data):
+    """One or two faults in a random record: any JSON value at any path, or
+    a known id, class or relationship name in place of a string."""
+    record = scene_record(random_csg(random.Random(seed), om))
+    for _ in range(data.draw(st.integers(1, 2), label="faults")):
+        paths = list(_paths(record))
+        if data.draw(st.booleans(), label="rename"):
+            paths = [p for p in paths if isinstance(_at(record, p), str)] or paths
+            value = data.draw(_NAMES, label="name")
+        else:
+            value = data.draw(_JSON_VALUES, label="value")
+        path = data.draw(st.sampled_from(paths), label="path")
+        record = _substituted(record, path, value)
+    got = _ingest(record, om)
+    assert got == _reference_ingest(record, om)
+    if not isinstance(got, str):
+        _assert_class_tables_match(parse_csg(record, om), [])
+
+
+def test_non_dict_mappings_are_ingested_like_dicts(om, scene_factory):
+    record = scene_record(scene_factory())
+    proxied = dict(record, edges=list(record["edges"]))
+    proxied["edges"][0] = types.MappingProxyType(record["edges"][0])
+    proxied = types.MappingProxyType(proxied)
+    assert _ingest(proxied, om) == _ingest(record, om) == _reference_ingest(record, om)
+    assert parse_csg(proxied, om).class_index == parse_csg(record, om).class_index
 
 
 def test_validate_asg_rejects_disconnected(om):
