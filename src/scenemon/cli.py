@@ -30,13 +30,14 @@ from dataclasses import replace
 from typing import Iterator, Sequence, TextIO
 
 from .dsl import load_asg
-from .errors import SceneMonError, SceneValidationError, StreamOrderError
+from .errors import SceneMonError, SceneValidationError
 from .matching import brute_force_embeddings, check_embedding, find_embeddings
 from .monitor import (
     CauseKind,
     PhaseAutomaton,
     Result,
     Verdict,
+    monitor_stream,
     serialize_verdict,
     sg_comparison,
 )
@@ -85,6 +86,17 @@ def _step_seconds(text: str) -> float:
     return step
 
 
+def _tolerance(text: str) -> float:
+    try:
+        epsilon = float(text)
+    except ValueError:
+        epsilon = math.nan
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number at or above 0, got {text!r}")
+    return epsilon
+
+
 def _build_parser() -> argparse.ArgumentParser:
     om_parent = argparse.ArgumentParser(add_help=False)
     om_parent.add_argument(
@@ -104,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_parent = argparse.ArgumentParser(add_help=False)
     eval_parent.add_argument(
-        "--epsilon", type=float, default=0.0, metavar="E",
+        "--epsilon", type=_tolerance, default=0.0, metavar="E",
         help="comparison tolerance applied to every numeric predicate "
              "(default 0: exact)")
     eval_parent.add_argument(
@@ -336,28 +348,25 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     _require_unique_names(asgs)
 
     any_violated = any_error = diverged = False
-    last_t: float | None = None
+    scene: list[ConcreteSceneGraph] = []  # the scene being checked, for --oracle
     with _open_in(stream_path) as stream, _open_out(args.out) as out:
-        for csg in read_scene_stream(stream, om):
-            if last_t is not None and csg.timestamp < last_t:
-                raise StreamOrderError(
-                    f"scene timestamp {csg.timestamp} after {last_t} "
-                    f"is out of order")
-            last_t = csg.timestamp
-            verdicts = [
-                sg_comparison(asg, csg, epsilon=args.epsilon,
-                              induced=args.induced)
-                for asg in asgs
-            ]
+
+        def scenes() -> Iterator[ConcreteSceneGraph]:
+            for csg in read_scene_stream(stream, om):
+                scene[:] = [csg]
+                yield csg
+
+        verdicts = monitor_stream(asgs, scenes(), epsilon=args.epsilon,
+                                  induced=args.induced)
+        # monitor_stream yields a scene's verdicts before it reads the next
+        for row in zip(*[verdicts] * len(asgs)):
             if automaton is not None:
-                automaton = automaton.step(
-                    {v.property_name: v for v in verdicts})
-                verdicts = [
-                    replace(v, phase_index=automaton.index) for v in verdicts
-                ]
+                automaton = automaton.step({v.property_name: v for v in row})
+                row = tuple(Verdict(v.timestamp, v.property_name, v.result, v.witness,
+                                    v.cause, automaton.index) for v in row)
             if args.oracle:
-                diverged |= _run_oracle(asgs, csg, verdicts, args.induced)
-            for verdict in verdicts:
+                diverged |= _run_oracle(asgs, scene[0], row, args.induced)
+            for verdict in row:
                 print(serialize_verdict(verdict), file=out)
                 # a phase property being unsatisfied off-phase is expected;
                 # the automaton decides whether the sequence was violated

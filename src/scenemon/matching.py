@@ -22,6 +22,13 @@ therefore the lexicographic order of mapped-object tuples along the visit
 order, which makes results reproducible and lets callers reason about "the
 first embedding".
 
+What depends on the pattern alone is computed once per pattern, not per
+call: each pattern node's BFS distance from ego (its rank in the visit
+order) and the labelled pattern adjacency. These facts are memoised by the
+values they derive from (ego id, pattern ids, pattern edges), so equal
+patterns share them and a changed pattern never reads stale ones. A call
+only looks up its scene's candidates and sorts them into the visit order.
+
 Predicate pushdown: an optional per-depth `check` sees the partial mapping
 right after each pattern node is mapped and may reject it, which prunes
 every completion of that partial mapping. The monitor uses it to evaluate
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
@@ -93,24 +101,45 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
     from ego in the undirected pattern, then by how few scene candidates
     they have, then by pattern id for a total order.
     """
-    return _visit_order(asg, _candidates(asg, csg))
+    return _visit_order(asg, _pattern_facts(asg)[0], _candidates(asg, csg))
 
 
-def _visit_order(asg: AbstractSceneGraph, cand: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-    dist = pattern_distances(asg, asg.ego_pattern_id)
-    return tuple(sorted(
-        asg.pattern_nodes,
-        key=lambda pid: (dist.get(pid, len(asg.pattern_nodes)), len(cand[pid]), pid),
-    ))
+def _visit_order(
+    asg: AbstractSceneGraph, rank: Mapping[str, int], cand: dict[str, tuple[str, ...]],
+) -> tuple[str, ...]:
+    return tuple(sorted(asg.pattern_nodes, key=lambda pid: (rank[pid], len(cand[pid]), pid)))
 
 
-def _pattern_adjacency(asg: AbstractSceneGraph):
-    p_out: dict[str, dict[str, set[str]]] = {pid: {} for pid in asg.pattern_nodes}
-    p_in: dict[str, dict[str, set[str]]] = {pid: {} for pid in asg.pattern_nodes}
-    for src, rel, dst in asg.pattern_edges:
+# pattern id -> (label, neighbour pattern ids) per label of its edges
+_Adjacency = dict[str, tuple[tuple[str, frozenset[str]], ...]]
+
+
+def _pattern_facts(asg: AbstractSceneGraph) -> tuple[dict[str, int], _Adjacency, _Adjacency]:
+    return _facts_of(asg.ego_pattern_id, tuple(asg.pattern_nodes), asg.pattern_edges)
+
+
+@lru_cache(maxsize=256)
+def _facts_of(
+    ego_pattern_id: str,
+    pattern_ids: tuple[str, ...],
+    pattern_edges: frozenset[tuple[str, str, str]],
+) -> tuple[dict[str, int], _Adjacency, _Adjacency]:
+    """The search's pattern facts, computed once per pattern: each node's
+    rank (BFS distance from ego; an unreached node ranks last) and the
+    labelled out- and in-adjacency. The tables are shared: read only."""
+    dist = pattern_distances(pattern_edges, ego_pattern_id)
+    rank = {pid: dist.get(pid, len(pattern_ids)) for pid in pattern_ids}
+    p_out: dict[str, dict[str, set[str]]] = {pid: {} for pid in pattern_ids}
+    p_in: dict[str, dict[str, set[str]]] = {pid: {} for pid in pattern_ids}
+    for src, rel, dst in pattern_edges:
         p_out[src].setdefault(rel, set()).add(dst)
         p_in[dst].setdefault(rel, set()).add(src)
-    return p_out, p_in
+
+    def frozen(adj: dict[str, dict[str, set[str]]]) -> _Adjacency:
+        return {pid: tuple((rel, frozenset(ids)) for rel, ids in rels.items())
+                for pid, rels in adj.items()}
+
+    return rank, frozen(p_out), frozen(p_in)
 
 
 def iter_embeddings(
@@ -128,40 +157,41 @@ def iter_embeddings(
     that partial mapping. Without `check`, every embedding is yielded.
     """
     _require_same_om(asg, csg)
+    rank, p_out, p_in = _pattern_facts(asg)
     cand = _candidates(asg, csg)
-    order = _visit_order(asg, cand)
-    p_out, p_in = _pattern_adjacency(asg)
+    order = _visit_order(asg, rank, cand)
+    edges = csg.edges
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
     def degree_ok(pid: str, oid: str) -> bool:
         # label lookahead: the object needs at least the pattern node's
         # labeled degree in each direction for a monomorphism to exist
-        for rel, dsts in p_out[pid].items():
+        for rel, dsts in p_out[pid]:
             if len(csg.out_edges[oid].get(rel, ())) < len(dsts):
                 return False
-        for rel, srcs in p_in[pid].items():
+        for rel, srcs in p_in[pid]:
             if len(csg.in_edges[oid].get(rel, ())) < len(srcs):
                 return False
         return True
 
     def consistent(pid: str, oid: str) -> bool:
-        for rel, dsts in p_out[pid].items():
+        for rel, dsts in p_out[pid]:
             for q in dsts:
-                if q in mapping and not csg.has_edge(oid, rel, mapping[q]):
+                if q in mapping and (oid, rel, mapping[q]) not in edges:
                     return False
-        for rel, srcs in p_in[pid].items():
+        for rel, srcs in p_in[pid]:
             for q in srcs:
-                if q in mapping and not csg.has_edge(mapping[q], rel, oid):
+                if q in mapping and (mapping[q], rel, oid) not in edges:
                     return False
         if induced:
             for q, w in mapping.items():
                 extra_out = csg.labels_between(oid, w) - {
-                    rel for rel, dsts in p_out[pid].items() if q in dsts}
+                    rel for rel, dsts in p_out[pid] if q in dsts}
                 if extra_out:
                     return False
                 extra_in = csg.labels_between(w, oid) - {
-                    rel for rel, srcs in p_in[pid].items() if q in srcs}
+                    rel for rel, srcs in p_in[pid] if q in srcs}
                 if extra_in:
                     return False
         return True

@@ -29,6 +29,12 @@ scan goes on unpruned, because pruning could skip the embedding whose
 evaluation would have reported the gap. The verdicts are the same either
 way.
 
+What depends on the property alone is computed once per property and
+memoised by value (predicates, ego id, epsilon): the compiled predicates
+(`predicates.compile_predicates`), the attributes they read per pattern
+node, and the pushdown schedule of which predicates fall due when a pattern
+node is mapped. Per scene, only the search and the evaluations remain.
+
 `monitor_stream` applies a list of properties to a time-ordered scene
 stream, yielding per-scene verdicts in (scene order, property order) before
 the next scene is consumed. `PhaseAutomaton` layers maneuver-sequence
@@ -39,6 +45,7 @@ phase are recorded as stream-level violations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -47,8 +54,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .dsl import Expr
 from .errors import MissingAttributeError, StreamOrderError
 from .matching import Embedding, iter_embeddings
-from .predicates import attribute_reads, bind, evaluate
-from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph
+from .predicates import Compiled, attribute_reads, compile_predicates
+from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, SceneObject
 
 
 class Result(str, Enum):
@@ -104,22 +111,25 @@ def sg_comparison(
     induced: bool = False,
 ) -> Verdict:
     """Decide whether one scene satisfies one property. See module docstring."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
+    predicates, reads, due = _property_plan(asg.predicates, asg.ego_pattern_id, epsilon)
     first_failure: Cause | None = None
     first_error: Cause | None = None
     saw_embedding = False
     for emb in iter_embeddings(asg, csg, induced=induced):
         saw_embedding = True
         try:
-            ok, idx = evaluate(asg.predicates, bind(emb, csg), epsilon=epsilon)
+            idx = _first_false(predicates, csg.nodes, emb.as_dict())
         except MissingAttributeError as exc:
             if first_error is None:
                 first_error = Cause.missing_attribute(exc.ref)
             continue
-        if ok:
+        if idx is None:
             return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
         if first_failure is None:
-            first_failure = Cause.predicate_failed(idx if idx is not None else 0)
-            check = _pushdown_check(asg, csg, epsilon)
+            first_failure = Cause.predicate_failed(idx)
+            check = _pushdown_check(asg, csg, reads, due)
             if check is not None:
                 # no evaluation can hit missing data: only the witness is open
                 witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
@@ -133,27 +143,42 @@ def sg_comparison(
     return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
 
 
+def _first_false(
+    predicates: Sequence[Compiled], nodes: Mapping[str, SceneObject], mapping: Mapping[str, str],
+) -> int | None:
+    """Index of the first predicate that fails on `mapping`, None if all hold."""
+    for idx, pred in enumerate(predicates):
+        if not pred(nodes, mapping):
+            return idx
+    return None
+
+
 _Reads = tuple[tuple[str, frozenset[str]], ...]  # attributes read, per pattern node
-_Due = dict[str, tuple[tuple[frozenset[str], Expr], ...]]  # (pattern ids, predicate), per node
+_Due = dict[str, tuple[tuple[frozenset[str], Compiled], ...]]  # (pattern ids, predicate), per node
 
 
 @lru_cache(maxsize=256)
-def _pushdown_plan(predicates: tuple[Expr, ...], ego_pattern_id: str) -> tuple[_Reads, _Due] | None:
-    """Per-property pushdown facts, computed once per property.
+def _property_plan(
+    predicates: tuple[Expr, ...], ego_pattern_id: str, epsilon: float,
+) -> tuple[tuple[Compiled, ...], _Reads | None, _Due]:
+    """What checking a property needs that depends on the property alone,
+    computed once: the compiled predicates in declaration order, their read
+    set (None when a function's reads are unknown) and the pushdown
+    schedule. The tables are shared: read only.
 
     A predicate is filed under each of its pattern nodes and becomes due
     when the last of them is mapped; one with no node refs is due at depth
-    0, where the ego is mapped. None when the read set is unknown.
+    0, where the ego is mapped.
     """
+    compiled = compile_predicates(predicates, epsilon=epsilon)
     reads = attribute_reads(predicates)
-    if reads is None:
-        return None
-    due: dict[str, list[tuple[frozenset[str], Expr]]] = {}
-    for pred in predicates:
+    due: dict[str, list[tuple[frozenset[str], Compiled]]] = {}
+    for pred, fn in zip(predicates, compiled):
         ids = pred.pattern_ids()
         for pid in ids or (ego_pattern_id,):
-            due.setdefault(pid, []).append((ids, pred))
-    return tuple(reads.items()), {pid: tuple(v) for pid, v in due.items()}
+            due.setdefault(pid, []).append((ids, fn))
+    return (compiled, None if reads is None else tuple(reads.items()),
+            {pid: tuple(v) for pid, v in due.items()})
 
 
 def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> bool:
@@ -172,23 +197,19 @@ def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Rea
 
 
 def _pushdown_check(
-    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, epsilon: float,
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads | None, due: _Due,
 ) -> Callable[[str, Mapping[str, str]], bool] | None:
     """The search's per-depth predicate check, or None unless the scene's
     data is complete for the property."""
-    plan = _pushdown_plan(asg.predicates, asg.ego_pattern_id)
-    if plan is None:
+    if reads is None or not _data_complete(asg, csg, reads):
         return None
-    reads, due = plan
-    if not _data_complete(asg, csg, reads):
-        return None
+    nodes = csg.nodes
 
     def check(pid: str, mapping: Mapping[str, str]) -> bool:
-        preds = [pred for ids, pred in due.get(pid, ()) if ids <= mapping.keys()]
-        if not preds:
-            return True
-        ok, _ = evaluate(preds, bind(Embedding.from_dict(mapping), csg), epsilon=epsilon)
-        return ok
+        for ids, pred in due.get(pid, ()):
+            if ids <= mapping.keys() and not pred(nodes, mapping):
+                return False
+        return True
 
     return check
 
@@ -291,5 +312,8 @@ def verdict_record(v: Verdict) -> dict:
     return rec
 
 
+_ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
+
+
 def serialize_verdict(v: Verdict) -> str:
-    return json.dumps(verdict_record(v), separators=(", ", ": "), allow_nan=False)
+    return _ENCODER.encode(verdict_record(v))

@@ -14,12 +14,21 @@ A predicate that touches an attribute the scene did not provide raises
 MissingAttributeError naming "<pattern-id>.<attribute>"; callers decide how
 to surface it (the monitor turns it into an Error verdict, distinct from
 Violated).
+
+Two forms evaluate the same predicates. `compile_predicates` lowers each
+predicate once per property into closures that read attribute values
+straight from the scene's objects through a pattern-id -> object-id
+mapping, so nothing is copied per embedding; the monitor uses that form.
+`bind` plus `evaluate` interpret the syntax tree over a snapshot of the
+matched objects. They are the reference that tests and the benchmark
+check the compiled form against, as the exhaustive matcher is for the
+search. Both share `_compare`, `BUILTIN_FUNCTIONS` and the interval rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import MissingAttributeError, SceneMonError
 from .dsl import (
@@ -35,7 +44,7 @@ from .dsl import (
     StringLit,
 )
 from .matching import Embedding
-from .scene_graph import ConcreteSceneGraph
+from .scene_graph import ConcreteSceneGraph, SceneObject
 
 
 @dataclass(frozen=True)
@@ -186,3 +195,85 @@ def evaluate(
         if not _eval(pred, binding, epsilon):
             return False, idx
     return True, None
+
+
+# A compiled predicate: f(nodes, mapping) with `nodes` a scene's object
+# table and `mapping` pattern id -> object id; returns what `_eval` would.
+Compiled = Callable[[Mapping[str, SceneObject], Mapping[str, str]], object]
+
+
+def compile_predicates(
+    predicates: Sequence[Expr], *, epsilon: float = 0.0,
+) -> tuple[Compiled, ...]:
+    """Lower each predicate to a closure, once per property.
+
+    A closure reads attribute values straight from the scene's objects
+    through the mapping, so nothing is bound or copied per embedding. It
+    gives the same values and raises the same errors, in the same order,
+    as `evaluate` on a `bind` of the same embedding, which stays the
+    reference it is tested against. Function names are looked up when a
+    closure runs, so a missing implementation still fails at evaluation
+    time, not here.
+    """
+    return tuple(_lower(pred, epsilon) for pred in predicates)
+
+
+def _lower(expr: Expr, epsilon: float) -> Compiled:
+    if isinstance(expr, (NumberLit, BoolLit, StringLit)):
+        value = expr.value
+        return lambda nodes, mapping: value
+    if isinstance(expr, AttrRef):
+        pid, name = expr.node_id, expr.attr
+        ref = f"{pid}.{name}"
+
+        def attribute(nodes, mapping):
+            attributes = nodes[mapping[pid]].attributes
+            try:
+                return attributes[name]
+            except KeyError:
+                raise MissingAttributeError(ref) from None
+        return attribute
+    if isinstance(expr, Call):
+        fn = expr.fn
+        args = tuple(_lower_node_arg(a.name) if isinstance(a, NodeRef) else _lower(a, epsilon)
+                     for a in expr.args)
+
+        def call(nodes, mapping):
+            impl = BUILTIN_FUNCTIONS.get(fn)
+            if impl is None:
+                raise SceneMonError(f"no implementation for function {fn!r}")
+            return impl(*[arg(nodes, mapping) for arg in args])
+        return call
+    if isinstance(expr, Compare):
+        op, left, right = expr.op, _lower(expr.left, epsilon), _lower(expr.right, epsilon)
+        return lambda nodes, mapping: _compare(
+            op, left(nodes, mapping), right(nodes, mapping), epsilon)
+    if isinstance(expr, InInterval):
+        x_of, lo_of, hi_of = (_lower(e, epsilon) for e in (expr.value, expr.lo, expr.hi))
+        lo_closed, hi_closed = expr.lo_closed, expr.hi_closed
+
+        def interval(nodes, mapping):
+            x = float(x_of(nodes, mapping))  # type: ignore[arg-type]
+            lo = float(lo_of(nodes, mapping))  # type: ignore[arg-type]
+            hi = float(hi_of(nodes, mapping))  # type: ignore[arg-type]
+            lo_ok = (x >= lo - epsilon) if lo_closed else (x > lo - epsilon)
+            hi_ok = (x <= hi + epsilon) if hi_closed else (x < hi + epsilon)
+            return lo_ok and hi_ok
+        return interval
+    if isinstance(expr, And):
+        left, right = _lower(expr.left, epsilon), _lower(expr.right, epsilon)
+        return lambda nodes, mapping: bool(left(nodes, mapping)) and bool(right(nodes, mapping))
+
+    def unknown(nodes, mapping):
+        raise SceneMonError(f"cannot evaluate expression {expr!r}")
+    return unknown
+
+
+def _lower_node_arg(pid: str) -> Compiled:
+    """A function's pattern-node argument: the object itself, unbound until
+    the function reads an attribute of it."""
+    def node(nodes, mapping):
+        oid = mapping[pid]
+        obj = nodes[oid]
+        return BoundObject(pid, oid, obj.cls, obj.attributes)
+    return node

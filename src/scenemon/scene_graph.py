@@ -176,24 +176,36 @@ def make_csg(
     by the object model, and the timestamp and every Real or Vec2 value must
     be finite. Attributes that the class declares but the record
     omits stay absent; predicate evaluation reports them as errors later.
+    The given objects are left as they are: the scene holds new ones.
     """
+    return _validated_csg(om, timestamp, ego_id,
+                          ((obj.object_id, obj.cls, obj.attributes) for obj in nodes), edges)
+
+
+def _validated_csg(
+    om: ObjectModel,
+    timestamp: float,
+    ego_id: str,
+    nodes: Iterable[tuple[str, str, Mapping[str, object]]],
+    edges: Iterable[tuple[str, str, str]],
+) -> ConcreteSceneGraph:
+    """`make_csg` over (id, class, attributes) triples: one SceneObject per
+    node, whose own copy of the attributes is normalized in place."""
     node_map: dict[str, SceneObject] = {}
-    for obj in nodes:
-        if not obj.object_id:
+    for oid, cls, attrs in nodes:
+        if not oid:
             raise SceneValidationError("node with empty id")
-        if obj.object_id in node_map:
-            raise SceneValidationError(f"duplicate node id: {obj.object_id}")
-        if not om.has_class(obj.cls):
-            raise SceneValidationError(
-                f"node {obj.object_id} has unknown class {obj.cls}")
-        if om.require_class(obj.cls).abstract:
-            raise SceneValidationError(
-                f"node {obj.object_id} has abstract class {obj.cls}")
-        normalized = {
-            name: _check_attr_value(om, obj.cls, name, value)
-            for name, value in obj.attributes.items()
-        }
-        node_map[obj.object_id] = SceneObject(obj.object_id, obj.cls, normalized)
+        if oid in node_map:
+            raise SceneValidationError(f"duplicate node id: {oid}")
+        if not om.has_class(cls):
+            raise SceneValidationError(f"node {oid} has unknown class {cls}")
+        if om.require_class(cls).abstract:
+            raise SceneValidationError(f"node {oid} has abstract class {cls}")
+        obj = SceneObject(oid, cls, attrs)
+        normalized = obj.attributes
+        for name, value in normalized.items():  # replaces values only
+            normalized[name] = _check_attr_value(om, cls, name, value)  # type: ignore[index]
+        node_map[oid] = obj
     cls_of = {nid: obj.cls for nid, obj in node_map.items()}
     edge_set: set[tuple[str, str, str]] = set()
     for src, rel, dst in edges:
@@ -247,7 +259,7 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
             raise SceneValidationError(f"node {item['id']}: attrs must be an object")
         if not isinstance(item["id"], str) or not isinstance(item["class"], str):
             raise SceneValidationError(f"malformed node entry: {item!r}")
-        nodes.append(SceneObject(item["id"], item["class"], attrs))
+        nodes.append((item["id"], item["class"], attrs))
     edges = []
     for item in raw_edges:
         if (not (isinstance(item, dict) or isinstance(item, Mapping))
@@ -259,7 +271,7 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
         edges.append((src, rel, dst))
     if not isinstance(record["ego"], str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
-    return make_csg(om, record["t"], record["ego"], nodes, edges)
+    return _validated_csg(om, record["t"], record["ego"], nodes, edges)
 
 
 def scene_record(csg: ConcreteSceneGraph) -> dict:
@@ -339,7 +351,7 @@ def validate_asg(asg: AbstractSceneGraph) -> None:
             raise SceneValidationError(
                 f"pattern {asg.name!r}: edge ({src}, {rel}, {dst}) not allowed for "
                 f"{asg.pattern_nodes[src]} -> {asg.pattern_nodes[dst]}")
-    reached = pattern_distances(asg, next(iter(asg.pattern_nodes)))
+    reached = pattern_distances(asg.pattern_edges, next(iter(asg.pattern_nodes)))
     if len(reached) != len(asg.pattern_nodes):
         missing = sorted(set(asg.pattern_nodes) - reached.keys())
         raise SceneValidationError(
@@ -351,17 +363,19 @@ def validate_asg(asg: AbstractSceneGraph) -> None:
                     f"pattern {asg.name!r}: predicate {idx} references unknown node {pid}")
 
 
-def pattern_distances(asg: AbstractSceneGraph, start: str) -> dict[str, int]:
+def pattern_distances(
+    pattern_edges: Iterable[tuple[str, str, str]], start: str,
+) -> dict[str, int]:
     """Edge count from `start` to each pattern node it reaches, with the
-    pattern read undirected (breadth-first search)."""
-    adj: dict[str, set[str]] = {pid: set() for pid in asg.pattern_nodes}
-    for src, _, dst in asg.pattern_edges:
-        adj[src].add(dst)
-        adj[dst].add(src)
+    pattern edges read undirected (breadth-first search)."""
+    adj: dict[str, set[str]] = {}
+    for src, _, dst in pattern_edges:
+        adj.setdefault(src, set()).add(dst)
+        adj.setdefault(dst, set()).add(src)
     dist = {start: 0}
     frontier = [start]
     for pid in frontier:  # the list grows while it is read: a FIFO queue
-        for nb in adj[pid]:
+        for nb in adj.get(pid, ()):
             if nb not in dist:
                 dist[nb] = dist[pid] + 1
                 frontier.append(nb)

@@ -292,6 +292,38 @@ def test_monitor_locates_malformed_stream_lines(capsys, tmp_path, om):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+def test_monitor_rejects_bad_epsilon(capsys, tmp_path, value):
+    stream = _gen_stream(tmp_path, capsys)
+    code, out, err = _run(capsys, "monitor", stream, "--phases", "P1",
+                          f"--epsilon={value}")
+    assert code == 2
+    assert "argument --epsilon: " in err
+    assert out == ""
+
+
+def test_monitor_oracle_sees_the_scene_of_each_verdict(capsys, tmp_path, monkeypatch):
+    import scenemon.cli
+
+    stream = _gen_stream(tmp_path, capsys, "--perturb", "rear_gap=-5")
+    plain = _run(capsys, "monitor", stream, "--phases", "P1")
+    seen = []
+    reference = scenemon.cli.brute_force_embeddings
+
+    def recording(asg, csg, **kwargs):
+        seen.append((csg.timestamp, asg.name))
+        return reference(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.cli, "brute_force_embeddings", recording)
+    code, out, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
+    assert (code, out, err) == plain
+    assert seen == [(rec["t"], rec["property"]) for rec in map(json.loads, out.splitlines())]
+    monkeypatch.setattr(scenemon.cli, "brute_force_embeddings", lambda asg, csg, **kw: [])
+    code, _, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
+    assert code == 3
+    assert "scenemon: oracle divergence: t=0.0 property=P1-1: " in err
+
+
 def _edit_edge(field, value):
     def edit(records):
         records[1]["edges"][0][field] = value

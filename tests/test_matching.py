@@ -113,6 +113,21 @@ def test_pattern_order_starts_at_ego(ahead_asg, scene_factory):
     assert set(order) == set(ahead_asg.pattern_nodes)
 
 
+def test_pattern_order_ranks_by_distance_then_candidates(om):
+    asg = parse_asg("""asg "order" {
+      node ego: Vehicle; node lane: Lane; node obstacle: Static; node aa_other: Vehicle;
+      ego ego;
+      edge ego isIn lane; edge obstacle isIn lane; edge aa_other isIn lane;
+    }""", om)
+    nodes = [SceneObject(oid, cls, {}) for oid, cls in (
+        ("ego", "Vehicle"), ("v1", "Vehicle"), ("v2", "Vehicle"), ("s1", "Static"),
+        ("lane1", "Lane"), ("lane2", "Lane"), ("lane3", "Lane"))]
+    csg = make_csg(om, 0.0, "ego", nodes, [])
+    # lane is one edge from ego; of the two nodes two edges away, obstacle
+    # has one candidate and aa_other three
+    assert pattern_order(asg, csg) == ("ego", "lane", "obstacle", "aa_other")
+
+
 def test_no_embedding_when_class_absent(ahead_asg, scene_factory):
     csg = scene_factory(obstacle_cls="Vehicle")
     assert find_embeddings(ahead_asg, csg) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -204,6 +205,14 @@ def test_pushdown_witness_is_first_satisfying_after_pruned_subtrees(om, monkeypa
     ]
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -5.0])
+def test_epsilon_must_be_finite_and_not_negative(ahead_asg, scene_factory, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be a finite number"):
+        sg_comparison(ahead_asg, scene_factory(), epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be a finite number"):
+        next(monitor_stream([ahead_asg], [scene_factory()], epsilon=epsilon))
+
+
 # -- stream monitoring -----------------------------------------------------
 
 
@@ -257,6 +266,29 @@ def test_stream_concatenation(ahead_asg, scene_factory):
     joined = list(monitor_stream([ahead_asg], a + b))
     split = list(monitor_stream([ahead_asg], a)) + list(monitor_stream([ahead_asg], b))
     assert joined == split
+
+
+def test_property_facts_are_built_once_per_property(om, monkeypatch):
+    """Pattern facts and compiled predicates cost once per property, however
+    many scenes the stream holds."""
+    import scenemon.matching
+    import scenemon.monitor
+
+    calls = {"pattern_distances": 0, "compile_predicates": 0}
+    for module, name in ((scenemon.matching, "pattern_distances"),
+                         (scenemon.monitor, "compile_predicates")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    asgs = builtin_asgs("P1", om)
+    scenes = generate_trace(pull_out_script(), om)
+    for n in (1, 10, len(scenes)):
+        scenemon.matching._facts_of.cache_clear()
+        scenemon.monitor._property_plan.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(list(monitor_stream(asgs, scenes[:n]))) == n * len(asgs)
+        assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
 
 
 # -- phase automaton -------------------------------------------------------

@@ -1,17 +1,24 @@
 """Exact-boundary and epsilon semantics for predicate evaluation."""
 
+import random
+
 import pytest
 
 from scenemon import (
     MissingAttributeError,
+    SceneMonError,
     SceneObject,
     bind,
+    compile_predicates,
     evaluate,
     find_embeddings,
     make_csg,
     parse_asg,
     sg_comparison,
 )
+from scenemon.dsl import And, AttrRef, Call, Compare, NodeRef, NumberLit, StringLit
+
+from randscene import random_instance
 
 
 def _single_pred_asg(om, pred_text, extra_nodes="", extra_edges=""):
@@ -187,3 +194,95 @@ def test_verdict_boundary_exactness_end_to_end(om):
                  extra_nodes="node s1: Static; ",
                  extra_edges="edge s1 isIn lane; ")
     assert v.satisfied
+
+
+# -- compiled predicates against the interpreter -----------------------------
+
+
+def _outcome(run):
+    """(ok, index), or the error a run raised, as comparable values."""
+    try:
+        return run()
+    except MissingAttributeError as exc:
+        return ("missing", exc.ref)
+    except SceneMonError as exc:
+        return ("error", str(exc))
+
+
+def _reference(preds, emb, csg, epsilon):
+    return _outcome(lambda: evaluate(preds, bind(emb, csg), epsilon=epsilon))
+
+
+def _compiled(preds, emb, csg, epsilon):
+    def run():
+        mapping = emb.as_dict()
+        for idx, pred in enumerate(compile_predicates(preds, epsilon=epsilon)):
+            if not pred(csg.nodes, mapping):
+                return False, idx
+        return True, None
+    return _outcome(run)
+
+
+def _drop_attributes(rng, om, csg):
+    nodes = [SceneObject(oid, obj.cls, {k: v for k, v in obj.attributes.items()
+                                        if rng.random() < 0.7})
+             for oid, obj in csg.nodes.items()]
+    return make_csg(om, csg.timestamp, csg.ego_id, nodes, csg.edges)
+
+
+def test_compiled_predicates_match_the_interpreter(om):
+    rng = random.Random(20261018)
+    outcomes = set()
+    compared = 0
+    for _ in range(1000):
+        asg, csg = random_instance(rng, om)
+        for scene in (csg, _drop_attributes(rng, om, csg)):
+            for emb in find_embeddings(asg, scene):
+                for epsilon in (0.0, 0.5):
+                    want = _reference(asg.predicates, emb, scene, epsilon)
+                    assert _compiled(asg.predicates, emb, scene, epsilon) == want
+                    outcomes.add(want[0])
+                    compared += 1
+    assert compared > 800
+    assert outcomes == {True, False, "missing"}
+
+
+def test_compiled_predicates_keep_the_missing_reference(om):
+    asg = _single_pred_asg(om, "dist(ego, rear) >= 15",
+                           extra_nodes="node rear: Vehicle; ",
+                           extra_edges="edge rear isIn lane; ")
+    for rear_attrs, ego_attrs, ref in (
+        ({"velocity": 1.0}, {"position": (0.0, 0.0)}, "rear.position"),
+        ({"velocity": 1.0}, {"velocity": 1.0}, "ego.position"),
+    ):
+        csg = _scene(om, ego_attrs=ego_attrs,
+                     extra=[SceneObject("r1", "Vehicle", rear_attrs)],
+                     edges=[("r1", "isIn", "lane1")])
+        emb = find_embeddings(asg, csg)[0]
+        assert _compiled(asg.predicates, emb, csg, 0.0) == ("missing", ref)
+        assert _reference(asg.predicates, emb, csg, 0.0) == ("missing", ref)
+
+
+def _ast(cls, *fields):
+    return cls(1, 1, *fields)
+
+
+@pytest.mark.parametrize("pred", [
+    # a false left side hides the missing attribute on the right
+    _ast(And, _ast(Compare, ">", _ast(AttrRef, "ego", "velocity"), _ast(NumberLit, 5.0)),
+         _ast(Compare, ">", _ast(AttrRef, "ego", "colour"), _ast(NumberLit, 0.0))),
+    _ast(And, _ast(Compare, "<", _ast(AttrRef, "ego", "velocity"), _ast(NumberLit, 5.0)),
+         _ast(Compare, ">", _ast(AttrRef, "ego", "colour"), _ast(NumberLit, 0.0))),
+    _ast(Compare, "==", _ast(StringLit, "a"), _ast(StringLit, "a")),
+    _ast(Compare, "<", _ast(StringLit, "a"), _ast(NumberLit, 1.0)),
+    _ast(Compare, "~", _ast(NumberLit, 1.0), _ast(NumberLit, 1.0)),
+    # no implementation: raises when evaluated, before reading any argument
+    _ast(Compare, ">", _ast(Call, "heading", (_ast(NodeRef, "nobody"),)), _ast(NumberLit, 0.0)),
+    _ast(NodeRef, "ego"),
+])
+def test_compiled_predicates_match_the_interpreter_off_the_grammar(om, pred):
+    csg = _scene(om, ego_attrs={"velocity": 1.0, "position": (0.0, 0.0)})
+    emb = find_embeddings(_single_pred_asg(om, "ego.velocity >= 0"), csg)[0]
+    compiled = compile_predicates((pred,))  # compiling never raises
+    assert len(compiled) == 1
+    assert _compiled((pred,), emb, csg, 0.0) == _reference((pred,), emb, csg, 0.0)

@@ -41,6 +41,31 @@ def test_make_csg_basic(om, scene_factory):
     assert csg.labels_between("obs", "ego") == {"inFrontOf"}
 
 
+def test_one_scene_object_per_node(om, scene_factory, monkeypatch):
+    record = scene_record(scene_factory())
+    record["nodes"][0]["attrs"] = {"velocity": 8, "position": [0, 0]}
+    built = []
+    original = SceneObject.__post_init__
+
+    def counting(self):
+        built.append(self.object_id)
+        original(self)
+
+    monkeypatch.setattr(SceneObject, "__post_init__", counting)
+    csg = parse_csg(record, om)
+    assert sorted(built) == sorted(csg.nodes)
+    assert csg.nodes["ego"].attributes == {"velocity": 8.0, "position": (0.0, 0.0)}
+    assert record["nodes"][0]["attrs"] == {"velocity": 8, "position": [0, 0]}
+
+
+def test_make_csg_leaves_its_objects_alone(om):
+    given = SceneObject("ego", "Vehicle", {"velocity": 8, "position": [1, 2]})
+    csg = make_csg(om, 0.0, "ego", [given], [])
+    assert csg.nodes["ego"] is not given
+    assert csg.nodes["ego"].attributes == {"velocity": 8.0, "position": (1.0, 2.0)}
+    assert given.attributes == {"velocity": 8, "position": [1, 2]}
+
+
 def test_duplicate_object_id_rejected(om):
     nodes = _nodes([("ego", "Vehicle", {}), ("ego", "Vehicle", {})])
     with pytest.raises(SceneValidationError):
