@@ -20,7 +20,8 @@ test per scene object. The pattern visit order is fixed up front
 scene candidates are tried in lexicographic object-id order. Enumeration order is
 therefore the lexicographic order of mapped-object tuples along the visit
 order, which makes results reproducible and lets callers reason about "the
-first embedding".
+first embedding". A candidate is kept when each pattern edge to a mapped
+node is in the scene's edge set; there is no degree lookahead.
 
 What depends on the pattern alone is computed once per pattern, not per
 call: each pattern node's BFS distance from ego (its rank in the visit
@@ -164,17 +165,6 @@ def iter_embeddings(
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def degree_ok(pid: str, oid: str) -> bool:
-        # label lookahead: the object needs at least the pattern node's
-        # labeled degree in each direction for a monomorphism to exist
-        for rel, dsts in p_out[pid]:
-            if len(csg.out_edges[oid].get(rel, ())) < len(dsts):
-                return False
-        for rel, srcs in p_in[pid]:
-            if len(csg.in_edges[oid].get(rel, ())) < len(srcs):
-                return False
-        return True
-
     def consistent(pid: str, oid: str) -> bool:
         for rel, dsts in p_out[pid]:
             for q in dsts:
@@ -203,8 +193,6 @@ def iter_embeddings(
         pid = order[depth]
         for oid in cand[pid]:
             if oid in used:
-                continue
-            if not degree_ok(pid, oid):
                 continue
             if not consistent(pid, oid):
                 continue

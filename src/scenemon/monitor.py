@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -288,8 +288,7 @@ class PhaseAutomaton:
         dwell[new_index] += 1
         completed = self.completed or (
             new_index == len(self.phases) - 1 and verdict_for(self.phases[new_index]).satisfied)
-        return replace(self, index=new_index, dwell=tuple(dwell),
-                       completed=completed, violations=violations)
+        return PhaseAutomaton(self.phases, new_index, tuple(dwell), completed, violations)
 
 
 # -- verdict records -------------------------------------------------------

@@ -7,15 +7,15 @@ pattern graph over the same vocabulary plus an ordered list of predicates
 over the pattern nodes. Both validate against an ObjectModel at load time;
 matching and verdicts live in the matching and monitor modules.
 
-Ingest is table-driven, because a dense scene carries thousands of edges
-and every one is checked. `make_csg` admits each edge through a node ->
-class dict and the object model's admitted-pair table, one lookup per
-edge. `ConcreteSceneGraph.__post_init__` is the one place that derives the
-scene's lookup tables, all holding tuples of object ids: `out_edges` and
-`in_edges` (node -> relationship -> neighbours) and `class_index` (each
-class, abstract ancestors included -> the sorted ids of its objects). The
-matcher reads its candidates straight from the class index instead of
-testing every object's class.
+Ingest checks edges in bulk, because a dense scene carries thousands of
+them. `parse_csg` takes the edge tuples out in one pass once whole-list
+type tests pass, and `make_csg` admits the few distinct (relation, classes,
+self-loop) kinds, not each edge. Only when a bulk test fails does the
+per-edge loop run, to raise the first error in order. The scene keeps no
+adjacency: edge tests read the edge set. `ConcreteSceneGraph.__post_init__`
+builds its one table, `class_index` (each class, abstract ancestors
+included -> the sorted ids of its objects), where the matcher finds its
+candidates.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -32,6 +32,8 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
@@ -61,48 +63,22 @@ class ConcreteSceneGraph:
     edges: frozenset[tuple[str, str, str]]
     ego_id: str
     om: ObjectModel = field(compare=False, repr=False)
-    # Lookup tables, built once by __post_init__; the graph is treated as
-    # immutable. Tuples, because a stream may keep thousands of scenes.
-    # Adjacency: node id -> relationship -> neighbour ids, in no set order.
-    out_edges: dict[str, dict[str, tuple[str, ...]]] = field(
-        init=False, compare=False, repr=False)
-    in_edges: dict[str, dict[str, tuple[str, ...]]] = field(
-        init=False, compare=False, repr=False)
-    # each class, abstract ancestors included -> sorted ids of its objects
+    # Built once by __post_init__; the graph is treated as immutable. Each
+    # class, abstract ancestors included -> sorted ids of its objects.
     class_index: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        out_edges: dict[str, dict[str, list[str]]] = {nid: {} for nid in self.nodes}
-        in_edges: dict[str, dict[str, list[str]]] = {nid: {} for nid in self.nodes}
-        for src, rel, dst in self.edges:
-            rels = out_edges[src]
-            if rel in rels:
-                rels[rel].append(dst)
-            else:
-                rels[rel] = [dst]
-            rels = in_edges[dst]
-            if rel in rels:
-                rels[rel].append(src)
-            else:
-                rels[rel] = [src]
         members: dict[str, list[str]] = {}
         for nid in sorted(self.nodes):
             for cls in self.om.ancestors(self.nodes[nid].cls):
                 members.setdefault(cls, []).append(nid)
-        self.out_edges = _frozen(out_edges)
-        self.in_edges = _frozen(in_edges)
         self.class_index = {cls: tuple(ids) for cls, ids in members.items()}
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
 
     def labels_between(self, src: str, dst: str) -> set[str]:
-        return {r for r in self.out_edges.get(src, ()) if (src, r, dst) in self.edges}
-
-
-def _frozen(adjacency: dict[str, dict[str, list[str]]]) -> dict[str, dict[str, tuple[str, ...]]]:
-    return {nid: {rel: tuple(ids) for rel, ids in rels.items()}
-            for nid, rels in adjacency.items()}
+        return {r for r in self.om.relationship_names() if (src, r, dst) in self.edges}
 
 
 @dataclass
@@ -207,25 +183,36 @@ def _validated_csg(
             normalized[name] = _check_attr_value(om, cls, name, value)  # type: ignore[index]
         node_map[oid] = obj
     cls_of = {nid: obj.cls for nid, obj in node_map.items()}
-    edge_set: set[tuple[str, str, str]] = set()
-    for src, rel, dst in edges:
-        src_cls = cls_of.get(src)
-        if src_cls is None:
-            raise SceneValidationError(f"edge references unknown node {src}")
-        dst_cls = cls_of.get(dst)
-        if dst_cls is None:
-            raise SceneValidationError(f"edge references unknown node {dst}")
-        try:
-            pairs = om.admitted_pairs(rel)
-        except SchemaError as exc:
-            raise SceneValidationError(f"edge ({src}, {rel}, {dst}): {exc}") from None
-        if (src_cls, dst_cls) not in pairs:
-            raise SceneValidationError(
-                f"edge ({src}, {rel}, {dst}) not allowed: "
-                f"{rel} does not admit {src_cls} -> {dst_cls}")
-        if rel == "inFrontOf" and src == dst:
-            raise SceneValidationError(f"inFrontOf self-loop on {src}")
-        edge_set.add((src, rel, dst))
+    edges = list(edges)  # read again when the bulk test fails
+    edge_set: frozenset[tuple[str, str, str]] | set[tuple[str, str, str]]
+    try:  # bulk test: admit the few distinct (relation, classes, self-loop) kinds
+        kinds = {(rel, cls_of[src], cls_of[dst], src == dst) for src, rel, dst in edges}
+        admitted = all((src_cls, dst_cls) in om.admitted_pairs(rel)
+                       and not (loop and rel == "inFrontOf")
+                       for rel, src_cls, dst_cls, loop in kinds)
+        edge_set = frozenset(edges)
+    except (KeyError, TypeError, ValueError, SchemaError):
+        admitted = False  # an unknown node or relation, or a malformed edge from make_csg
+    if not admitted:  # edge by edge: raises at the first rejected one
+        edge_set = set()
+        for src, rel, dst in edges:
+            src_cls = cls_of.get(src)
+            if src_cls is None:
+                raise SceneValidationError(f"edge references unknown node {src}")
+            dst_cls = cls_of.get(dst)
+            if dst_cls is None:
+                raise SceneValidationError(f"edge references unknown node {dst}")
+            try:
+                pairs = om.admitted_pairs(rel)
+            except SchemaError as exc:
+                raise SceneValidationError(f"edge ({src}, {rel}, {dst}): {exc}") from None
+            if (src_cls, dst_cls) not in pairs:
+                raise SceneValidationError(
+                    f"edge ({src}, {rel}, {dst}) not allowed: "
+                    f"{rel} does not admit {src_cls} -> {dst_cls}")
+            if rel == "inFrontOf" and src == dst:
+                raise SceneValidationError(f"inFrontOf self-loop on {src}")
+            edge_set.add((src, rel, dst))
     if ego_id not in node_map:
         raise SceneValidationError(f"ego node {ego_id!r} not present in scene")
     if not om.is_subclass(node_map[ego_id].cls, "Vehicle"):
@@ -235,6 +222,9 @@ def _validated_csg(
     if t is None:
         raise SceneValidationError(f"timestamp must be a finite number, got {timestamp!r}")
     return ConcreteSceneGraph(t, node_map, frozenset(edge_set), ego_id, om)
+
+
+_EDGE_FIELDS = itemgetter("src", "rel", "dst")
 
 
 def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
@@ -260,15 +250,21 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
         if not isinstance(item["id"], str) or not isinstance(item["class"], str):
             raise SceneValidationError(f"malformed node entry: {item!r}")
         nodes.append((item["id"], item["class"], attrs))
-    edges = []
-    for item in raw_edges:
-        if (not (isinstance(item, dict) or isinstance(item, Mapping))
-                or "src" not in item or "rel" not in item or "dst" not in item):
-            raise SceneValidationError(f"malformed edge entry: {item!r}")
-        src, rel, dst = item["src"], item["rel"], item["dst"]
-        if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
-            raise SceneValidationError(f"edge fields src, rel and dst must be strings: {item!r}")
-        edges.append((src, rel, dst))
+    try:  # bulk test: every entry is a dict holding three strings
+        edges = list(map(_EDGE_FIELDS, raw_edges)) if set(map(type, raw_edges)) <= {dict} else None
+    except KeyError:
+        edges = None
+    if edges is None or not set(map(type, chain.from_iterable(edges))) <= {str}:
+        edges = []  # entry by entry: raises at the first malformed one
+        for item in raw_edges:
+            if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                    or "src" not in item or "rel" not in item or "dst" not in item):
+                raise SceneValidationError(f"malformed edge entry: {item!r}")
+            src, rel, dst = item["src"], item["rel"], item["dst"]
+            if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
+                raise SceneValidationError(
+                    f"edge fields src, rel and dst must be strings: {item!r}")
+            edges.append((src, rel, dst))
     if not isinstance(record["ego"], str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
     return _validated_csg(om, record["t"], record["ego"], nodes, edges)

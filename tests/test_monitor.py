@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from scenemon import (
     monitor_stream,
     parse_asg,
     pull_out_script,
+    serialize_asg,
     serialize_verdict,
     sg_comparison,
     verdict_record,
@@ -291,7 +293,55 @@ def test_property_facts_are_built_once_per_property(om, monkeypatch):
         assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
 
 
+def test_equal_properties_parsed_twice_share_one_plan(om, scene_factory):
+    """Predicate trees hash by value, positions aside, so a property parsed
+    again finds the plan the first parse built."""
+    import scenemon.monitor
+
+    csg = scene_factory()
+    for asg in builtin_asgs("P2", om):
+        text = serialize_asg(asg)
+        first, again = parse_asg(text, om), parse_asg("\n\n  " + text, om)
+        assert first.predicates[0].line != again.predicates[0].line
+        assert first.predicates == again.predicates
+        assert hash(first.predicates) == hash(again.predicates)
+        assert {first.predicates, again.predicates} == {first.predicates}
+        scenemon.monitor._property_plan.cache_clear()
+        assert sg_comparison(first, csg) == sg_comparison(again, csg)
+        info = scenemon.monitor._property_plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
 # -- phase automaton -------------------------------------------------------
+
+
+def _reference_step(pa, verdicts):
+    """The automaton rule, with the successor built by dataclasses.replace."""
+    current = verdicts[pa.phases[pa.index]]
+    nxt = verdicts[pa.phases[pa.index + 1]] if pa.index + 1 < len(pa.phases) else None
+    index, violations = pa.index, pa.violations
+    if nxt is not None and nxt.satisfied:
+        index += 1
+    elif not current.satisfied:
+        violations += 1
+    dwell = list(pa.dwell)
+    dwell[index] += 1
+    completed = pa.completed or (
+        index == len(pa.phases) - 1 and verdicts[pa.phases[index]].satisfied)
+    return dataclasses.replace(pa, index=index, dwell=tuple(dwell),
+                               completed=completed, violations=violations)
+
+
+def test_automaton_steps_match_the_replace_reference():
+    rng = random.Random(77)
+    for _ in range(300):
+        phases = tuple("ABCD"[:rng.randint(1, 4)])
+        pa = ref = PhaseAutomaton(phases)
+        for _ in range(rng.randint(1, 25)):
+            verdicts = {name: _v(name, rng.random() < 0.5) for name in phases}
+            pa, ref = pa.step(verdicts), _reference_step(ref, verdicts)
+            assert type(pa) is PhaseAutomaton
+            assert pa == ref
 
 
 def _v(name, sat):

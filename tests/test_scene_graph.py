@@ -23,6 +23,7 @@ from scenemon import (
 )
 
 from scenemon.matching import _candidates
+from scenemon.scenarios import build_bench_scene
 from scenemon.scene_graph import _check_attr_value, _finite
 
 from conftest import halted_obstacle_scene
@@ -245,11 +246,10 @@ def test_any_json_value_in_any_field_is_accepted_or_rejected(om, data):
 
 def _reference_ingest(record, om):
     """Scene ingest the way it worked before the lookup tables: a
-    typing.Mapping structural pass, `is_relationship_allowed` on every edge
-    and `setdefault` adjacency. Returns (timestamp, ego, nodes, edges,
-    out_edges, in_edges), or the SceneValidationError message. Attribute
-    values and the timestamp go through the unchanged `_check_attr_value`
-    and `_finite`."""
+    typing.Mapping structural pass and `is_relationship_allowed` on every
+    edge, in record order. Returns (timestamp, ego, nodes, edges), or the
+    SceneValidationError message. Attribute values and the timestamp go
+    through the unchanged `_check_attr_value` and `_finite`."""
     try:
         if not isinstance(record, typing.Mapping):
             raise SceneValidationError(
@@ -321,20 +321,7 @@ def _reference_ingest(record, om):
                 f"timestamp must be a finite number, got {record['t']!r}")
     except SceneValidationError as exc:
         return str(exc)
-    out_edges = {oid: {} for oid in nodes}
-    in_edges = {oid: {} for oid in nodes}
-    for src, rel, dst in edges:
-        out_edges[src].setdefault(rel, set()).add(dst)
-        in_edges[dst].setdefault(rel, set()).add(src)
-    return t, ego, nodes, frozenset(edges), out_edges, in_edges
-
-
-def _as_sets(adjacency):
-    """Tuple adjacency as the reference's sets; a repeated neighbour fails."""
-    out = {nid: {rel: set(ids) for rel, ids in rels.items()} for nid, rels in adjacency.items()}
-    assert all(len(ids) == len(out[nid][rel])
-               for nid, rels in adjacency.items() for rel, ids in rels.items())
-    return out
+    return t, ego, nodes, frozenset(edges)
 
 
 def _ingest(record, om):
@@ -342,8 +329,7 @@ def _ingest(record, om):
         csg = parse_csg(record, om)
     except SceneValidationError as exc:
         return str(exc)
-    return (csg.timestamp, csg.ego_id, csg.nodes, csg.edges,
-            _as_sets(csg.out_edges), _as_sets(csg.in_edges))
+    return csg.timestamp, csg.ego_id, csg.nodes, csg.edges
 
 
 def _assert_class_tables_match(csg, asgs):
@@ -420,6 +406,109 @@ def test_non_dict_mappings_are_ingested_like_dicts(om, scene_factory):
     proxied = types.MappingProxyType(proxied)
     assert _ingest(proxied, om) == _ingest(record, om) == _reference_ingest(record, om)
     assert parse_csg(proxied, om).class_index == parse_csg(record, om).class_index
+
+
+# -- the bulk edge path and its located fallback ----------------------------
+
+
+def _dense_record(om):
+    record = scene_record(build_bench_scene(120, seed=3, om=om))
+    assert len(record["edges"]) >= 3000
+    return record
+
+
+def _bad_edge(om, record, kind, edge):
+    """`edge` (a valid edge entry of `record`) turned into one fault of `kind`."""
+    cls_of = {n["id"]: n["class"] for n in record["nodes"]}
+    if kind == "unknown node":
+        return dict(edge, dst="ghost")
+    if kind == "unknown relationship":
+        return dict(edge, rel="follows")
+    if kind == "pair not admitted":
+        pair = (cls_of[edge["src"]], cls_of[edge["dst"]])
+        rel = next(r for r in om.relationship_names() if pair not in om.admitted_pairs(r))
+        return dict(edge, rel=rel)
+    if kind == "inFrontOf self-loop":
+        return {"src": record["ego"], "rel": "inFrontOf", "dst": record["ego"]}
+    if kind == "non-string field":
+        return dict(edge, src=7)
+    if kind == "missing key":
+        return {"src": edge["src"], "dst": edge["dst"]}
+    assert kind == "non-dict entry"
+    return [edge["src"], edge["rel"], edge["dst"]]
+
+
+_EDGE_FAULTS = ["unknown node", "unknown relationship", "pair not admitted",
+                "inFrontOf self-loop", "non-string field", "missing key", "non-dict entry"]
+
+
+@pytest.mark.parametrize("kind", _EDGE_FAULTS)
+def test_one_bad_edge_in_a_dense_record_is_located(om, kind):
+    """The bulk test sees that some edge is bad; the fallback must name the
+    same edge with the same text as a per-edge pass, wherever it sits. A
+    second fault further on must not be the one reported."""
+    record = _dense_record(om)
+    last = len(record["edges"]) - 1
+    for pos in (0, last // 2, last):
+        edges = list(record["edges"])
+        edges[pos] = _bad_edge(om, record, kind, edges[pos])
+        if pos < last:
+            edges[last] = _bad_edge(om, record, "unknown node", edges[last])
+        faulty = dict(record, edges=edges)
+        message = _ingest(faulty, om)
+        assert isinstance(message, str)
+        assert message == _reference_ingest(faulty, om)
+
+
+class _Name(str):
+    pass
+
+
+def test_valid_edges_off_the_bulk_path_give_the_same_scene(om):
+    record = _dense_record(om)
+    mid = len(record["edges"]) // 2
+    expected = _reference_ingest(record, om)
+    for entry in (dict(record["edges"][mid], src=_Name(record["edges"][mid]["src"])),
+                  types.MappingProxyType(record["edges"][mid])):
+        edges = list(record["edges"])
+        edges[mid] = entry
+        assert _ingest(dict(record, edges=edges), om) == expected
+    csg = parse_csg(record, om)
+    objects = list(csg.nodes.values())
+    from_generator = make_csg(om, csg.timestamp, csg.ego_id, objects, (e for e in csg.edges))
+    assert from_generator == csg
+    # a generator is read once: the located pass still sees every edge
+    bad = sorted(csg.edges) + [("ego", "inFrontOf", "ego")]
+    with pytest.raises(SceneValidationError, match="inFrontOf self-loop on ego"):
+        make_csg(om, csg.timestamp, csg.ego_id, objects, (e for e in bad))
+
+
+@pytest.mark.parametrize("malformed", [("ego", ["isIn"], "lane1"), ("ego", "isIn")],
+                         ids=["unhashable-rel", "two-fields"])
+def test_make_csg_reports_the_first_bad_edge_before_a_malformed_one(om, scene_factory,
+                                                                     malformed):
+    objects = list(scene_factory().nodes.values())
+    with pytest.raises(SceneValidationError, match="isPartOf does not admit Vehicle -> Lane"):
+        make_csg(om, 0.0, "ego", objects, [("ego", "isPartOf", "lane1"), malformed])
+
+
+def test_make_csg_takes_edges_as_lists(om, scene_factory):
+    csg = scene_factory()
+    objects = list(csg.nodes.values())
+    as_lists = make_csg(om, csg.timestamp, csg.ego_id, objects, [list(e) for e in csg.edges])
+    assert as_lists == csg
+
+
+def test_labels_between_matches_a_scan_of_the_edges(om):
+    rng = random.Random(606)
+    for _ in range(100):
+        csg = random_csg(rng, om)
+        ids = sorted(csg.nodes) + ["ghost"]
+        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(20)]
+        pairs += [(src, dst) for src, _, dst in rng.sample(sorted(csg.edges), min(5, len(csg.edges)))]
+        for src, dst in pairs:
+            assert csg.labels_between(src, dst) == {
+                r for s, r, d in csg.edges if s == src and d == dst}
 
 
 def test_validate_asg_rejects_disconnected(om):
