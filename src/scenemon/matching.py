@@ -23,6 +23,13 @@ order, which makes results reproducible and lets callers reason about "the
 first embedding". A candidate is kept when each pattern edge to a mapped
 node is in the scene's edge set; there is no degree lookahead.
 
+The search is one generator over an explicit stack that holds one
+candidate iterator per depth, and the edge test is a module-level
+function. A call builds no closures, so it leaves no reference cycle: once
+the caller drops the generator and the scene, reference counting frees
+them, and the monitor's per-(scene, property) calls give the cycle
+collector nothing to do.
+
 What depends on the pattern alone is computed once per pattern, not per
 call: each pattern node's BFS distance from ego (its rank in the visit
 order) and the labelled pattern adjacency. These facts are memoised by the
@@ -143,6 +150,39 @@ def _facts_of(
     return rank, frozen(p_out), frozen(p_in)
 
 
+def _consistent(
+    pid: str,
+    oid: str,
+    mapping: Mapping[str, str],
+    edges: frozenset[tuple[str, str, str]],
+    p_out: _Adjacency,
+    p_in: _Adjacency,
+    induced: bool,
+    csg: ConcreteSceneGraph,
+) -> bool:
+    """Whether mapping `pid` to `oid` keeps every pattern edge between `pid`
+    and an already mapped node (and, induced, adds no scene edge)."""
+    for rel, dsts in p_out[pid]:
+        for q in dsts:
+            if q in mapping and (oid, rel, mapping[q]) not in edges:
+                return False
+    for rel, srcs in p_in[pid]:
+        for q in srcs:
+            if q in mapping and (mapping[q], rel, oid) not in edges:
+                return False
+    if induced:
+        for q, w in mapping.items():
+            extra_out = csg.labels_between(oid, w) - {
+                rel for rel, dsts in p_out[pid] if q in dsts}
+            if extra_out:
+                return False
+            extra_in = csg.labels_between(w, oid) - {
+                rel for rel, srcs in p_in[pid] if q in srcs}
+            if extra_in:
+                return False
+    return True
+
+
 def iter_embeddings(
     asg: AbstractSceneGraph,
     csg: ConcreteSceneGraph,
@@ -161,49 +201,37 @@ def iter_embeddings(
     rank, p_out, p_in = _pattern_facts(asg)
     cand = _candidates(asg, csg)
     order = _visit_order(asg, rank, cand)
+    if not order:
+        yield Embedding(())
+        return
     edges = csg.edges
+    last = len(order) - 1
     mapping: dict[str, str] = {}
     used: set[str] = set()
-
-    def consistent(pid: str, oid: str) -> bool:
-        for rel, dsts in p_out[pid]:
-            for q in dsts:
-                if q in mapping and (oid, rel, mapping[q]) not in edges:
-                    return False
-        for rel, srcs in p_in[pid]:
-            for q in srcs:
-                if q in mapping and (mapping[q], rel, oid) not in edges:
-                    return False
-        if induced:
-            for q, w in mapping.items():
-                extra_out = csg.labels_between(oid, w) - {
-                    rel for rel, dsts in p_out[pid] if q in dsts}
-                if extra_out:
-                    return False
-                extra_in = csg.labels_between(w, oid) - {
-                    rel for rel, srcs in p_in[pid] if q in srcs}
-                if extra_in:
-                    return False
-        return True
-
-    def search(depth: int) -> Iterator[Embedding]:
-        if depth == len(order):
-            yield Embedding.from_dict(mapping)
-            return
+    # stack[d] iterates the candidates of order[d]; order[:d] is mapped
+    stack: list[Iterator[str]] = [iter(cand[order[0]])]
+    while stack:
+        depth = len(stack) - 1
         pid = order[depth]
-        for oid in cand[pid]:
-            if oid in used:
-                continue
-            if not consistent(pid, oid):
+        for oid in stack[depth]:
+            if oid in used or not _consistent(
+                    pid, oid, mapping, edges, p_out, p_in, induced, csg):
                 continue
             mapping[pid] = oid
-            if check is None or check(pid, mapping):
-                used.add(oid)
-                yield from search(depth + 1)
-                used.discard(oid)
-            del mapping[pid]
-
-    yield from search(0)
+            if check is not None and not check(pid, mapping):
+                del mapping[pid]
+                continue
+            if depth == last:
+                yield Embedding.from_dict(mapping)
+                del mapping[pid]
+                continue
+            used.add(oid)
+            stack.append(iter(cand[order[depth + 1]]))
+            break
+        else:
+            stack.pop()
+            if depth:
+                used.discard(mapping.pop(order[depth - 1]))
 
 
 def find_embeddings(

@@ -1,7 +1,9 @@
 """Seeded random problem instances for matcher/oracle comparison tests.
 
-Instances stay small by construction (pattern <= 4 nodes, scene <= 8 nodes)
-so the exhaustive reference matcher is always applicable. Patterns are built
+Instances stay small by default (pattern <= 4 nodes, scene <= 8 nodes) so
+the exhaustive reference matcher is always applicable. Tests that compare the
+search with itself can ask for larger, denser scenes, where the search
+branches at more depths. Patterns are built
 as spec text and run through the real parser.
 """
 
@@ -89,8 +91,8 @@ def random_asg(rng: random.Random, om):
     return parse_asg("\n".join(lines), om)
 
 
-def random_csg(rng: random.Random, om):
-    n = rng.randint(1, 8)
+def random_csg(rng: random.Random, om, *, max_nodes: int = 8, edge_p: float = 0.3):
+    n = rng.randint(1, max_nodes)
     nodes = []
     classes = {}
     for i in range(n):
@@ -114,10 +116,10 @@ def random_csg(rng: random.Random, om):
             if a == b:
                 continue
             for rel in _allowed(om, classes[a], classes[b]):
-                if rng.random() < 0.3:
+                if rng.random() < edge_p:
                     edges.append((a, rel, b))
     return make_csg(om, float(rng.randint(0, 100)), "o0", nodes, edges)
 
 
-def random_instance(rng: random.Random, om):
-    return random_asg(rng, om), random_csg(rng, om)
+def random_instance(rng: random.Random, om, **scene):
+    return random_asg(rng, om), random_csg(rng, om, **scene)

@@ -1,21 +1,31 @@
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenemon import (
+    AbstractSceneGraph,
+    Embedding,
     OracleSizeError,
     SceneObject,
     SceneValidationError,
     brute_force_embeddings,
     check_embedding,
     find_embeddings,
+    iter_embeddings,
     make_csg,
     parse_asg,
     parse_object_model,
     pattern_order,
     serialize_object_model,
     sg_comparison,
+)
+from scenemon.matching import (
+    _candidates,
+    _pattern_facts,
+    _require_same_om,
+    _visit_order,
 )
 from randscene import random_instance
 
@@ -218,3 +228,87 @@ def test_verdict_agrees_with_embedding_existence(om, seed):
     if not find_embeddings(asg, csg):
         assert verdict.result.value == "violated"
         assert verdict.cause.kind.value == "no_embedding"
+
+
+def _recursive_reference(asg, csg, *, induced=False, check=None):
+    """The recursive form of the search, kept as the order reference."""
+    _require_same_om(asg, csg)
+    rank, p_out, p_in = _pattern_facts(asg)
+    cand = _candidates(asg, csg)
+    order = _visit_order(asg, rank, cand)
+    edges = csg.edges
+    mapping = {}
+    used = set()
+
+    def consistent(pid, oid):
+        for rel, dsts in p_out[pid]:
+            for q in dsts:
+                if q in mapping and (oid, rel, mapping[q]) not in edges:
+                    return False
+        for rel, srcs in p_in[pid]:
+            for q in srcs:
+                if q in mapping and (mapping[q], rel, oid) not in edges:
+                    return False
+        if induced:
+            for q, w in mapping.items():
+                extra_out = csg.labels_between(oid, w) - {
+                    rel for rel, dsts in p_out[pid] if q in dsts}
+                if extra_out:
+                    return False
+                extra_in = csg.labels_between(w, oid) - {
+                    rel for rel, srcs in p_in[pid] if q in srcs}
+                if extra_in:
+                    return False
+        return True
+
+    def search(depth):
+        if depth == len(order):
+            yield Embedding.from_dict(mapping)
+            return
+        pid = order[depth]
+        for oid in cand[pid]:
+            if oid in used:
+                continue
+            if not consistent(pid, oid):
+                continue
+            mapping[pid] = oid
+            if check is None or check(pid, mapping):
+                used.add(oid)
+                yield from search(depth + 1)
+                used.discard(oid)
+            del mapping[pid]
+
+    yield from search(0)
+
+
+def _recording_check(salt, calls):
+    """A deterministic check that rejects about 30% of (pid, oid) pairs and
+    logs each call's arguments."""
+    def check(pid, mapping):
+        calls.append((pid, dict(mapping)))
+        return zlib.crc32(f"{salt}:{pid}:{mapping[pid]}".encode()) % 10 >= 3
+    return check
+
+
+@pytest.mark.parametrize("induced", [False, True])
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_search_order_matches_recursive_reference(om, induced, seed):
+    """Same embedding sequence as the recursive search, not only the same
+    set, and with a check the same calls to it and the same survivors."""
+    rng = random.Random(seed)
+    asg, csg = random_instance(rng, om, max_nodes=16, edge_p=0.7)
+    assert (list(iter_embeddings(asg, csg, induced=induced))
+            == list(_recursive_reference(asg, csg, induced=induced)))
+    got_calls, want_calls = [], []
+    got = list(iter_embeddings(
+        asg, csg, induced=induced, check=_recording_check(seed, got_calls)))
+    want = list(_recursive_reference(
+        asg, csg, induced=induced, check=_recording_check(seed, want_calls)))
+    assert got == want
+    assert got_calls == want_calls
+
+
+def test_pattern_without_nodes_has_one_empty_embedding(om, scene_factory):
+    asg = AbstractSceneGraph("empty", {}, frozenset(), "ego", (), om)
+    assert list(iter_embeddings(asg, scene_factory())) == [Embedding(())]

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from scenemon import (
     load_bundled_asg,
     make_csg,
     monitor_stream,
+    overtake_script,
     parse_asg,
     pull_out_script,
     serialize_asg,
@@ -268,6 +271,55 @@ def test_stream_concatenation(ahead_asg, scene_factory):
     joined = list(monitor_stream([ahead_asg], a + b))
     split = list(monitor_stream([ahead_asg], a)) + list(monitor_stream([ahead_asg], b))
     assert joined == split
+
+
+def _rebuilt(om, csg, attrs_of):
+    nodes = [SceneObject(o.object_id, o.cls, attrs_of(o)) for o in csg.nodes.values()]
+    return make_csg(om, csg.timestamp, csg.ego_id, nodes, csg.edges)
+
+
+def test_checks_leave_no_reference_cycles(om, monkeypatch):
+    """A check is freed by reference counting alone: it leaves nothing for
+    the cycle collector, and a dropped scene dies at once."""
+    import scenemon.monitor
+
+    pushdowns = []
+    unpruned = scenemon.monitor.iter_embeddings
+
+    def counting(asg, csg, **kwargs):
+        if kwargs.get("check") is not None:
+            pushdowns.append(asg.name)
+        return unpruned(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", counting)
+    cases = [(builtin_asgs(name, om), generate_trace(script, om))
+             for name, script in (("P1", pull_out_script()), ("P2", overtake_script()))]
+    gc.disable()
+    try:
+        gc.collect()
+        kinds = set()
+        for asgs, trace in cases:
+            scene = trace[len(trace) // 2]
+            ego = scene.ego_id
+            halted = _rebuilt(om, scene, lambda o: (
+                {**o.attributes, "velocity": 0.0} if o.object_id == ego else o.attributes))
+            gap = _rebuilt(om, scene, lambda o: {
+                k: v for k, v in o.attributes.items() if k != "position" or o.object_id == ego})
+            for csg in (scene, halted, gap):
+                for asg in asgs:
+                    v = sg_comparison(asg, csg)
+                    kinds.add(v.cause.kind if v.cause else v.result)
+            ref = weakref.ref(halted)
+            verdicts = [sg_comparison(asg, halted) for asg in asgs]
+            del verdicts, halted
+            assert ref() is None
+            assert len(list(monitor_stream(asgs, trace[:10]))) == 10 * len(asgs)
+        assert kinds >= {Result.SATISFIED, CauseKind.PREDICATE_FAILED,
+                         CauseKind.MISSING_ATTRIBUTE, CauseKind.NO_EMBEDDING}
+        assert pushdowns
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
