@@ -27,7 +27,7 @@ either yields an AbstractSceneGraph or raises a located package error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import SpecSyntaxError, SpecTypeError
@@ -69,19 +69,6 @@ class Expr:
 
     line: int = field(compare=False)
     column: int = field(compare=False)
-    # Trees key the per-property caches: hash once, from the children's hashes.
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __init_subclass__(cls) -> None:
-        # set before @dataclass runs, which keeps an explicit __hash__
-        cls.__hash__ = Expr.__hash__  # type: ignore[method-assign]
-
-    def __post_init__(self) -> None:
-        values = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
-        object.__setattr__(self, "_hash", hash((type(self), values)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def pattern_ids(self) -> frozenset[str]:
         raise NotImplementedError

@@ -30,11 +30,10 @@ the caller drops the generator and the scene, reference counting frees
 them, and the monitor's per-(scene, property) calls give the cycle
 collector nothing to do.
 
-What depends on the pattern alone is computed once per pattern, not per
-call: each pattern node's BFS distance from ego (its rank in the visit
-order) and the labelled pattern adjacency. These facts are memoised by the
-values they derive from (ego id, pattern ids, pattern edges), so equal
-patterns share them and a changed pattern never reads stale ones. A call
+What depends on the pattern alone is computed once per property object,
+not per call: each pattern node's BFS distance from ego (its rank in the
+visit order) and the labelled pattern adjacency. These facts live on the
+immutable AbstractSceneGraph (`pattern_facts`), built on first use. A call
 only looks up its scene's candidates and sorts them into the visit order.
 
 Predicate pushdown: an optional per-depth `check` sees the partial mapping
@@ -55,11 +54,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
-from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, pattern_distances
+from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, PatternAdjacency
 
 ORACLE_SIZE_BOUND = 12
 
@@ -109,7 +107,7 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
     from ego in the undirected pattern, then by how few scene candidates
     they have, then by pattern id for a total order.
     """
-    return _visit_order(asg, _pattern_facts(asg)[0], _candidates(asg, csg))
+    return _visit_order(asg, asg.pattern_facts[0], _candidates(asg, csg))
 
 
 def _visit_order(
@@ -118,45 +116,13 @@ def _visit_order(
     return tuple(sorted(asg.pattern_nodes, key=lambda pid: (rank[pid], len(cand[pid]), pid)))
 
 
-# pattern id -> (label, neighbour pattern ids) per label of its edges
-_Adjacency = dict[str, tuple[tuple[str, frozenset[str]], ...]]
-
-
-def _pattern_facts(asg: AbstractSceneGraph) -> tuple[dict[str, int], _Adjacency, _Adjacency]:
-    return _facts_of(asg.ego_pattern_id, tuple(asg.pattern_nodes), asg.pattern_edges)
-
-
-@lru_cache(maxsize=256)
-def _facts_of(
-    ego_pattern_id: str,
-    pattern_ids: tuple[str, ...],
-    pattern_edges: frozenset[tuple[str, str, str]],
-) -> tuple[dict[str, int], _Adjacency, _Adjacency]:
-    """The search's pattern facts, computed once per pattern: each node's
-    rank (BFS distance from ego; an unreached node ranks last) and the
-    labelled out- and in-adjacency. The tables are shared: read only."""
-    dist = pattern_distances(pattern_edges, ego_pattern_id)
-    rank = {pid: dist.get(pid, len(pattern_ids)) for pid in pattern_ids}
-    p_out: dict[str, dict[str, set[str]]] = {pid: {} for pid in pattern_ids}
-    p_in: dict[str, dict[str, set[str]]] = {pid: {} for pid in pattern_ids}
-    for src, rel, dst in pattern_edges:
-        p_out[src].setdefault(rel, set()).add(dst)
-        p_in[dst].setdefault(rel, set()).add(src)
-
-    def frozen(adj: dict[str, dict[str, set[str]]]) -> _Adjacency:
-        return {pid: tuple((rel, frozenset(ids)) for rel, ids in rels.items())
-                for pid, rels in adj.items()}
-
-    return rank, frozen(p_out), frozen(p_in)
-
-
 def _consistent(
     pid: str,
     oid: str,
     mapping: Mapping[str, str],
     edges: frozenset[tuple[str, str, str]],
-    p_out: _Adjacency,
-    p_in: _Adjacency,
+    p_out: PatternAdjacency,
+    p_in: PatternAdjacency,
     induced: bool,
     csg: ConcreteSceneGraph,
 ) -> bool:
@@ -198,7 +164,7 @@ def iter_embeddings(
     that partial mapping. Without `check`, every embedding is yielded.
     """
     _require_same_om(asg, csg)
-    rank, p_out, p_in = _pattern_facts(asg)
+    rank, p_out, p_in = asg.pattern_facts
     cand = _candidates(asg, csg)
     order = _visit_order(asg, rank, cand)
     if not order:

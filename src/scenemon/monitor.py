@@ -29,11 +29,12 @@ scan goes on unpruned, because pruning could skip the embedding whose
 evaluation would have reported the gap. The verdicts are the same either
 way.
 
-What depends on the property alone is computed once per property and
-memoised by value (predicates, ego id, epsilon): the compiled predicates
-(`predicates.compile_predicates`), the attributes they read per pattern
-node, and the pushdown schedule of which predicates fall due when a pattern
-node is mapped. Per scene, only the search and the evaluations remain.
+What depends on the property alone is computed once per property object
+and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
+compiled predicates (`predicates.compile_predicates`), the attributes they
+read per pattern node, and the pushdown schedule of which predicates fall
+due when a pattern node is mapped. Per scene, only the search and the
+evaluations remain.
 
 `monitor_stream` applies a list of properties to a time-ordered scene
 stream, yielding per-scene verdicts in (scene order, property order) before
@@ -48,10 +49,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .dsl import Expr
 from .errors import MissingAttributeError, StreamOrderError
 from .matching import Embedding, iter_embeddings
 from .predicates import Compiled, attribute_reads, compile_predicates
@@ -113,7 +112,7 @@ def sg_comparison(
     """Decide whether one scene satisfies one property. See module docstring."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
-    predicates, reads, due = _property_plan(asg.predicates, asg.ego_pattern_id, epsilon)
+    predicates, reads, due = _property_plan(asg, epsilon)
     first_failure: Cause | None = None
     first_error: Cause | None = None
     saw_embedding = False
@@ -157,28 +156,32 @@ _Reads = tuple[tuple[str, frozenset[str]], ...]  # attributes read, per pattern 
 _Due = dict[str, tuple[tuple[frozenset[str], Compiled], ...]]  # (pattern ids, predicate), per node
 
 
-@lru_cache(maxsize=256)
 def _property_plan(
-    predicates: tuple[Expr, ...], ego_pattern_id: str, epsilon: float,
+    asg: AbstractSceneGraph, epsilon: float,
 ) -> tuple[tuple[Compiled, ...], _Reads | None, _Due]:
     """What checking a property needs that depends on the property alone,
-    computed once: the compiled predicates in declaration order, their read
-    set (None when a function's reads are unknown) and the pushdown
-    schedule. The tables are shared: read only.
+    built once per epsilon and kept in `asg.plans`: the compiled predicates
+    in declaration order, their read set (None when a function's reads are
+    unknown) and the pushdown schedule. The tables are shared: read only.
 
     A predicate is filed under each of its pattern nodes and becomes due
     when the last of them is mapped; one with no node refs is due at depth
     0, where the ego is mapped.
     """
-    compiled = compile_predicates(predicates, epsilon=epsilon)
-    reads = attribute_reads(predicates)
+    plan = asg.plans.get(epsilon)
+    if plan is not None:  # two threads may both build it: equal plans, either kept
+        return plan
+    compiled = compile_predicates(asg.predicates, epsilon=epsilon)
+    reads = attribute_reads(asg.predicates)
     due: dict[str, list[tuple[frozenset[str], Compiled]]] = {}
-    for pred, fn in zip(predicates, compiled):
+    for pred, fn in zip(asg.predicates, compiled):
         ids = pred.pattern_ids()
-        for pid in ids or (ego_pattern_id,):
+        for pid in ids or (asg.ego_pattern_id,):
             due.setdefault(pid, []).append((ids, fn))
-    return (compiled, None if reads is None else tuple(reads.items()),
-            {pid: tuple(v) for pid, v in due.items()})
+    plan = asg.plans[epsilon] = (
+        compiled, None if reads is None else tuple(reads.items()),
+        {pid: tuple(v) for pid, v in due.items()})
+    return plan
 
 
 def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> bool:

@@ -5,7 +5,9 @@ attribute values, labeled directed edges between them, a designated ego
 vehicle, and a timestamp. An AbstractSceneGraph (ASG) is one property: a
 pattern graph over the same vocabulary plus an ordered list of predicates
 over the pattern nodes. Both validate against an ObjectModel at load time;
-matching and verdicts live in the matching and monitor modules.
+matching and verdicts live in the matching and monitor modules. An ASG is
+immutable and carries the tables derived from it: the matcher's pattern
+facts and the monitor's compiled plans, each built on first use.
 
 Ingest checks edges in bulk, because a dense scene carries thousands of
 them. `parse_csg` takes the edge tuples out in one pass once whole-list
@@ -32,6 +34,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -81,7 +84,11 @@ class ConcreteSceneGraph:
         return {r for r in self.om.relationship_names() if (src, r, dst) in self.edges}
 
 
-@dataclass
+# pattern id -> (label, neighbour pattern ids) per label of its edges
+PatternAdjacency = dict[str, tuple[tuple[str, frozenset[str]], ...]]
+
+
+@dataclass(frozen=True)
 class AbstractSceneGraph:
     name: str
     pattern_nodes: dict[str, str]  # pattern id -> class name (may be abstract)
@@ -89,6 +96,28 @@ class AbstractSceneGraph:
     ego_pattern_id: str
     predicates: "tuple[Expr, ...]"
     om: ObjectModel = field(compare=False, repr=False)
+    # epsilon -> the monitor's compiled checking plan, filled on first use
+    plans: dict[float, tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def pattern_facts(self) -> tuple[dict[str, int], PatternAdjacency, PatternAdjacency]:
+        """The matcher's facts about the pattern, built on first use: each
+        node's rank (BFS distance from ego; an unreached node ranks last) and
+        the labelled out- and in-adjacency. The tables are shared: read only."""
+        dist = pattern_distances(self.pattern_edges, self.ego_pattern_id)
+        rank = {pid: dist.get(pid, len(self.pattern_nodes)) for pid in self.pattern_nodes}
+        p_out: dict[str, dict[str, set[str]]] = {pid: {} for pid in self.pattern_nodes}
+        p_in: dict[str, dict[str, set[str]]] = {pid: {} for pid in self.pattern_nodes}
+        for src, rel, dst in self.pattern_edges:
+            p_out[src].setdefault(rel, set()).add(dst)
+            p_in[dst].setdefault(rel, set()).add(src)
+
+        def frozen(adj: dict[str, dict[str, set[str]]]) -> PatternAdjacency:
+            return {pid: tuple((rel, frozenset(ids)) for rel, ids in rels.items())
+                    for pid, rels in adj.items()}
+
+        return rank, frozen(p_out), frozen(p_in)
 
 
 # -- validation ------------------------------------------------------------

@@ -23,7 +23,6 @@ from scenemon import (
 )
 from scenemon.matching import (
     _candidates,
-    _pattern_facts,
     _require_same_om,
     _visit_order,
 )
@@ -233,7 +232,7 @@ def test_verdict_agrees_with_embedding_existence(om, seed):
 def _recursive_reference(asg, csg, *, induced=False, check=None):
     """The recursive form of the search, kept as the order reference."""
     _require_same_om(asg, csg)
-    rank, p_out, p_in = _pattern_facts(asg)
+    rank, p_out, p_in = asg.pattern_facts
     cand = _candidates(asg, csg)
     order = _visit_order(asg, rank, cand)
     edges = csg.edges

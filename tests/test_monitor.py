@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from scenemon import (
+    AbstractSceneGraph,
     Cause,
     CauseKind,
     PhaseAutomaton,
@@ -211,11 +212,14 @@ def test_pushdown_witness_is_first_satisfying_after_pruned_subtrees(om, monkeypa
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -5.0])
-def test_epsilon_must_be_finite_and_not_negative(ahead_asg, scene_factory, epsilon):
+def test_epsilon_must_be_finite_and_not_negative(om, scene_factory, epsilon):
+    asg = load_bundled_asg("obstacle-ahead", om)
     with pytest.raises(ValueError, match="epsilon must be a finite number"):
-        sg_comparison(ahead_asg, scene_factory(), epsilon=epsilon)
+        sg_comparison(asg, scene_factory(), epsilon=epsilon)
     with pytest.raises(ValueError, match="epsilon must be a finite number"):
-        next(monitor_stream([ahead_asg], [scene_factory()], epsilon=epsilon))
+        next(monitor_stream([asg], [scene_factory()], epsilon=epsilon))
+    # a NaN key never compares equal: a plan filed under one would pile up
+    assert asg.plans == {}
 
 
 # -- stream monitoring -----------------------------------------------------
@@ -323,33 +327,32 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
 
 
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
-    """Pattern facts and compiled predicates cost once per property, however
-    many scenes the stream holds."""
-    import scenemon.matching
+    """Pattern facts and compiled predicates cost once per property object,
+    however many scenes the stream holds, and a second stream over the same
+    objects builds nothing."""
     import scenemon.monitor
+    import scenemon.scene_graph
 
     calls = {"pattern_distances": 0, "compile_predicates": 0}
-    for module, name in ((scenemon.matching, "pattern_distances"),
+    for module, name in ((scenemon.scene_graph, "pattern_distances"),
                          (scenemon.monitor, "compile_predicates")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    asgs = builtin_asgs("P1", om)
     scenes = generate_trace(pull_out_script(), om)
     for n in (1, 10, len(scenes)):
-        scenemon.matching._facts_of.cache_clear()
-        scenemon.monitor._property_plan.cache_clear()
+        asgs = builtin_asgs("P1", om)  # parsing validates, which reads distances
         calls.update(dict.fromkeys(calls, 0))
+        assert len(list(monitor_stream(asgs, scenes[:n]))) == n * len(asgs)
+        assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
         assert len(list(monitor_stream(asgs, scenes[:n]))) == n * len(asgs)
         assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
 
 
-def test_equal_properties_parsed_twice_share_one_plan(om, scene_factory):
-    """Predicate trees hash by value, positions aside, so a property parsed
-    again finds the plan the first parse built."""
-    import scenemon.monitor
-
+def test_equal_properties_parsed_twice_compare_equal(om, scene_factory):
+    """Predicate trees compare and hash by value, positions aside, so a
+    property parsed again equals its first parse and gets the same verdict."""
     csg = scene_factory()
     for asg in builtin_asgs("P2", om):
         text = serialize_asg(asg)
@@ -358,10 +361,7 @@ def test_equal_properties_parsed_twice_share_one_plan(om, scene_factory):
         assert first.predicates == again.predicates
         assert hash(first.predicates) == hash(again.predicates)
         assert {first.predicates, again.predicates} == {first.predicates}
-        scenemon.monitor._property_plan.cache_clear()
         assert sg_comparison(first, csg) == sg_comparison(again, csg)
-        info = scenemon.monitor._property_plan.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
 
 
 # -- phase automaton -------------------------------------------------------
@@ -477,6 +477,13 @@ def test_automaton_is_immutable():
     assert pa.index == 0 and stepped.index == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         pa.index = 5
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AbstractSceneGraph)])
+def test_property_is_immutable(ahead_asg, name):
+    """Plans and pattern facts are kept on the property, so its fields stay put."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ahead_asg, name, getattr(ahead_asg, name))
 
 
 def test_automaton_rejects_empty_phase_list():
