@@ -320,8 +320,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ]
     diverged = args.oracle and _run_oracle(asgs, csg, verdicts, args.induced)
     with _open_out(args.out) as out:
-        for verdict in verdicts:
-            print(serialize_verdict(verdict), file=out)
+        out.write("".join([serialize_verdict(v) + "\n" for v in verdicts]))
     return _exit_code(
         any(v.result is Result.VIOLATED for v in verdicts),
         any(v.result is Result.ERROR for v in verdicts),
@@ -366,8 +365,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                                     v.cause, automaton.index) for v in row)
             if args.oracle:
                 diverged |= _run_oracle(asgs, scene[0], row, args.induced)
+            # one write per scene, after its last check and before the next read
+            out.write("".join([serialize_verdict(v) + "\n" for v in row]))
             for verdict in row:
-                print(serialize_verdict(verdict), file=out)
                 # a phase property being unsatisfied off-phase is expected;
                 # the automaton decides whether the sequence was violated
                 if verdict.property_name not in phase_names:

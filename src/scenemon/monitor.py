@@ -49,6 +49,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAttributeError, StreamOrderError
@@ -315,7 +316,44 @@ def verdict_record(v: Verdict) -> dict:
 
 
 _ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
+_RESULT_FIELDS = {r: f', "result": "{r.value}"' for r in Result}
+_CAUSE_FIELDS = {k: f', "cause": {{"kind": "{k.value}"' for k in CauseKind}
 
 
 def serialize_verdict(v: Verdict) -> str:
-    return _ENCODER.encode(verdict_record(v))
+    """`verdict_record(v)` as one line of JSON.
+
+    The reference is `_ENCODER.encode(verdict_record(v))`. The line is built
+    from a fixed template in the record's field order instead: strings are
+    escaped as that encoder escapes them, a finite float timestamp and an
+    exact int index are written with their repr, and each result and cause
+    kind is a literal. Any other value (a timestamp that is not a finite
+    float, a number that is not an exact int, a result or kind that is not
+    the enum, a string field holding a non-string) goes to the reference, so
+    every verdict gives the reference's bytes or raises its exception.
+    """
+    t, result, cause, phase = v.timestamp, v.result, v.cause, v.phase_index
+    if (type(t) is not float or not -math.inf < t < math.inf or type(result) is not Result
+            or cause is not None and (
+                type(cause) is not Cause or type(cause.kind) is not CauseKind
+                or cause.index is not None and type(cause.index) is not int)
+            or phase is not None and type(phase) is not int):
+        return _ENCODER.encode(verdict_record(v))
+    try:
+        line = f'{{"t": {t!r}, "property": {_quote(v.property_name)}{_RESULT_FIELDS[result]}'
+        if v.witness is not None:
+            pairs = {pid: oid for pid, oid in v.witness.mapping}  # as verdict_record
+            line += ', "witness": {' + ", ".join(
+                [f"{_quote(pid)}: {_quote(oid)}" for pid, oid in pairs.items()]) + "}"
+        if cause is not None:
+            line += _CAUSE_FIELDS[cause.kind]
+            if cause.index is not None:
+                line += f', "index": {cause.index!r}'
+            if cause.ref is not None:
+                line += f', "ref": {_quote(cause.ref)}'
+            line += "}"
+    except TypeError:  # a string field holding something else
+        return _ENCODER.encode(verdict_record(v))
+    if phase is not None:
+        line += f', "phase_index": {phase!r}'
+    return line + "}"

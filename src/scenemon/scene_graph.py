@@ -331,18 +331,23 @@ def serialize_scene(csg: ConcreteSceneGraph) -> str:
 def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[ConcreteSceneGraph]:
     """Parse a JSONL scene stream lazily, one validated CSG per nonblank line."""
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # malformed text, an int literal past the digit limit, or nesting too deep
-            raise SceneValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            yield parse_csg(record, om)
-        except SceneValidationError as exc:
-            raise SceneValidationError(f"line {lineno}: {exc}") from exc
+        if line and not line.isspace():  # what str.strip leaves nonempty
+            yield _read_scene_line(line, lineno, om)
+
+
+def _read_scene_line(line: str, lineno: int, om: ObjectModel) -> ConcreteSceneGraph:
+    """One stream line's scene. The stripped line and its decoded record die
+    with this frame, so neither stays alive while the scene is monitored
+    and the next line is decoded."""
+    try:
+        record = json.loads(line.strip())
+    except (ValueError, RecursionError) as exc:
+        # malformed text, an int literal past the digit limit, or nesting too deep
+        raise SceneValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+    try:
+        return parse_csg(record, om)
+    except SceneValidationError as exc:
+        raise SceneValidationError(f"line {lineno}: {exc}") from exc
 
 
 def validate_asg(asg: AbstractSceneGraph) -> None:

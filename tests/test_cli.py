@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, stream formats, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -322,6 +323,58 @@ def test_monitor_oracle_sees_the_scene_of_each_verdict(capsys, tmp_path, monkeyp
     code, _, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
     assert code == 3
     assert "scenemon: oracle divergence: t=0.0 property=P1-1: " in err
+
+
+# sha256 of (stdout, stderr) and the exit code of
+# `gen --scenario S [--perturb ...] | monitor - --phases S --builtin obstacle-ahead`.
+# They pin the wire bytes from one version to the next; change them only
+# with the output format.
+GOLDEN_MONITOR_OUTPUT = {
+    ("P1", ()): (1, "bde01094c81710a8fb977ef55857df654aecd212a99836f517892171975d0be5",
+                 "4d740b76452d57c444588f93604f4fdcf67e5b40470ffe4631ef40240149882d"),
+    ("P1", ("--perturb", "rear_gap=-3")): (
+        1, "5b106b0f29993d45a2e25ac9401b12cf452f05b50e3bdfd6ca6a5e0310affc9d",
+        "9f11759166b94688ee297b1973200dd01eb07d2637f90b513f254e87a47e9267"),
+    ("P2", ()): (1, "6760412353f6271329ef48228acb62c3b55936ddcb923535f8f38b9748c2cc1e",
+                 "78db93c677cc502d2277f466ec5a065ef128cc424497ea7009a34a2183de050f"),
+    ("P2", ("--perturb", "rear_gap=-3")): (
+        1, "360310c86c84734af030364013a65d02cfd64f1d59a1d7b7445bac60c63f754b",
+        "ced2c2c8b8dbf173066be62fc021210531f90ef1f2916959f513489dd79e045f"),
+}
+
+
+@pytest.mark.parametrize("scenario, perturb", list(GOLDEN_MONITOR_OUTPUT),
+                         ids=["P1", "P1-rear_gap", "P2", "P2-rear_gap"])
+def test_monitor_output_bytes_are_pinned(capsys, monkeypatch, scenario, perturb):
+    code, stream, _ = _run(capsys, "gen", "--scenario", scenario, *perturb)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    code, out, err = _run(capsys, "monitor", "-", "--phases", scenario,
+                          "--builtin", "obstacle-ahead")
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err))
+    assert (code, *digests) == GOLDEN_MONITOR_OUTPUT[scenario, perturb]
+
+
+def test_monitor_writes_each_scene_before_reading_the_next(capsys, monkeypatch):
+    """All of scene i's verdict lines are out before line i+1 is pulled."""
+    code, stream, _ = _run(capsys, "gen", "--scenario", "P1")
+    assert code == 0
+    lines = stream.splitlines(keepends=True)
+    out = io.StringIO()
+    written_at_pull = []
+
+    def pulls():
+        for line in lines:
+            written_at_pull.append(out.getvalue().count("\n"))
+            yield line
+        written_at_pull.append(out.getvalue().count("\n"))
+
+    monkeypatch.setattr("sys.stdin", pulls())
+    monkeypatch.setattr("sys.stdout", out)
+    code = main(["monitor", "-", "--phases", "P1", "--builtin", "obstacle-ahead"])
+    assert code == 1
+    k = 4  # obstacle-ahead and the three P1 phases
+    assert written_at_pull == [i * k for i in range(len(lines) + 1)]
 
 
 def _edit_edge(field, value):

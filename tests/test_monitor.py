@@ -5,11 +5,13 @@ import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scenemon import (
     AbstractSceneGraph,
     Cause,
     CauseKind,
+    Embedding,
     PhaseAutomaton,
     Result,
     SceneObject,
@@ -28,6 +30,7 @@ from scenemon import (
     sg_comparison,
     verdict_record,
 )
+from scenemon.monitor import _ENCODER
 
 
 # -- single-scene verdicts -------------------------------------------------
@@ -552,3 +555,49 @@ def test_error_record_layout():
         '{"t": 0.0, "property": "p", "result": "error", '
         '"cause": {"kind": "missing_attribute", "ref": "ego.velocity"}}'
     )
+
+
+# Strings the escaper must handle: quotes, backslashes, control characters,
+# DEL, non-ASCII, non-BMP and lone surrogates, mixed into arbitrary text.
+_texts = st.one_of(
+    st.text(st.characters(codec=None, exclude_categories=())),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\U0001f697",
+                             "\ud800", "a"])),
+)
+_numbers = st.one_of(st.none(), st.integers(), st.booleans())
+_causes = st.one_of(
+    st.none(),
+    # a kind's plain string value is not the enum: the reference rejects it
+    st.builds(Cause, st.sampled_from(list(CauseKind) + [k.value for k in CauseKind]), _numbers,
+              st.one_of(st.none(), _texts)),
+)
+_verdicts = st.builds(
+    Verdict,
+    st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+              st.integers(), st.booleans()),
+    _texts,
+    st.sampled_from(list(Result) + [r.value for r in Result]),
+    st.one_of(st.none(), st.builds(Embedding, st.lists(st.tuples(_texts, _texts)).map(tuple))),
+    _causes,
+    _numbers,
+)
+
+
+def _outcome(fn, v):
+    try:
+        return fn(v)
+    except (ValueError, AttributeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_verdicts)
+@example(Verdict(math.nan, "p", Result.SATISFIED))
+@example(Verdict(-math.inf, "p", Result.VIOLATED, cause=Cause.predicate_failed(0)))
+@example(Verdict(True, "p", Result.ERROR, cause=Cause(CauseKind.PREDICATE_FAILED, index=False),
+                 phase_index=True))
+def test_serialize_verdict_matches_the_reference_encoder(v):
+    """The template gives the reference's bytes, or raises its error: for a
+    non-finite timestamp, or a result or cause kind that is not the enum."""
+    reference = _outcome(lambda v: _ENCODER.encode(verdict_record(v)), v)
+    assert _outcome(serialize_verdict, v) == reference

@@ -3,6 +3,7 @@ import json
 import random
 import types
 import typing
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,8 +153,32 @@ def test_read_scene_stream_locates_undecodable_lines(om, line):
 
 def test_read_scene_stream_skips_blank_lines(om, scene_factory):
     good = serialize_scene(scene_factory())
-    scenes = list(read_scene_stream([good, "", good, "\n"], om))
+    scenes = list(read_scene_stream([good, "", good + "\x0c\n", "\n", " \u2003\x1f\n"], om))
     assert len(scenes) == 2
+
+
+def test_read_scene_stream_drops_the_record_before_yielding(om, scene_factory, monkeypatch):
+    """The reader keeps no decoded record alive while its scene is
+    monitored and the next line is decoded."""
+    import scenemon.scene_graph
+
+    class Record(dict):
+        pass
+
+    records = []
+
+    def loads(text):
+        record = Record(json.loads(text))
+        records.append(weakref.ref(record))
+        return record
+
+    good = serialize_scene(scene_factory())
+    monkeypatch.setattr(scenemon.scene_graph, "json", types.SimpleNamespace(loads=loads))
+    stream = read_scene_stream([good, good], om)
+    for expected in (1, 2):
+        assert next(stream).timestamp == 0.0
+        assert len(records) == expected
+        assert records[-1]() is None
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
