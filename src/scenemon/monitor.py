@@ -29,6 +29,23 @@ scan goes on unpruned, because pruning could skip the embedding whose
 evaluation would have reported the gap. The verdicts are the same either
 way.
 
+Topology reuse: the first embedding in matcher order depends only on the
+pattern, `induced` and what the matcher reads of the scene, which is its
+object model, ego, class index and edge set
+(`ConcreteSceneGraph.same_topology`). From one snapshot to the next,
+positions and velocities change but lanes and relations rarely do. So
+`monitor_stream` gives each scene a memo (`embedding_memo`): the previous
+scene's when the topology is equal, a fresh one otherwise. `sg_comparison`
+uses a scene's memo when it has one. A property whose pattern had no
+embedding is decided at once; otherwise the recorded first embedding is
+evaluated on this scene's attributes. A search starts only when the scan
+needs a second embedding (a data gap, or a failure when the data is
+incomplete or a function's reads are unknown), and it skips its first
+yield; the pushdown search always runs. A scene no stream has seen has no
+memo, so a direct call searches every time. The memo keeps each property
+beside its entry, so the property's id, its key, is not reused while the
+entry lives; it keeps no scene and no generator.
+
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
 compiled predicates (`predicates.compile_predicates`), the attributes they
@@ -49,6 +66,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -114,10 +132,23 @@ def sg_comparison(
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
+    embeddings: Iterator[Embedding] = iter_embeddings(asg, csg, induced=induced)
+    memo = csg.embedding_memo
+    if memo is not None:  # the first embedding depends on the pattern, topology and `induced`
+        entry = memo.get((id(asg), induced))
+        if entry is None:
+            first = next(embeddings, None)
+            memo[id(asg), induced] = (asg, first)  # holding asg keeps its id its own
+        else:  # the search starts only if the scan needs a second embedding
+            first = entry[1]
+            embeddings = islice(embeddings, 1, None)
+        if first is None:
+            return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=Cause.no_embedding())
+        embeddings = chain((first,), embeddings)
     first_failure: Cause | None = None
     first_error: Cause | None = None
     saw_embedding = False
-    for emb in iter_embeddings(asg, csg, induced=induced):
+    for emb in embeddings:
         saw_embedding = True
         try:
             idx = _first_false(predicates, csg.nodes, emb.as_dict())
@@ -232,12 +263,14 @@ def monitor_stream(
     than its predecessor raises StreamOrderError; equal timestamps are
     allowed (two snapshots may legitimately coincide).
     """
-    last_t: float | None = None
+    last: ConcreteSceneGraph | None = None  # the loop holds it until the next scene anyway
     for csg in scenes:
-        if last_t is not None and csg.timestamp < last_t:
+        if last is not None and csg.timestamp < last.timestamp:
             raise StreamOrderError(
-                f"scene timestamp {csg.timestamp} after {last_t} is out of order")
-        last_t = csg.timestamp
+                f"scene timestamp {csg.timestamp} after {last.timestamp} is out of order")
+        same = last is not None and csg.same_topology(last)
+        csg.embedding_memo = last.embedding_memo if same else {}
+        last = csg
         for asg in asgs:
             yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced)
 

@@ -69,6 +69,11 @@ class ConcreteSceneGraph:
     # Built once by __post_init__; the graph is treated as immutable. Each
     # class, abstract ancestors included -> sorted ids of its objects.
     class_index: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    # Set by monitor_stream and shared by a run of scenes with the same
+    # topology: (id of a property, induced) -> (that property, its first
+    # embedding or None). None until a stream has seen the scene.
+    embedding_memo: dict[tuple[int, bool], tuple] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         members: dict[str, list[str]] = {}
@@ -76,6 +81,14 @@ class ConcreteSceneGraph:
             for cls in self.om.ancestors(self.nodes[nid].cls):
                 members.setdefault(cls, []).append(nid)
         self.class_index = {cls: tuple(ids) for cls, ids in members.items()}
+
+    def same_topology(self, other: "ConcreteSceneGraph") -> bool:
+        """Whether the matcher sees the same graph in both scenes: the same
+        object model object, ego, class index and edge set. Attribute values
+        and timestamps may differ. The ego's class follows from the class
+        index, so every embedding, and their order, is the same in both."""
+        return (self.om is other.om and self.ego_id == other.ego_id
+                and self.class_index == other.class_index and self.edges == other.edges)
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges

@@ -326,33 +326,65 @@ def test_monitor_oracle_sees_the_scene_of_each_verdict(capsys, tmp_path, monkeyp
 
 
 # sha256 of (stdout, stderr) and the exit code of
-# `gen --scenario S [--perturb ...] | monitor - --phases S --builtin obstacle-ahead`.
+# `gen --scenario S [--perturb ...] | monitor - --phases S --builtin obstacle-ahead [flags]`.
 # They pin the wire bytes from one version to the next; change them only
-# with the output format.
+# with the output format. `--induced` and `--epsilon` are pinned as well:
+# the monitor's reuse of embeddings across scenes is keyed on `induced`.
+REAR_GAP = ("--perturb", "rear_gap=-3")
+INDUCED = ("--induced",)
+EPSILON = ("--epsilon", "0.5")
 GOLDEN_MONITOR_OUTPUT = {
-    ("P1", ()): (1, "bde01094c81710a8fb977ef55857df654aecd212a99836f517892171975d0be5",
-                 "4d740b76452d57c444588f93604f4fdcf67e5b40470ffe4631ef40240149882d"),
-    ("P1", ("--perturb", "rear_gap=-3")): (
+    ("P1", (), ()): (1, "bde01094c81710a8fb977ef55857df654aecd212a99836f517892171975d0be5",
+                     "4d740b76452d57c444588f93604f4fdcf67e5b40470ffe4631ef40240149882d"),
+    ("P1", REAR_GAP, ()): (
         1, "5b106b0f29993d45a2e25ac9401b12cf452f05b50e3bdfd6ca6a5e0310affc9d",
         "9f11759166b94688ee297b1973200dd01eb07d2637f90b513f254e87a47e9267"),
-    ("P2", ()): (1, "6760412353f6271329ef48228acb62c3b55936ddcb923535f8f38b9748c2cc1e",
-                 "78db93c677cc502d2277f466ec5a065ef128cc424497ea7009a34a2183de050f"),
-    ("P2", ("--perturb", "rear_gap=-3")): (
+    ("P2", (), ()): (1, "6760412353f6271329ef48228acb62c3b55936ddcb923535f8f38b9748c2cc1e",
+                     "78db93c677cc502d2277f466ec5a065ef128cc424497ea7009a34a2183de050f"),
+    ("P2", REAR_GAP, ()): (
+        1, "360310c86c84734af030364013a65d02cfd64f1d59a1d7b7445bac60c63f754b",
+        "ced2c2c8b8dbf173066be62fc021210531f90ef1f2916959f513489dd79e045f"),
+    ("P1", (), INDUCED): (
+        1, "b6a20c85462355bea7b4a433f8f1239006be21f72c3e9de8e34327291805d756",
+        "d093651263c062a074d58bd93d92c84fa95826f8fec14b2682ed37da446d8166"),
+    ("P1", REAR_GAP, INDUCED): (
+        1, "7ff2331985ad255ce9a6afd46e4b4d2c811f3840358ee1ea6da581963eb42237",
+        "9f11759166b94688ee297b1973200dd01eb07d2637f90b513f254e87a47e9267"),
+    ("P2", (), INDUCED): (
+        1, "810dea4c43e6b5e9ac2fae41921c3ad0064150aa33bcffd914f0d8af039b917b",
+        "a44ddc14b0c83e235f536484140d9eef2820477a9dd60059b752dfdb10a07e57"),
+    ("P2", REAR_GAP, INDUCED): (
+        1, "810dea4c43e6b5e9ac2fae41921c3ad0064150aa33bcffd914f0d8af039b917b",
+        "a44ddc14b0c83e235f536484140d9eef2820477a9dd60059b752dfdb10a07e57"),
+    ("P1", (), EPSILON): (
+        1, "716c628101afe7c178c020271b339afb61d885c7ada56d0178a76cf0cea2db00",
+        "d007546d285395ac7d34227eb899f7eb5dec4f55783f290d4788586cd30d7d80"),
+    ("P1", REAR_GAP, EPSILON): (
+        1, "5f54439c40eba7786901e74e5148164c94b0a1d281346cff2631e80f15d6b3ee",
+        "5c265fc13bdecf6d906fc49a71db74fa287feffde5e82f9b80558618a4a21061"),
+    ("P2", (), EPSILON): (
+        1, "6760412353f6271329ef48228acb62c3b55936ddcb923535f8f38b9748c2cc1e",
+        "78db93c677cc502d2277f466ec5a065ef128cc424497ea7009a34a2183de050f"),
+    ("P2", REAR_GAP, EPSILON): (
         1, "360310c86c84734af030364013a65d02cfd64f1d59a1d7b7445bac60c63f754b",
         "ced2c2c8b8dbf173066be62fc021210531f90ef1f2916959f513489dd79e045f"),
 }
 
 
-@pytest.mark.parametrize("scenario, perturb", list(GOLDEN_MONITOR_OUTPUT),
-                         ids=["P1", "P1-rear_gap", "P2", "P2-rear_gap"])
-def test_monitor_output_bytes_are_pinned(capsys, monkeypatch, scenario, perturb):
+def _golden_id(scenario, perturb, flags):
+    return "-".join([scenario, *["rear_gap"][:len(perturb)], *[f.strip("-") for f in flags[:1]]])
+
+
+@pytest.mark.parametrize("scenario, perturb, flags", list(GOLDEN_MONITOR_OUTPUT),
+                         ids=[_golden_id(*key) for key in GOLDEN_MONITOR_OUTPUT])
+def test_monitor_output_bytes_are_pinned(capsys, monkeypatch, scenario, perturb, flags):
     code, stream, _ = _run(capsys, "gen", "--scenario", scenario, *perturb)
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     code, out, err = _run(capsys, "monitor", "-", "--phases", scenario,
-                          "--builtin", "obstacle-ahead")
+                          "--builtin", "obstacle-ahead", *flags)
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err))
-    assert (code, *digests) == GOLDEN_MONITOR_OUTPUT[scenario, perturb]
+    assert (code, *digests) == GOLDEN_MONITOR_OUTPUT[scenario, perturb, flags]
 
 
 def test_monitor_writes_each_scene_before_reading_the_next(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -18,6 +19,7 @@ from scenemon import (
     StreamOrderError,
     Verdict,
     builtin_asgs,
+    builtin_script,
     generate_trace,
     load_bundled_asg,
     make_csg,
@@ -321,12 +323,205 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
             del verdicts, halted
             assert ref() is None
             assert len(list(monitor_stream(asgs, trace[:10]))) == 10 * len(asgs)
+            # a stream reuses embeddings along a run of one topology and pins
+            # no scene of an earlier run once it has moved past it
+            pending = [_rebuilt(om, csg, lambda o: o.attributes) for csg in trace]
+            cut = next(i for i in range(1, len(pending))
+                       if _topology(pending[i]) != _topology(pending[i - 1]))
+            first_run = [weakref.ref(csg) for csg in pending[:cut]]
+
+            def feed():
+                while pending:
+                    yield pending.pop(0)
+
+            stream = monitor_stream(asgs, feed())
+            for _ in range((cut + 1) * len(asgs)):  # up to the new run's first scene
+                next(stream)
+            assert [ref() for ref in first_run] == [None] * cut
+            assert len(list(stream)) == (len(trace) - cut - 1) * len(asgs)
         assert kinds >= {Result.SATISFIED, CauseKind.PREDICATE_FAILED,
                          CauseKind.MISSING_ATTRIBUTE, CauseKind.NO_EMBEDDING}
         assert pushdowns
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- topology reuse: monitor_stream against fresh per-scene checks ---------
+
+BUNDLED = ("obstacle-ahead", "P1-1", "P1-2", "P1-3", "P2-1", "P2-2", "P2-3", "P2-4", "P2-5")
+# Patterns that each mutation below changes the verdict of, with and without
+# `induced`: ego ahead of a vehicle in its lane (P1), ego abreast of one
+# (P2), and ego in two lanes.
+AHEAD = ('asg "ahead" { node ego: Vehicle; node other: Vehicle; node lane: Lane; ego ego; '
+         'edge ego isIn lane; edge other isIn lane; edge ego inFrontOf other; '
+         'assert dist(ego, other) >= 0; }')
+ABREAST = ('asg "abreast" { node ego: Vehicle; node other: Vehicle; node lane: Lane; ego ego; '
+           'edge ego isIn lane; edge other isIn lane; edge ego inFrontOf other; '
+           'edge other inFrontOf ego; assert dist(ego, other) >= 0; }')
+TWO_LANES = ('asg "two-lanes" { node ego: Vehicle; node a: Lane; node b: Lane; ego ego; '
+             'edge ego isIn a; edge ego isIn b; }')
+
+
+def _properties(om):
+    return ([load_bundled_asg(name, om) for name in BUNDLED]
+            + [parse_asg(text, om) for text in (AHEAD, ABREAST, TWO_LANES)])
+
+
+def _topology(csg):
+    """What the matcher reads of a scene, derived without the code under test."""
+    return csg.ego_id, sorted((oid, obj.cls) for oid, obj in csg.nodes.items()), csg.edges
+
+
+def _fresh_verdicts(om, asgs, scenes, **kwargs):
+    """Each (scene, property) decided on its own copy of the scene, which
+    carries no memo, so every check searches from scratch."""
+    out = []
+    for csg in scenes:
+        copy = _rebuilt(om, csg, lambda o: o.attributes)
+        assert copy.embedding_memo is None
+        out += [sg_comparison(asg, copy, **kwargs) for asg in asgs]
+    return out
+
+
+@pytest.mark.parametrize("induced", [False, True], ids=["mono", "induced"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("perturb", [{}, {"rear_gap": -3.0}], ids=["nominal", "rear_gap"])
+@pytest.mark.parametrize("scenario", ["P1", "P2"])
+def test_stream_reuse_matches_fresh_checks(om, scenario, perturb, epsilon, induced):
+    asgs = _properties(om)
+    trace = generate_trace(builtin_script(scenario, offsets=perturb), om)
+    kwargs = {"epsilon": epsilon, "induced": induced}
+    assert list(monitor_stream(asgs, trace, **kwargs)) == _fresh_verdicts(om, asgs, trace, **kwargs)
+
+
+def _other_vehicle(csg):
+    return next(oid for oid, obj in sorted(csg.nodes.items())
+                if obj.cls == "Vehicle" and oid != csg.ego_id)
+
+
+def _class_changed(csg):
+    other = _other_vehicle(csg)
+    return csg.ego_id, {other: "Static"}, csg.edges, {}
+
+
+def _ego_changed(csg):
+    return _other_vehicle(csg), {}, csg.edges, {}
+
+
+def _edge_removed(csg):
+    other = _other_vehicle(csg)
+    edge = min(e for e in csg.edges if e[0] == other and e[1] == "isIn")
+    return csg.ego_id, {}, csg.edges - {edge}, {}
+
+
+def _edge_added(csg):
+    lane = min(oid for oid, obj in csg.nodes.items()
+               if obj.cls == "Lane" and (csg.ego_id, "isIn", oid) not in csg.edges)
+    return csg.ego_id, {}, csg.edges | {(csg.ego_id, "isIn", lane)}, {}
+
+
+def _position_lost(csg):
+    return csg.ego_id, {}, csg.edges, {_other_vehicle(csg): "position"}
+
+
+MUTATIONS = {"class": _class_changed, "ego": _ego_changed, "edge_removed": _edge_removed,
+             "edge_added": _edge_added, "position_lost": _position_lost}
+MUTATED = range(60, 65)  # scenes mutated, inside a run of one topology in both traces
+
+
+def _mutated_trace(om, scenario, mutate):
+    trace = generate_trace(builtin_script(scenario), om)
+    for i in MUTATED:
+        csg = trace[i]
+        ego, classes, edges, dropped = mutate(csg)
+        nodes = [SceneObject(oid, classes.get(oid, obj.cls),
+                             {k: v for k, v in obj.attributes.items() if dropped.get(oid) != k})
+                 for oid, obj in csg.nodes.items()]
+        trace[i] = make_csg(om, csg.timestamp, ego, nodes, edges)
+    return trace
+
+
+@pytest.mark.parametrize("induced", [False, True], ids=["mono", "induced"])
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@pytest.mark.parametrize("scenario", ["P1", "P2"])
+def test_stream_reuse_follows_a_topology_change_mid_run(om, monkeypatch, scenario, mutation,
+                                                        induced):
+    """A run of one topology is cut by a few scenes that differ in one
+    node's class, the ego, one edge, or (topology kept) one attribute."""
+    import scenemon.monitor
+
+    trace = _mutated_trace(om, scenario, MUTATIONS[mutation])
+    before, first, last, after = (trace[i] for i in (
+        MUTATED[0] - 1, MUTATED[0], MUTATED[-1], MUTATED[-1] + 1))
+    assert _topology(before) == _topology(after)
+    assert (_topology(before) == _topology(first)) == (mutation == "position_lost")
+    asgs = _properties(om)
+    expected = _fresh_verdicts(om, asgs, trace, induced=induced)
+    unchecked = []  # the scenes an unpruned search started on
+    search = scenemon.monitor.iter_embeddings
+
+    def recording(asg, csg, **kwargs):
+        if kwargs.get("check") is None:
+            unchecked.append(csg.timestamp)
+        yield from search(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
+    assert list(monitor_stream(asgs, trace, induced=induced)) == expected
+    unmutated = _fresh_verdicts(om, asgs, generate_trace(builtin_script(scenario), om),
+                                induced=induced)
+    assert expected != unmutated
+    if mutation == "position_lost":  # a reused first embedding hit the gap: a second search ran
+        assert {first.timestamp, last.timestamp} <= set(unchecked)
+        assert any(v.result is Result.ERROR for v in expected)
+
+
+@pytest.mark.parametrize("scenario", ["P1", "P2"])
+def test_two_streams_over_the_same_scenes_keep_their_verdicts(om, scenario):
+    """Two streams walk the same scene objects in step, a scene's verdicts
+    from one, then from the other, with different property lists and
+    `induced`. The second list holds the first one's properties, and under
+    the same names other patterns."""
+    trace = generate_trace(builtin_script(scenario), om)
+    first = _properties(om)
+    second = [dataclasses.replace(a, name=b.name) for a, b in zip(first, reversed(first))]
+    second += first
+    expected = (_fresh_verdicts(om, first, trace), _fresh_verdicts(om, second, trace, induced=True))
+    streams = (monitor_stream(first, trace), monitor_stream(second, trace, induced=True))
+    got: tuple[list, list] = ([], [])
+    for _ in trace:
+        for out, stream, asgs in zip(got, streams, (first, second)):
+            out += itertools.islice(stream, len(asgs))
+    assert [next(stream, None) for stream in streams] == [None, None]
+    assert got == expected
+
+
+def test_unchecked_search_runs_once_per_topology_run_and_property(om, monkeypatch):
+    """In a stream the unpruned search runs once per run of scenes with one
+    topology and property; a direct call on one scene searches every time."""
+    import scenemon.monitor
+
+    unchecked = []  # the properties an unpruned search started for
+    search = scenemon.monitor.iter_embeddings
+
+    def counting(asg, csg, **kwargs):
+        if kwargs.get("check") is None:
+            unchecked.append(asg.name)
+        yield from search(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", counting)
+    asgs = builtin_asgs("P2", om)
+    trace = generate_trace(overtake_script(), om)
+    runs = 1 + sum(_topology(a) != _topology(b) for a, b in zip(trace, trace[1:]))
+    assert 1 < runs < len(trace) / 10
+    assert len(list(monitor_stream(asgs, trace))) == len(trace) * len(asgs)
+    assert len(unchecked) == runs * len(asgs)
+    unchecked.clear()
+    scene = _rebuilt(om, trace[0], lambda o: o.attributes)
+    for _ in range(2):
+        for asg in asgs:
+            sg_comparison(asg, scene)
+    assert unchecked == [asg.name for asg in asgs] * 2
 
 
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
