@@ -35,7 +35,9 @@ object model, ego, class index and edge set
 (`ConcreteSceneGraph.same_topology`). From one snapshot to the next,
 positions and velocities change but lanes and relations rarely do. So
 `monitor_stream` gives each scene a memo (`embedding_memo`): the previous
-scene's when the topology is equal, a fresh one otherwise. `sg_comparison`
+scene's when the topology is equal, a fresh one otherwise (scenes that
+`read_scene_stream` parses along such a run share their class index and
+edge set, so the test is one of identity). `sg_comparison`
 uses a scene's memo when it has one. A property whose pattern had no
 embedding is decided at once; otherwise the recorded first embedding is
 evaluated on this scene's attributes. A search starts only when the scan

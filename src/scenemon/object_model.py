@@ -8,8 +8,9 @@ at load time.
 
 Constructing an ObjectModel validates its declarations, raising SchemaError
 naming the offending one, and resolves the class hierarchy once into lookup
-tables: the ancestors and the attributes of every class, and the class pairs
-each relationship admits. Every query afterwards is a table lookup.
+tables: the ancestors, the attributes and the attribute types of every
+class, and the class pairs each relationship admits. Every query afterwards
+is a table lookup.
 
 The schema text format is line-oriented:
 
@@ -86,6 +87,9 @@ class ObjectModel:
     # each class -> attribute name -> declaration, inherited ones first
     _attributes: dict[str, dict[str, AttributeDef]] = field(
         init=False, compare=False, repr=False)
+    # each class -> attribute name -> declared type, what scene ingest reads
+    _attribute_types: dict[str, dict[str, str]] = field(
+        init=False, compare=False, repr=False)
     # each relationship name -> every (source, target) class pair it admits
     _admitted: dict[str, frozenset[tuple[str, str]]] = field(
         init=False, compare=False, repr=False)
@@ -148,6 +152,8 @@ class ObjectModel:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ancestors", ancestors)
         object.__setattr__(self, "_attributes", attributes)
+        object.__setattr__(self, "_attribute_types", {
+            name: {a.name: a.type for a in attrs.values()} for name, attrs in attributes.items()})
         object.__setattr__(self, "_admitted", {k: frozenset(v) for k, v in admitted.items()})
 
     # -- class hierarchy -------------------------------------------------
@@ -183,6 +189,11 @@ class ObjectModel:
 
     def find_attribute(self, cls_name: str, attr: str) -> AttributeDef | None:
         return self._lookup(self._attributes, cls_name).get(attr)
+
+    def attribute_types(self, cls_name: str) -> dict[str, str]:
+        """Each attribute of a class, inherited ones included -> its declared
+        type. The table is shared: read only."""
+        return self._lookup(self._attribute_types, cls_name)
 
     # -- relationships and functions -------------------------------------
 

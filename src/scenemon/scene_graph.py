@@ -17,7 +17,20 @@ per-edge loop run, to raise the first error in order. The scene keeps no
 adjacency: edge tests read the edge set. `ConcreteSceneGraph.__post_init__`
 builds its one table, `class_index` (each class, abstract ancestors
 included -> the sorted ids of its objects), where the matcher finds its
-candidates.
+candidates. Attribute values are checked against the object model's
+per-class type table: a finite `float` for a Real and a pair of them for a
+Vec2 pass at once, anything else goes through the full check.
+
+A stream's topology rarely changes from one snapshot to the next: positions
+and speeds move, but the objects, their classes and the relations stay.
+`read_scene_stream` therefore parses each record with the scene before it
+as `previous`. When the record's object model, ego, (id, class) list and
+edge set are those of `previous`, every check that reads only them (ids,
+classes, edge admission, the ego's class) passed on `previous` already, so
+it is skipped. The new scene shares `previous`'s class index, edge set and
+its objects that carry no attributes; its attribute values and timestamp
+are checked as always. This makes `same_topology` an identity test along
+such a run.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -30,6 +43,7 @@ The exact record schema is documented in docs/formats.md.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
@@ -88,7 +102,9 @@ class ConcreteSceneGraph:
         and timestamps may differ. The ego's class follows from the class
         index, so every embedding, and their order, is the same in both."""
         return (self.om is other.om and self.ego_id == other.ego_id
-                and self.class_index == other.class_index and self.edges == other.edges)
+                and (self.class_index is other.class_index
+                     or self.class_index == other.class_index)
+                and (self.edges is other.edges or self.edges == other.edges))
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
@@ -219,11 +235,7 @@ def _validated_csg(
             raise SceneValidationError(f"node {oid} has unknown class {cls}")
         if om.require_class(cls).abstract:
             raise SceneValidationError(f"node {oid} has abstract class {cls}")
-        obj = SceneObject(oid, cls, attrs)
-        normalized = obj.attributes
-        for name, value in normalized.items():  # replaces values only
-            normalized[name] = _check_attr_value(om, cls, name, value)  # type: ignore[index]
-        node_map[oid] = obj
+        node_map[oid] = _scene_object(om, oid, cls, attrs)
     cls_of = {nid: obj.cls for nid, obj in node_map.items()}
     edges = list(edges)  # read again when the bulk test fails
     edge_set: frozenset[tuple[str, str, str]] | set[tuple[str, str, str]]
@@ -260,17 +272,71 @@ def _validated_csg(
     if not om.is_subclass(node_map[ego_id].cls, "Vehicle"):
         raise SceneValidationError(
             f"ego node {ego_id} has class {node_map[ego_id].cls}, expected a Vehicle")
-    t = _finite(timestamp)
+    return ConcreteSceneGraph(_timestamp(timestamp), node_map, frozenset(edge_set), ego_id, om)
+
+
+def _scene_object(om: ObjectModel, oid: str, cls: str,
+                  attrs: Mapping[str, object]) -> SceneObject:
+    """The object of a node whose class is known and concrete, holding its
+    own copy of `attrs` with each value type-checked and normalized."""
+    obj = SceneObject(oid, cls, attrs)
+    normalized = obj.attributes
+    types = om.attribute_types(cls)
+    for name, value in normalized.items():  # replaces values only
+        t = types.get(name)
+        if t == "Real":
+            if type(value) is float and value - value == 0.0:  # finite: inf - inf is nan
+                continue
+        elif t == "Vec2" and type(value) is list and len(value) == 2:
+            x, y = value
+            if type(x) is float and type(y) is float and x - x == 0.0 == y - y:
+                normalized[name] = (x, y)  # type: ignore[index]
+                continue
+        normalized[name] = _check_attr_value(om, cls, name, value)  # type: ignore[index]
+    return obj
+
+
+def _timestamp(value: object) -> float:
+    """A record's timestamp as a float; SceneValidationError unless finite."""
+    t = _finite(value)
     if t is None:
-        raise SceneValidationError(f"timestamp must be a finite number, got {timestamp!r}")
-    return ConcreteSceneGraph(t, node_map, frozenset(edge_set), ego_id, om)
+        raise SceneValidationError(f"timestamp must be a finite number, got {value!r}")
+    return t
+
+
+def _reused_csg(
+    previous: ConcreteSceneGraph,
+    timestamp: object,
+    nodes: Iterable[tuple[str, str, Mapping[str, object]]],
+) -> ConcreteSceneGraph:
+    """A scene with `previous`'s ids, classes, ego and edges, all validated
+    for `previous`, and its own attribute values and timestamp, checked now.
+    It shares `previous`'s class index and edge set, and each object that
+    has no attributes in either scene, being the same value in both."""
+    om = previous.om
+    node_map = {oid: old if not (attrs or old.attributes) else _scene_object(om, oid, cls, attrs)
+                for (oid, cls, attrs), old in zip(nodes, previous.nodes.values())}
+    scene = copy.copy(previous)
+    scene.timestamp, scene.nodes, scene.embedding_memo = _timestamp(timestamp), node_map, None
+    return scene
 
 
 _EDGE_FIELDS = itemgetter("src", "rel", "dst")
 
 
-def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
-    """Parse one scene record (a decoded JSON object) into a validated CSG."""
+def parse_csg(
+    record: Mapping, om: ObjectModel, *, previous: ConcreteSceneGraph | None = None,
+) -> ConcreteSceneGraph:
+    """Parse one scene record (a decoded JSON object) into a validated CSG.
+
+    `previous`, if given, is the scene parsed just before this one in the
+    same stream. When it was parsed against `om` and has the record's ego,
+    (id, class) list in record order and edge set, the new scene shares its
+    class index, edge set and attribute-free objects, and only attribute
+    values and the timestamp are checked: the other checks read nothing
+    else, and `previous` passed them. The result, or the error raised, is
+    the same as without `previous`; only the time taken differs.
+    """
     if not isinstance(record, Mapping):
         raise SceneValidationError(f"scene record must be an object, got {type(record).__name__}")
     for key in ("t", "ego", "nodes", "edges"):
@@ -307,9 +373,17 @@ def parse_csg(record: Mapping, om: ObjectModel) -> ConcreteSceneGraph:
                 raise SceneValidationError(
                     f"edge fields src, rel and dst must be strings: {item!r}")
             edges.append((src, rel, dst))
-    if not isinstance(record["ego"], str):
+    ego = record["ego"]
+    if not isinstance(ego, str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
-    return _validated_csg(om, record["t"], record["ego"], nodes, edges)
+    # the length test first: consecutive dense scenes rarely hold as many objects
+    if (previous is not None and previous.om is om and previous.ego_id == ego
+            and len(nodes) == len(previous.nodes)
+            and [(oid, cls) for oid, cls, _ in nodes]
+            == [(oid, obj.cls) for oid, obj in previous.nodes.items()]
+            and frozenset(edges) == previous.edges):
+        return _reused_csg(previous, record["t"], nodes)
+    return _validated_csg(om, record["t"], ego, nodes, edges)
 
 
 def scene_record(csg: ConcreteSceneGraph) -> dict:
@@ -342,13 +416,17 @@ def serialize_scene(csg: ConcreteSceneGraph) -> str:
 
 
 def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[ConcreteSceneGraph]:
-    """Parse a JSONL scene stream lazily, one validated CSG per nonblank line."""
+    """Parse a JSONL scene stream lazily, one validated CSG per nonblank line.
+    Each line is parsed with the scene of the line before as `previous`."""
+    scene: ConcreteSceneGraph | None = None
     for lineno, line in enumerate(lines, start=1):
         if line and not line.isspace():  # what str.strip leaves nonempty
-            yield _read_scene_line(line, lineno, om)
+            scene = _read_scene_line(line, lineno, om, scene)
+            yield scene
 
 
-def _read_scene_line(line: str, lineno: int, om: ObjectModel) -> ConcreteSceneGraph:
+def _read_scene_line(line: str, lineno: int, om: ObjectModel,
+                     previous: ConcreteSceneGraph | None) -> ConcreteSceneGraph:
     """One stream line's scene. The stripped line and its decoded record die
     with this frame, so neither stays alive while the scene is monitored
     and the next line is decoded."""
@@ -358,7 +436,7 @@ def _read_scene_line(line: str, lineno: int, om: ObjectModel) -> ConcreteSceneGr
         # malformed text, an int literal past the digit limit, or nesting too deep
         raise SceneValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
     try:
-        return parse_csg(record, om)
+        return parse_csg(record, om, previous=previous)
     except SceneValidationError as exc:
         raise SceneValidationError(f"line {lineno}: {exc}") from exc
 

@@ -27,7 +27,9 @@ from scenemon import (
     overtake_script,
     parse_asg,
     pull_out_script,
+    read_scene_stream,
     serialize_asg,
+    serialize_scene,
     serialize_verdict,
     sg_comparison,
     verdict_record,
@@ -318,10 +320,10 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
                 for asg in asgs:
                     v = sg_comparison(asg, csg)
                     kinds.add(v.cause.kind if v.cause else v.result)
-            ref = weakref.ref(halted)
+            refs = [weakref.ref(halted), weakref.ref(gap)]
             verdicts = [sg_comparison(asg, halted) for asg in asgs]
-            del verdicts, halted
-            assert ref() is None
+            del verdicts, halted, gap, csg, v
+            assert [ref() for ref in refs] == [None, None]
             assert len(list(monitor_stream(asgs, trace[:10]))) == 10 * len(asgs)
             # a stream reuses embeddings along a run of one topology and pins
             # no scene of an earlier run once it has moved past it
@@ -338,6 +340,23 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
             for _ in range((cut + 1) * len(asgs)):  # up to the new run's first scene
                 next(stream)
             assert [ref() for ref in first_run] == [None] * cut
+            assert len(list(stream)) == (len(trace) - cut - 1) * len(asgs)
+            # the same through ingest, where the scenes of a run share one
+            # class index and edge set: these pin no scene either
+            lines = [serialize_scene(csg) for csg in trace]
+            read, tables = [], []
+
+            def parsed():
+                for csg in read_scene_stream(lines, om):
+                    read.append(weakref.ref(csg))
+                    tables.append((id(csg.class_index), id(csg.edges)))
+                    yield csg
+
+            stream = monitor_stream(asgs, parsed())
+            for _ in range((cut + 1) * len(asgs)):
+                next(stream)
+            assert len(set(tables[:cut])) == 1 and tables[cut] != tables[0]
+            assert [ref() for ref in read[:cut]] == [None] * cut
             assert len(list(stream)) == (len(trace) - cut - 1) * len(asgs)
         assert kinds >= {Result.SATISFIED, CauseKind.PREDICATE_FAILED,
                          CauseKind.MISSING_ATTRIBUTE, CauseKind.NO_EMBEDDING}

@@ -192,6 +192,8 @@ def _assert_matches_reference(om):
     assert om.relationship_names() == _ref_relationship_names(om)
     for a in names:
         assert _outcome(om.attributes_of, a) == _outcome(_ref_attributes_of, om, a)
+        assert _outcome(om.attribute_types, a) == _outcome(
+            lambda: {attr.name: attr.type for attr in _ref_attributes_of(om, a)})
         for attr in attrs:
             assert (_outcome(om.find_attribute, a, attr)
                     == _outcome(_ref_find_attribute, om, a, attr))

@@ -6,17 +6,21 @@ import typing
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenemon import (
     AbstractSceneGraph,
     SceneObject,
     SceneValidationError,
     SchemaError,
+    default_object_model,
     export_dot,
+    generate_trace,
     is_relationship_allowed,
     make_csg,
+    overtake_script,
     parse_csg,
+    pull_out_script,
     read_scene_stream,
     scene_record,
     serialize_scene,
@@ -25,7 +29,7 @@ from scenemon import (
 
 from scenemon.matching import _candidates
 from scenemon.scenarios import build_bench_scene
-from scenemon.scene_graph import _check_attr_value, _finite
+from scenemon.scene_graph import _check_attr_value, _finite, _scene_object
 
 from conftest import halted_obstacle_scene
 from randscene import random_asg, random_csg
@@ -158,27 +162,39 @@ def test_read_scene_stream_skips_blank_lines(om, scene_factory):
 
 
 def test_read_scene_stream_drops_the_record_before_yielding(om, scene_factory, monkeypatch):
-    """The reader keeps no decoded record alive while its scene is
-    monitored and the next line is decoded."""
+    """The reader keeps no decoded object alive while its scene is monitored
+    and the next line is decoded: not the record, and none of its node,
+    attribute or edge objects, also when a scene reuses the topology of the
+    scene before it."""
     import scenemon.scene_graph
 
-    class Record(dict):
+    class Decoded(dict):  # unlike dict, weakref-able
         pass
 
-    records = []
+    decoded = []  # per line, a weakref to every object decoded from it
 
     def loads(text):
-        record = Record(json.loads(text))
-        records.append(weakref.ref(record))
-        return record
+        refs = []
 
-    good = serialize_scene(scene_factory())
+        def hook(obj):
+            obj = Decoded(obj)
+            refs.append(weakref.ref(obj))
+            return obj
+
+        decoded.append(refs)
+        return json.loads(text, object_hook=hook)
+
+    lines = [serialize_scene(scene_factory(t=t, gap=gap))
+             for t, gap in ((0.0, 10.0), (0.1, 9.0), (0.2, 8.0))]
+    lines.append(serialize_scene(scene_factory(t=0.3, obstacle_cls="Vehicle")))
     monkeypatch.setattr(scenemon.scene_graph, "json", types.SimpleNamespace(loads=loads))
-    stream = read_scene_stream([good, good], om)
-    for expected in (1, 2):
-        assert next(stream).timestamp == 0.0
-        assert len(records) == expected
-        assert records[-1]() is None
+    scenes = []
+    for csg in read_scene_stream(lines, om):
+        scenes.append(csg)
+        assert len(decoded) == len(scenes)
+        assert len(decoded[-1]) == 10  # the record, 3 nodes, their 3 attrs, 3 edges
+        assert [ref() for refs in decoded for ref in refs] == [None] * 10 * len(scenes)
+    assert [s.class_index is scenes[0].class_index for s in scenes] == [True] * 3 + [False]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
@@ -522,6 +538,176 @@ def test_make_csg_takes_edges_as_lists(om, scene_factory):
     objects = list(csg.nodes.values())
     as_lists = make_csg(om, csg.timestamp, csg.ego_id, objects, [list(e) for e in csg.edges])
     assert as_lists == csg
+
+
+# -- a stream reuses the validated topology of the scene before ------------
+
+
+def _topology_of(record):
+    """What ingest may reuse a scene on, read off a valid record."""
+    return (record["ego"], [(node["id"], node["class"]) for node in record["nodes"]],
+            {(edge["src"], edge["rel"], edge["dst"]) for edge in record["edges"]})
+
+
+def _scene_fields(csg):
+    return csg.timestamp, csg.ego_id, csg.nodes, csg.edges, csg.class_index
+
+
+def _assert_stream_matches_fresh_ingest(om, records):
+    """`read_scene_stream` over `records` against a fresh `parse_csg` of each
+    record alone, itself held to the reference ingest: the same scene up to
+    the first bad record, then the same error located at its line. A scene
+    shares the class index and edge set of the scene before it exactly when
+    the two records have one ego, (id, class) list and edge set. Returns
+    the number of scenes that did."""
+    expected = []
+    for lineno, record in enumerate(records, start=1):
+        fresh = _ingest(record, om)
+        assert fresh == _reference_ingest(record, om)
+        if isinstance(fresh, str):
+            expected.append(f"line {lineno}: {fresh}")
+            break
+        expected.append(_scene_fields(parse_csg(record, om)))
+    scenes, got = [], []
+    try:
+        for csg in read_scene_stream([json.dumps(record) for record in records], om):
+            scenes.append(csg)
+            got.append(_scene_fields(csg))
+    except SceneValidationError as exc:
+        got.append(str(exc))
+    assert got == expected
+    hits = 0
+    for before, after, (prev, csg) in zip(records, records[1:], zip(scenes, scenes[1:])):
+        same = _topology_of(before) == _topology_of(after)
+        assert (csg.class_index is prev.class_index, csg.edges is prev.edges) == (same, same)
+        hits += same
+    return hits
+
+
+def _reused_position(records):
+    """A record whose predecessor reused the topology of the one before it."""
+    return next(i for i in range(100, len(records))
+                if _topology_of(records[i - 2]) == _topology_of(records[i - 1])
+                == _topology_of(records[i]))
+
+
+def _node_of_class(record, cls):
+    return next(node for node in record["nodes"]
+                if node["class"] == cls and node["id"] != record["ego"])
+
+
+def _ego_node(record):
+    return next(node for node in record["nodes"] if node["id"] == record["ego"])
+
+
+def _set(pick, key, value):
+    """A change that sets `key` of the part of a record that `pick` finds;
+    a callable `value` computes the new value from the record."""
+    def change(record):
+        pick(record)[key] = value(record) if callable(value) else value
+    return change
+
+
+def _record(record):
+    return record
+
+
+def _vehicle(record):
+    return _node_of_class(record, "Vehicle")
+
+
+def _ego_attrs(record):
+    return _ego_node(record)["attrs"]
+
+
+_STREAM_FAULTS = {
+    # equal edges, one class changed: each must be validated again
+    "class, still valid": _set(_vehicle, "class", "Static"),
+    "class, edges not admitted": _set(lambda r: _node_of_class(r, "Lane"), "class", "Road"),
+    "class unknown": _set(_vehicle, "class", "Bike"),
+    "class abstract": _set(_vehicle, "class", "TrafficParticipant"),
+    "ego": _set(_record, "ego", lambda r: _vehicle(r)["id"]),
+    # the same edge set, listed otherwise: reused
+    "edges reordered": _set(_record, "edges", lambda r: r["edges"][::-1]),
+    "edge duplicated": _set(_record, "edges", lambda r: r["edges"] + r["edges"][:1]),
+    "nodes reordered": _set(_record, "nodes", lambda r: r["nodes"][::-1]),
+    # new attribute values on the same topology
+    "attrs dropped": _set(_ego_node, "attrs", {}),
+    "attrs on an attribute-free node": _set(lambda r: _node_of_class(r, "Lane"), "attrs",
+                                            {"velocity": 1.0}),
+    # hostile records after a reused one
+    "attr type": _set(_ego_attrs, "velocity", "fast"),
+    "attr non-finite": _set(_ego_attrs, "position", [float("inf"), 0.0]),
+    "attr undeclared": _set(_ego_attrs, "colour", "red"),
+    "timestamp non-finite": _set(_record, "t", float("nan")),
+    "timestamp not a number": _set(_record, "t", "late"),
+    "edge malformed": _set(_record, "edges", lambda r: [["ego", "isIn", "lane1"]] + r["edges"][1:]),
+    "edge renamed": _set(lambda r: r["edges"][0], "rel", "follows"),
+    "edge to a ghost": _set(lambda r: r["edges"][-1], "dst", "ghost"),
+}
+
+
+def test_stream_ingest_matches_fresh_ingest_on_the_scenario_traces(om):
+    for script in (pull_out_script(), overtake_script()):
+        records = [scene_record(csg) for csg in generate_trace(script, om)]
+        hits = _assert_stream_matches_fresh_ingest(om, records)
+        assert 0 < len(records) - 1 - hits < 20  # equal and unequal neighbours
+
+
+@pytest.mark.parametrize("fault", list(_STREAM_FAULTS))
+def test_stream_ingest_matches_fresh_ingest_after_a_reused_scene(om, fault):
+    records = [scene_record(csg) for csg in generate_trace(overtake_script(), om)]
+    at = _reused_position(records)
+    records[at] = copy.deepcopy(records[at])
+    _STREAM_FAULTS[fault](records[at])
+    _assert_stream_matches_fresh_ingest(om, records[:at + 3])
+
+
+def test_a_scene_of_another_object_model_is_not_reused(om):
+    record = scene_record(halted_obstacle_scene(om))
+    previous = parse_csg(record, om)
+    other = default_object_model()
+    assert other == om and other is not om
+    assert parse_csg(record, om, previous=previous).class_index is previous.class_index
+    again = parse_csg(record, other, previous=previous)
+    assert again.om is other and again.class_index is not previous.class_index
+    assert _scene_fields(again) == _scene_fields(previous)
+
+
+_SCALARS = (st.integers(-2, 2) | st.booleans() | st.floats() | st.text(max_size=2)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"),
+                               float("inf"), -float("inf"), 10**400, -10**400]))
+_SEQUENCES = st.integers(1, 3).flatmap(lambda n: st.lists(_SCALARS, min_size=n, max_size=n))
+_ATTR_VALUES = _SCALARS | _SEQUENCES | _SEQUENCES.map(tuple)
+
+
+def _typed_outcome(check, *args):
+    try:
+        value = check(*args)
+    except SceneValidationError as exc:
+        return "error", str(exc)
+    return "ok", type(value), repr(value)  # repr tells -0.0, 1.0 and 1 apart
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_ATTR_VALUES)
+@example(value=[1.5, 2])
+@example(value=[1.5, True])
+@example(value=[-0.0, 5e-324])
+@example(value=(1.5, 2.5))
+@example(value=[1e308, 10**400])
+def test_attribute_type_table_matches_the_full_check(om, value):
+    """Ingest's attribute path (the per-class type table, then the full
+    check) against `_check_attr_value`, for every class and every
+    attribute name, declared on it or not."""
+    names = sorted({a.name for c in om.classes for a in c.attributes}) + ["colour", ""]
+    for cls in (c.name for c in om.classes):
+        for name in names:
+            attrs = {name: value}
+            checked = _typed_outcome(
+                lambda: _scene_object(om, "x", cls, attrs).attributes[name])
+            assert checked == _typed_outcome(_check_attr_value, om, cls, name, value)
+            assert attrs == {name: value}
 
 
 def test_labels_between_matches_a_scan_of_the_edges(om):
