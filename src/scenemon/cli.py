@@ -358,15 +358,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         verdicts = monitor_stream(asgs, scenes(), epsilon=args.epsilon,
                                   induced=args.induced)
         # monitor_stream yields a scene's verdicts before it reads the next
+        phase = None  # the automaton's index, written into each verdict line
         for row in zip(*[verdicts] * len(asgs)):
             if automaton is not None:
                 automaton = automaton.step({v.property_name: v for v in row})
-                row = tuple(Verdict(v.timestamp, v.property_name, v.result, v.witness,
-                                    v.cause, automaton.index) for v in row)
+                phase = automaton.index
             if args.oracle:
                 diverged |= _run_oracle(asgs, scene[0], row, args.induced)
             # one write per scene, after its last check and before the next read
-            out.write("".join([serialize_verdict(v) + "\n" for v in row]))
+            out.write("".join([serialize_verdict(v, phase_index=phase) + "\n" for v in row]))
             for verdict in row:
                 # a phase property being unsatisfied off-phase is expected;
                 # the automaton decides whether the sequence was violated
@@ -375,10 +375,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 any_error |= verdict.result is Result.ERROR
     if automaton is not None:
         any_violated |= automaton.violations > 0
+        gaps = f"gaps={automaton.gaps} " if automaton.gaps else ""
         print(
             f"scenemon: phases {args.phases}: completed={automaton.completed} "
             f"final={automaton.current_phase} "
-            f"violations={automaton.violations} "
+            f"violations={automaton.violations} {gaps}"
             f"dwell={list(automaton.dwell)}",
             file=sys.stderr)
     return _exit_code(any_violated, any_error, diverged)

@@ -38,15 +38,22 @@ positions and velocities change but lanes and relations rarely do. So
 scene's when the topology is equal, a fresh one otherwise (scenes that
 `read_scene_stream` parses along such a run share their class index and
 edge set, so the test is one of identity). `sg_comparison`
-uses a scene's memo when it has one. A property whose pattern had no
-embedding is decided at once; otherwise the recorded first embedding is
-evaluated on this scene's attributes. A search starts only when the scan
-needs a second embedding (a data gap, or a failure when the data is
-incomplete or a function's reads are unknown), and it skips its first
-yield; the pushdown search always runs. A scene no stream has seen has no
+uses a scene's memo when it has one. A scene no stream has seen has no
 memo, so a direct call searches every time. The memo keeps each property
 beside its entry, so the property's id, its key, is not reused while the
 entry lives; it keeps no scene and no generator.
+
+The memo-hit path looks the memo up before it builds anything. A property
+whose pattern had no embedding is decided at once, with the one shared
+`no_embedding` cause. Otherwise the scan starts at the recorded first
+embedding, evaluated on this scene's attributes; when it satisfies every
+predicate, that is the verdict, and no search was built. The same scan
+loop goes on only when the first embedding does not decide: a search is
+built when the scan needs a second embedding (a data gap, or a failure
+when the data is incomplete or a function's reads are unknown), and it
+skips its first yield, which is the recorded one; the pushdown search runs
+as without the memo. So a decided check costs its evaluation and its
+verdict object.
 
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
@@ -59,16 +66,16 @@ evaluations remain.
 stream, yielding per-scene verdicts in (scene order, property order) before
 the next scene is consumed. `PhaseAutomaton` layers maneuver-sequence
 tracking on top: phases advance only when the successor phase is satisfied,
-never skipping, and scenes satisfying neither the current nor the next
-phase are recorded as stream-level violations.
+never skipping. A scene satisfying neither the current nor the next phase
+is a stream-level violation when both are violated, and a gap when either
+is an error: a data gap is inconclusive, not a violation.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -98,7 +105,7 @@ class Cause:
 
     @staticmethod
     def no_embedding() -> "Cause":
-        return Cause(CauseKind.NO_EMBEDDING)
+        return _NO_EMBEDDING
 
     @staticmethod
     def predicate_failed(index: int) -> "Cause":
@@ -107,6 +114,9 @@ class Cause:
     @staticmethod
     def missing_attribute(ref: str) -> "Cause":
         return Cause(CauseKind.MISSING_ATTRIBUTE, ref=ref)
+
+
+_NO_EMBEDDING = Cause(CauseKind.NO_EMBEDDING)  # frozen: one serves every verdict
 
 
 @dataclass(frozen=True)
@@ -134,43 +144,43 @@ def sg_comparison(
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
-    embeddings: Iterator[Embedding] = iter_embeddings(asg, csg, induced=induced)
     memo = csg.embedding_memo
-    if memo is not None:  # the first embedding depends on the pattern, topology and `induced`
-        entry = memo.get((id(asg), induced))
-        if entry is None:
-            first = next(embeddings, None)
-            memo[id(asg), induced] = (asg, first)  # holding asg keeps its id its own
-        else:  # the search starts only if the scan needs a second embedding
-            first = entry[1]
-            embeddings = islice(embeddings, 1, None)
-        if first is None:
-            return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=Cause.no_embedding())
-        embeddings = chain((first,), embeddings)
+    entry = None if memo is None else memo.get((id(asg), induced))
+    rest: Iterator[Embedding] | None = None  # the embeddings after `emb`, made when needed
+    if entry is None:
+        rest = iter_embeddings(asg, csg, induced=induced)
+        emb = next(rest, None)
+        if memo is not None:  # the first embedding depends on the pattern, topology and `induced`
+            memo[id(asg), induced] = (asg, emb)  # holding asg keeps its id its own
+    else:
+        emb = entry[1]
+    if emb is None:
+        return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=_NO_EMBEDDING)
+    nodes = csg.nodes
     first_failure: Cause | None = None
     first_error: Cause | None = None
-    saw_embedding = False
-    for emb in embeddings:
-        saw_embedding = True
+    while emb is not None:
         try:
-            idx = _first_false(predicates, csg.nodes, emb.as_dict())
+            idx = _first_false(predicates, nodes, emb.as_dict())
         except MissingAttributeError as exc:
             if first_error is None:
                 first_error = Cause.missing_attribute(exc.ref)
-            continue
-        if idx is None:
-            return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
-        if first_failure is None:
-            first_failure = Cause.predicate_failed(idx)
-            check = _pushdown_check(asg, csg, reads, due)
-            if check is not None:
-                # no evaluation can hit missing data: only the witness is open
-                witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
-                if witness is not None:
-                    return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
-                break
-    if not saw_embedding:
-        return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=Cause.no_embedding())
+        else:
+            if idx is None:
+                return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
+            if first_failure is None:
+                first_failure = Cause.predicate_failed(idx)
+                check = _pushdown_check(asg, csg, reads, due)
+                if check is not None:
+                    # no evaluation can hit missing data: only the witness is open
+                    witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
+                    if witness is not None:
+                        return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
+                    break
+        if rest is None:  # a memo hit: the search's first yield is the memo's embedding
+            rest = iter_embeddings(asg, csg, induced=induced)
+            next(rest, None)
+        emb = next(rest, None)
     if first_error is not None:
         return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=first_error)
     return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
@@ -283,9 +293,12 @@ class PhaseAutomaton:
 
     `step` consumes the per-scene verdicts and returns the successor state:
     advance by one when the next phase is satisfied, stay when the current
-    phase still is, otherwise record a stream-level violation and stay. The
-    phase index never decreases and never skips. `completed` latches once
-    the final phase is satisfied while current.
+    phase still is, otherwise stay and count the scene. It counts as a
+    stream-level violation when the current verdict and the next one (if
+    any) are both `violated`, and as a gap when either is an `error`: a data
+    gap leaves the scene inconclusive, like LTL3's "?" verdict, and never
+    reads as a violation. The phase index never decreases and never skips.
+    `completed` latches once the final phase is satisfied while current.
     """
 
     phases: tuple[str, ...]
@@ -293,6 +306,7 @@ class PhaseAutomaton:
     dwell: tuple[int, ...] = field(default=())
     completed: bool = False
     violations: int = 0
+    gaps: int = 0
 
     def __post_init__(self) -> None:
         if not self.phases:
@@ -314,20 +328,19 @@ class PhaseAutomaton:
         nxt = None
         if self.index + 1 < len(self.phases):
             nxt = verdict_for(self.phases[self.index + 1])
+        new_index, violations, gaps = self.index, self.violations, self.gaps
         if nxt is not None and nxt.satisfied:
-            new_index = self.index + 1
-            violations = self.violations
-        elif current.satisfied:
-            new_index = self.index
-            violations = self.violations
-        else:
-            new_index = self.index
-            violations = self.violations + 1
+            new_index += 1
+        elif not current.satisfied:
+            if current.result is Result.ERROR or nxt is not None and nxt.result is Result.ERROR:
+                gaps += 1
+            else:
+                violations += 1
         dwell = list(self.dwell)
         dwell[new_index] += 1
         completed = self.completed or (
             new_index == len(self.phases) - 1 and verdict_for(self.phases[new_index]).satisfied)
-        return PhaseAutomaton(self.phases, new_index, tuple(dwell), completed, violations)
+        return PhaseAutomaton(self.phases, new_index, tuple(dwell), completed, violations, gaps)
 
 
 # -- verdict records -------------------------------------------------------
@@ -355,8 +368,12 @@ _RESULT_FIELDS = {r: f', "result": "{r.value}"' for r in Result}
 _CAUSE_FIELDS = {k: f', "cause": {{"kind": "{k.value}"' for k in CauseKind}
 
 
-def serialize_verdict(v: Verdict) -> str:
-    """`verdict_record(v)` as one line of JSON.
+_KEEP = object()  # serialize_verdict writes the verdict's own phase index
+
+
+def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
+    """`verdict_record(v)` as one line of JSON; with `phase_index`, the line
+    of `dataclasses.replace(v, phase_index=phase_index)`, built without it.
 
     The reference is `_ENCODER.encode(verdict_record(v))`. The line is built
     from a fixed template in the record's field order instead: strings are
@@ -367,13 +384,14 @@ def serialize_verdict(v: Verdict) -> str:
     the enum, a string field holding a non-string) goes to the reference, so
     every verdict gives the reference's bytes or raises its exception.
     """
-    t, result, cause, phase = v.timestamp, v.result, v.cause, v.phase_index
+    t, result, cause = v.timestamp, v.result, v.cause
+    phase = v.phase_index if phase_index is _KEEP else phase_index
     if (type(t) is not float or not -math.inf < t < math.inf or type(result) is not Result
             or cause is not None and (
                 type(cause) is not Cause or type(cause.kind) is not CauseKind
                 or cause.index is not None and type(cause.index) is not int)
             or phase is not None and type(phase) is not int):
-        return _ENCODER.encode(verdict_record(v))
+        return _reference_line(v, phase)
     try:
         line = f'{{"t": {t!r}, "property": {_quote(v.property_name)}{_RESULT_FIELDS[result]}'
         if v.witness is not None:
@@ -388,7 +406,14 @@ def serialize_verdict(v: Verdict) -> str:
                 line += f', "ref": {_quote(cause.ref)}'
             line += "}"
     except TypeError:  # a string field holding something else
-        return _ENCODER.encode(verdict_record(v))
+        return _reference_line(v, phase)
     if phase is not None:
         line += f', "phase_index": {phase!r}'
     return line + "}"
+
+
+def _reference_line(v: Verdict, phase: object) -> str:
+    """The reference encoder's line for `v` with `phase` as its phase index."""
+    if phase is not v.phase_index:
+        v = replace(v, phase_index=phase)
+    return _ENCODER.encode(verdict_record(v))

@@ -43,7 +43,6 @@ The exact record schema is documented in docs/formats.md.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
@@ -316,7 +315,8 @@ def _reused_csg(
     om = previous.om
     node_map = {oid: old if not (attrs or old.attributes) else _scene_object(om, oid, cls, attrs)
                 for (oid, cls, attrs), old in zip(nodes, previous.nodes.values())}
-    scene = copy.copy(previous)
+    scene = object.__new__(ConcreteSceneGraph)  # `previous`'s fields, without __post_init__
+    vars(scene).update(vars(previous))
     scene.timestamp, scene.nodes, scene.embedding_memo = _timestamp(timestamp), node_map, None
     return scene
 

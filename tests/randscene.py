@@ -91,6 +91,18 @@ def random_asg(rng: random.Random, om):
     return parse_asg("\n".join(lines), om)
 
 
+def _motion(rng, cls, keep):
+    """Velocity and position of a moving class, each kept with probability `keep`."""
+    attrs = {}
+    if cls in ("Vehicle", "Static"):
+        if rng.random() < keep:
+            attrs["velocity"] = round(rng.uniform(0.0, 12.0), 2)
+        if rng.random() < keep:
+            attrs["position"] = (round(rng.uniform(-30.0, 30.0), 2),
+                                 round(rng.uniform(-10.0, 10.0), 2))
+    return attrs
+
+
 def random_csg(rng: random.Random, om, *, max_nodes: int = 8, edge_p: float = 0.3):
     n = rng.randint(1, max_nodes)
     nodes = []
@@ -102,14 +114,7 @@ def random_csg(rng: random.Random, om, *, max_nodes: int = 8, edge_p: float = 0.
         else:
             cls = rng.choice(CONCRETE + ("Vehicle", "Static", "Lane"))
         classes[oid] = cls
-        attrs = {}
-        if cls in ("Vehicle", "Static"):
-            if rng.random() < 0.85:
-                attrs["velocity"] = round(rng.uniform(0.0, 12.0), 2)
-            if rng.random() < 0.85:
-                attrs["position"] = (round(rng.uniform(-30.0, 30.0), 2),
-                                     round(rng.uniform(-10.0, 10.0), 2))
-        nodes.append(SceneObject(oid, cls, attrs))
+        nodes.append(SceneObject(oid, cls, _motion(rng, cls, 0.85)))
     edges = []
     for a in classes:
         for b in classes:
@@ -123,3 +128,19 @@ def random_csg(rng: random.Random, om, *, max_nodes: int = 8, edge_p: float = 0.
 
 def random_instance(rng: random.Random, om, **scene):
     return random_asg(rng, om), random_csg(rng, om, **scene)
+
+
+def topology_run(rng: random.Random, csg, length: int):
+    """`length` scenes with `csg`'s topology (ego, objects, classes and
+    edges) at rising timestamps, each with fresh velocities and positions.
+    Three scenes in ten leave one of them out."""
+    scenes = []
+    for step in range(length):
+        attrs = {oid: _motion(rng, obj.cls, 1.0) for oid, obj in csg.nodes.items()}
+        carried = [(oid, name) for oid, names in attrs.items() for name in names]
+        if carried and rng.random() < 0.3:
+            oid, name = rng.choice(carried)
+            del attrs[oid][name]
+        nodes = [SceneObject(oid, obj.cls, attrs[oid]) for oid, obj in csg.nodes.items()]
+        scenes.append(make_csg(csg.om, csg.timestamp + step, csg.ego_id, nodes, csg.edges))
+    return scenes

@@ -387,6 +387,39 @@ def test_monitor_output_bytes_are_pinned(capsys, monkeypatch, scenario, perturb,
     assert (code, *digests) == GOLDEN_MONITOR_OUTPUT[scenario, perturb, flags]
 
 
+def _drop_ego_velocity(stream, lines=range(99, 109)):
+    """`stream` with the ego's velocity left out of the given (0-based) lines."""
+    records = stream.splitlines(keepends=True)
+    for i in lines:
+        rec = json.loads(records[i])
+        for node in rec["nodes"]:
+            if node["id"] == rec["ego"]:
+                del node["attrs"]["velocity"]
+        records[i] = json.dumps(rec) + "\n"
+    return "".join(records)
+
+
+@pytest.mark.parametrize("perturb, summary", [
+    ((), "violations=0 gaps=10 "),
+    (REAR_GAP, "violations=54 gaps=10 "),
+], ids=["nominal", "rear_gap"])
+def test_monitor_counts_data_gaps_apart_from_phase_violations(capsys, monkeypatch, perturb,
+                                                               summary):
+    """Scenes the ego's velocity is missing from give error verdicts; the
+    phase summary counts them as gaps, and counts real violations as before."""
+    code, stream, _ = _run(capsys, "gen", "--scenario", "P2", *perturb)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    code, _, err = _run(capsys, "monitor", "-", "--phases", "P2")
+    assert "gaps=" not in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(_drop_ego_velocity(stream)))
+    code, out, err = _run(capsys, "monitor", "-", "--phases", "P2")
+    assert code == 3
+    assert summary in err
+    errors = {rec["t"] for rec in map(json.loads, out.splitlines()) if rec["result"] == "error"}
+    assert len(errors) == 10
+
+
 def test_monitor_writes_each_scene_before_reading_the_next(capsys, monkeypatch):
     """All of scene i's verdict lines are out before line i+1 is pulled."""
     code, stream, _ = _run(capsys, "gen", "--scenario", "P1")

@@ -543,6 +543,83 @@ def test_unchecked_search_runs_once_per_topology_run_and_property(om, monkeypatc
     assert unchecked == [asg.name for asg in asgs] * 2
 
 
+def _recording_searches(monkeypatch):
+    """Replace the monitor's search with a plain function that records the
+    `check` of every search built, whether or not it is ever started."""
+    import scenemon.monitor
+
+    built = []
+    search = scenemon.monitor.iter_embeddings
+
+    def recording(asg, csg, **kwargs):
+        built.append(kwargs.get("check"))
+        return search(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
+    return built, search
+
+
+def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, monkeypatch):
+    """Along a P2 topology run a search is built for a property only on the
+    run's first scene, or when the memo's first embedding does not decide
+    the verdict: it is there, and fails or hits missing data."""
+    built, search = _recording_searches(monkeypatch)
+    asgs = builtin_asgs("P2", om)
+    trace = generate_trace(overtake_script(), om)
+    verdicts = monitor_stream(asgs, trace)
+    decided = undecided = 0
+    for prev, csg in zip([None, *trace], trace):
+        run_start = prev is None or _topology(prev) != _topology(csg)
+        for asg in asgs:
+            built.clear()
+            v = next(verdicts)
+            first = next(search(asg, csg), None)
+            if run_start:
+                assert built[:1] == [None]
+            elif first is None or v.witness == first:
+                decided += 1
+                assert built == [], (csg.timestamp, asg.name)
+            else:
+                undecided += 1
+                assert built
+    assert next(verdicts, None) is None
+    assert decided > 2 * undecided > 0
+
+
+def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
+    """Runs of one random topology with fresh attribute values, some with a
+    value left out, decided through the topology memo, equal the verdicts
+    rebuilt from the exhaustive matcher on every path the memo can take."""
+    from randscene import random_instance, topology_run
+    from test_acceptance import _reference_verdict
+
+    built, search = _recording_searches(monkeypatch)
+    rng = random.Random(2024)
+    paths = dict.fromkeys(("memo-hit no_embedding", "satisfied at the first embedding",
+                           "satisfied later", "violated after pushdown", "error"), 0)
+    for _ in range(600):
+        asg, csg = random_instance(rng, om, edge_p=0.9)  # dense: some patterns embed twice
+        run = topology_run(rng, csg, 5)
+        for epsilon, induced in itertools.product((0.0, 0.5), (False, True)):
+            kwargs = {"epsilon": epsilon, "induced": induced}
+            verdicts = monitor_stream([asg], run, **kwargs)
+            for i, scene in enumerate(run):
+                built.clear()
+                v = next(verdicts)
+                assert v == _reference_verdict(asg, scene, **kwargs)
+                if v.result is Result.ERROR:
+                    paths["error"] += 1
+                elif v.satisfied and v.witness != next(search(asg, scene, induced=induced)):
+                    paths["satisfied later"] += 1
+                elif v.satisfied:
+                    paths["satisfied at the first embedding"] += i > 0
+                elif v.cause == Cause.no_embedding():
+                    paths["memo-hit no_embedding"] += i > 0
+                elif any(check is not None for check in built):
+                    paths["violated after pushdown"] += 1
+    assert min(paths.values()) >= 20, paths
+
+
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
     """Pattern facts and compiled predicates cost once per property object,
     however many scenes the stream holds, and a second stream over the same
@@ -588,35 +665,46 @@ def _reference_step(pa, verdicts):
     """The automaton rule, with the successor built by dataclasses.replace."""
     current = verdicts[pa.phases[pa.index]]
     nxt = verdicts[pa.phases[pa.index + 1]] if pa.index + 1 < len(pa.phases) else None
-    index, violations = pa.index, pa.violations
+    index, violations, gaps = pa.index, pa.violations, pa.gaps
     if nxt is not None and nxt.satisfied:
         index += 1
     elif not current.satisfied:
-        violations += 1
+        if Result.ERROR in {v.result for v in (current, nxt) if v is not None}:
+            gaps += 1  # a data gap leaves the scene inconclusive
+        else:
+            violations += 1
     dwell = list(pa.dwell)
     dwell[index] += 1
     completed = pa.completed or (
         index == len(pa.phases) - 1 and verdicts[pa.phases[index]].satisfied)
     return dataclasses.replace(pa, index=index, dwell=tuple(dwell),
-                               completed=completed, violations=violations)
+                               completed=completed, violations=violations, gaps=gaps)
 
 
 def test_automaton_steps_match_the_replace_reference():
     rng = random.Random(77)
+    seen = {"violations": 0, "gaps": 0}
     for _ in range(300):
         phases = tuple("ABCD"[:rng.randint(1, 4)])
         pa = ref = PhaseAutomaton(phases)
         for _ in range(rng.randint(1, 25)):
-            verdicts = {name: _v(name, rng.random() < 0.5) for name in phases}
+            verdicts = {name: _verdict(name, rng.choice(list(Result))) for name in phases}
             pa, ref = pa.step(verdicts), _reference_step(ref, verdicts)
             assert type(pa) is PhaseAutomaton
             assert pa == ref
+        seen["violations"] += pa.violations
+        seen["gaps"] += pa.gaps
+    assert min(seen.values()) > 100, seen
+
+
+def _verdict(name, result):
+    cause = {Result.SATISFIED: None, Result.VIOLATED: Cause.no_embedding(),
+             Result.ERROR: Cause.missing_attribute("ego.velocity")}[result]
+    return Verdict(0.0, name, result, cause=cause)
 
 
 def _v(name, sat):
-    if sat:
-        return Verdict(0.0, name, Result.SATISFIED)
-    return Verdict(0.0, name, Result.VIOLATED, cause=Cause.no_embedding())
+    return _verdict(name, Result.SATISFIED if sat else Result.VIOLATED)
 
 
 def test_automaton_advances_on_next_satisfied():
@@ -644,6 +732,31 @@ def test_automaton_counts_violations():
     pa = PhaseAutomaton(("A", "B"))
     pa = pa.step({"A": _v("A", False), "B": _v("B", False)})
     assert (pa.index, pa.violations, pa.dwell) == (0, 1, (1, 0))
+
+
+@pytest.mark.parametrize("results, gap", [
+    (("violated", "violated"), False),
+    (("error", "violated"), True),
+    (("violated", "error"), True),
+    (("error", "error"), True),
+])
+def test_automaton_counts_a_data_gap_apart_from_a_violation(results, gap):
+    """A scene where neither phase holds is a violation only when both
+    verdicts are violated; an error in either makes it a gap."""
+    pa = PhaseAutomaton(("A", "B")).step(
+        {name: _verdict(name, Result(r)) for name, r in zip("AB", results)})
+    assert (pa.index, pa.dwell, pa.completed) == (0, (1, 0), False)
+    assert (pa.violations, pa.gaps) == ((0, 1) if gap else (1, 0))
+
+
+def test_automaton_counts_gaps_and_violations_of_one_stream():
+    results = {"S": Result.SATISFIED, "V": Result.VIOLATED, "E": Result.ERROR}
+    pa = PhaseAutomaton(("A", "B"))
+    for scene in ("VV", "EV", "SV", "VS", "E", "V", "E", "S"):  # current, next phase
+        pa = pa.step({name: _verdict(name, results[r])
+                      for name, r in zip(pa.phases[pa.index:], scene)})
+    assert (pa.index, pa.dwell, pa.completed) == (1, (3, 5), True)
+    assert (pa.violations, pa.gaps) == (2, 3)
 
 
 def test_automaton_never_skips():
@@ -804,14 +917,32 @@ def _outcome(fn, v):
         return type(exc), str(exc)
 
 
+def _reference_encoding(v):
+    return _ENCODER.encode(verdict_record(v))
+
+
+# phase indices the CLI may stamp: the template writes exact ints, the
+# reference writes the rest (bools; ints too long to print raise for both)
+_stamps = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(max_value=-1),
+                    st.sampled_from([2**63, -2**64, 10**30, 10**5000]))
+
+
 @settings(max_examples=500, deadline=None)
-@given(_verdicts)
-@example(Verdict(math.nan, "p", Result.SATISFIED))
-@example(Verdict(-math.inf, "p", Result.VIOLATED, cause=Cause.predicate_failed(0)))
+@given(_verdicts, _stamps)
+@example(Verdict(math.nan, "p", Result.SATISFIED), 3)
+@example(Verdict(-math.inf, "p", Result.VIOLATED, cause=Cause.predicate_failed(0)), None)
 @example(Verdict(True, "p", Result.ERROR, cause=Cause(CauseKind.PREDICATE_FAILED, index=False),
-                 phase_index=True))
-def test_serialize_verdict_matches_the_reference_encoder(v):
+                 phase_index=True), -1)
+@example(Verdict(0.5, "p", "satisfied"), 2**64)  # a result that is not the enum
+@example(Verdict(0.5, "p", Result.SATISFIED, phase_index=7), None)
+@example(Verdict(0.5, "p", Result.SATISFIED, phase_index="7"), False)
+@example(Verdict(0.5, "p", Result.VIOLATED, cause=Cause(CauseKind.MISSING_ATTRIBUTE, ref=1)), 2)
+def test_serialize_verdict_matches_the_reference_encoder(v, stamp):
     """The template gives the reference's bytes, or raises its error: for a
-    non-finite timestamp, or a result or cause kind that is not the enum."""
-    reference = _outcome(lambda v: _ENCODER.encode(verdict_record(v)), v)
-    assert _outcome(serialize_verdict, v) == reference
+    non-finite timestamp, or a result or cause kind that is not the enum.
+    Stamped with a phase index, it gives the reference's bytes for the
+    verdict with that index."""
+    assert _outcome(serialize_verdict, v) == _outcome(_reference_encoding, v)
+    stamped = dataclasses.replace(v, phase_index=stamp)
+    assert (_outcome(lambda v: serialize_verdict(v, phase_index=stamp), v)
+            == _outcome(_reference_encoding, stamped))
