@@ -54,7 +54,7 @@ from .scenarios import (
     build_bench_scene,
     builtin_asgs,
     builtin_script,
-    generate_trace,
+    iter_trace,
     load_bundled_asg,
     scenario_names,
 )
@@ -391,7 +391,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.dt is not None:
         script = replace(script, dt=args.dt)
     with _open_out(args.out) as out:
-        for csg in generate_trace(script, om):
+        for csg in iter_trace(script, om):
             print(serialize_scene(csg), file=out)
     return 0
 

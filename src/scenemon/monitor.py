@@ -31,17 +31,14 @@ way.
 
 Topology reuse: the first embedding in matcher order depends only on the
 pattern, `induced` and what the matcher reads of the scene, which is its
-object model, ego, class index and edge set
-(`ConcreteSceneGraph.same_topology`). From one snapshot to the next,
-positions and velocities change but lanes and relations rarely do. So
-`monitor_stream` gives each scene a memo (`embedding_memo`): the previous
-scene's when the topology is equal, a fresh one otherwise (scenes that
-`read_scene_stream` parses along such a run share their class index and
-edge set, so the test is one of identity). `sg_comparison`
-uses a scene's memo when it has one. A scene no stream has seen has no
-memo, so a direct call searches every time. The memo keeps each property
-beside its entry, so the property's id, its key, is not reused while the
-entry lives; it keeps no scene and no generator.
+object model, ego, class index and edge set. From one snapshot to the
+next, positions and velocities change but lanes and relations rarely do.
+So `monitor_stream` owns a memo of first embeddings, passed to each check,
+and starts a fresh one when a scene's topology differs from the previous
+scene's (along a run that `read_scene_stream` parsed, an identity test).
+A direct call has no memo and searches every time; no scene is written.
+The memo keeps each property beside its entry, so the property's id, its
+key, is not reused while the entry lives. It dies with the stream.
 
 The memo-hit path looks the memo up before it builds anything. A property
 whose pattern had no embedding is decided at once, with the one shared
@@ -139,12 +136,14 @@ def sg_comparison(
     *,
     epsilon: float = 0.0,
     induced: bool = False,
+    memo: dict[tuple[int, bool], tuple] | None = None,
 ) -> Verdict:
-    """Decide whether one scene satisfies one property. See module docstring."""
+    """Decide whether one scene satisfies one property. See module docstring.
+    `memo` ((id(asg), induced) -> (asg, first embedding or None), filled on a
+    miss) serves one topology and one `induced`; None searches from scratch."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
-    memo = csg.embedding_memo
     entry = None if memo is None else memo.get((id(asg), induced))
     rest: Iterator[Embedding] | None = None  # the embeddings after `emb`, made when needed
     if entry is None:
@@ -280,11 +279,20 @@ def monitor_stream(
         if last is not None and csg.timestamp < last.timestamp:
             raise StreamOrderError(
                 f"scene timestamp {csg.timestamp} after {last.timestamp} is out of order")
-        same = last is not None and csg.same_topology(last)
-        csg.embedding_memo = last.embedding_memo if same else {}
+        if last is None or not _same_topology(csg, last):
+            memo: dict[tuple[int, bool], tuple] = {}  # first embeddings for csg's topology
         last = csg
         for asg in asgs:
-            yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced)
+            yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)
+
+
+def _same_topology(a: ConcreteSceneGraph, b: ConcreteSceneGraph) -> bool:
+    """Whether the matcher sees the same graph in both scenes: the same
+    object model object, ego, class index and edge set. The ego's class
+    follows from the class index, so every embedding, in order, is shared."""
+    return (a.om is b.om and a.ego_id == b.ego_id
+            and (a.class_index is b.class_index or a.class_index == b.class_index)
+            and (a.edges is b.edges or a.edges == b.edges))
 
 
 @dataclass(frozen=True)

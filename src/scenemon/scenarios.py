@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dsl import parse_asg
 from .object_model import ObjectModel, default_object_model
@@ -257,22 +257,28 @@ def environment_nodes(layout: MapLayout) -> list[SceneObject]:
 def generate_trace(
     script: ScenarioScript, om: ObjectModel | None = None
 ) -> list[ConcreteSceneGraph]:
-    """Sample the script into a time-ordered list of scene graphs.
+    """The scenes of `iter_trace`, as a list."""
+    return list(iter_trace(script, om))
 
-    A zero-duration script yields an empty trace. Otherwise frames are taken
-    at ``t = 0, dt, 2*dt, ...`` up to and including ``duration``.
+
+def iter_trace(
+    script: ScenarioScript, om: ObjectModel | None = None
+) -> Iterator[ConcreteSceneGraph]:
+    """Sample the script into scene graphs, each built when it is pulled.
+
+    A zero-duration script yields no scene. Otherwise frames are taken at
+    ``t = 0, dt, 2*dt, ...`` up to and including ``duration``.
     """
     if om is None:
         om = default_object_model()
     if script.duration == 0.0:
-        return []
+        return
 
     active: dict[str, PerturbationRule] = {}
     for rule in script.rules:
         if rule.key in script.offsets:
             active[rule.actor_id] = rule
 
-    frames: list[ConcreteSceneGraph] = []
     steps = round(script.duration / script.dt)
     for k in range(steps + 1):
         t = round(k * script.dt, 9)
@@ -304,8 +310,7 @@ def generate_trace(
                                  actor.half_width, actor.half_length)
             )
         edges = derive_edges(script.layout, participants)
-        frames.append(make_csg(om, t, "ego", nodes, edges))
-    return frames
+        yield make_csg(om, t, "ego", nodes, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ edge set are those of `previous`, every check that reads only them (ids,
 classes, edge admission, the ego's class) passed on `previous` already, so
 it is skipped. The new scene shares `previous`'s class index, edge set and
 its objects that carry no attributes; its attribute values and timestamp
-are checked as always. This makes `same_topology` an identity test along
-such a run.
+are checked as always. A run of such scenes thus shares one class index
+and one edge set, which the monitor compares by identity.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -72,38 +72,24 @@ class SceneObject:
         return hash((self.object_id, self.cls))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcreteSceneGraph:
     timestamp: float
     nodes: dict[str, SceneObject]
     edges: frozenset[tuple[str, str, str]]
     ego_id: str
     om: ObjectModel = field(compare=False, repr=False)
-    # Built once by __post_init__; the graph is treated as immutable. Each
-    # class, abstract ancestors included -> sorted ids of its objects.
+    # Built once by __post_init__: each class, abstract ancestors
+    # included -> sorted ids of its objects.
     class_index: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    # Set by monitor_stream and shared by a run of scenes with the same
-    # topology: (id of a property, induced) -> (that property, its first
-    # embedding or None). None until a stream has seen the scene.
-    embedding_memo: dict[tuple[int, bool], tuple] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    __hash__ = None  # type: ignore[assignment]  # holds dicts: unhashable, though frozen
 
     def __post_init__(self) -> None:
         members: dict[str, list[str]] = {}
         for nid in sorted(self.nodes):
             for cls in self.om.ancestors(self.nodes[nid].cls):
                 members.setdefault(cls, []).append(nid)
-        self.class_index = {cls: tuple(ids) for cls, ids in members.items()}
-
-    def same_topology(self, other: "ConcreteSceneGraph") -> bool:
-        """Whether the matcher sees the same graph in both scenes: the same
-        object model object, ego, class index and edge set. Attribute values
-        and timestamps may differ. The ego's class follows from the class
-        index, so every embedding, and their order, is the same in both."""
-        return (self.om is other.om and self.ego_id == other.ego_id
-                and (self.class_index is other.class_index
-                     or self.class_index == other.class_index)
-                and (self.edges is other.edges or self.edges == other.edges))
+        object.__setattr__(self, "class_index", {cls: tuple(ids) for cls, ids in members.items()})
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
@@ -316,8 +302,7 @@ def _reused_csg(
     node_map = {oid: old if not (attrs or old.attributes) else _scene_object(om, oid, cls, attrs)
                 for (oid, cls, attrs), old in zip(nodes, previous.nodes.values())}
     scene = object.__new__(ConcreteSceneGraph)  # `previous`'s fields, without __post_init__
-    vars(scene).update(vars(previous))
-    scene.timestamp, scene.nodes, scene.embedding_memo = _timestamp(timestamp), node_map, None
+    vars(scene).update(vars(previous), timestamp=_timestamp(timestamp), nodes=node_map)
     return scene
 
 

@@ -10,6 +10,7 @@ from scenemon import scene_record, serialize_object_model
 from scenemon.cli import main
 
 from conftest import halted_obstacle_scene
+from test_monitor import _topology
 
 
 def _run(capsys, *argv):
@@ -46,6 +47,37 @@ def test_gen_dt_override(capsys):
     code, out, _ = _run(capsys, "gen", "--scenario", "P1", "--dt", "1.0")
     assert code == 0
     assert len(out.splitlines()) == 13
+
+
+def test_gen_writes_each_scene_before_making_the_next(capsys, monkeypatch):
+    """gen holds one scene at a time: each line is out before the next
+    frame's scene is built."""
+    import scenemon.scenarios
+
+    out = io.StringIO()
+    written_at_make = []
+    make = scenemon.scenarios.make_csg
+
+    def recording(*args, **kwargs):
+        written_at_make.append(out.getvalue().count("\n"))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(scenemon.scenarios, "make_csg", recording)
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["gen", "--scenario", "P2"]) == 0
+    lines = out.getvalue().count("\n")
+    assert written_at_make == list(range(lines))
+    assert lines > 100
+
+
+def test_gen_stops_at_the_first_scene_it_cannot_write(capsys):
+    """A perturbation that puts a position beyond the float range is
+    rejected at the first scene it reaches; the scenes before it are out."""
+    code, out, err = _run(capsys, "gen", "--scenario", "P2", "--perturb", "rear_gap=1e308")
+    assert code == 2
+    assert err.startswith("scenemon: error: attribute position expects a finite Vec2")
+    _, nominal, _ = _run(capsys, "gen", "--scenario", "P2")
+    assert out and nominal.startswith(out)
 
 
 def test_gen_rejects_malformed_perturbation(capsys):
@@ -385,6 +417,49 @@ def test_monitor_output_bytes_are_pinned(capsys, monkeypatch, scenario, perturb,
                           "--builtin", "obstacle-ahead", *flags)
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err))
     assert (code, *digests) == GOLDEN_MONITOR_OUTPUT[scenario, perturb, flags]
+
+
+def _reverse_nodes_of_every_other_line(stream):
+    """`stream` with the node list of each odd (0-based) line reversed."""
+    records = stream.splitlines(keepends=True)
+    for i in range(1, len(records), 2):
+        rec = json.loads(records[i])
+        rec["nodes"].reverse()
+        records[i] = json.dumps(rec) + "\n"
+    return "".join(records)
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+@pytest.mark.parametrize("perturb", [(), REAR_GAP], ids=["nominal", "rear_gap"])
+@pytest.mark.parametrize("scenario", ["P1", "P2"])
+def test_monitor_output_does_not_depend_on_record_node_order(capsys, monkeypatch, scenario,
+                                                             perturb, oracle, om):
+    """With every other line's nodes reversed, ingest rebuilds every scene
+    in full, yet the scenes along a run still have one topology, so the
+    monitor's topology test holds by equality instead of identity. The
+    output is the plain stream's."""
+    import scenemon.scene_graph
+
+    code, stream, _ = _run(capsys, "gen", "--scenario", scenario, *perturb)
+    assert code == 0
+    reordered = _reverse_nodes_of_every_other_line(stream)
+    argv = ("monitor", "-", "--phases", scenario, *oracle)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    plain = _run(capsys, *argv)
+    reused = []
+    reuse = scenemon.scene_graph._reused_csg
+
+    def recording(previous, *args):
+        reused.append(previous.timestamp)
+        return reuse(previous, *args)
+
+    monkeypatch.setattr(scenemon.scene_graph, "_reused_csg", recording)
+    monkeypatch.setattr("sys.stdin", io.StringIO(reordered))
+    assert _run(capsys, *argv) == plain
+    assert reused == []
+    scenes = list(scenemon.scene_graph.read_scene_stream(reordered.splitlines(), om))
+    same = sum(_topology(a) == _topology(b) for a, b in zip(scenes, scenes[1:]))
+    assert same > 0.9 * (len(scenes) - 1)
 
 
 def _drop_ego_velocity(stream, lines=range(99, 109)):

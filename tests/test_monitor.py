@@ -393,12 +393,11 @@ def _topology(csg):
 
 
 def _fresh_verdicts(om, asgs, scenes, **kwargs):
-    """Each (scene, property) decided on its own copy of the scene, which
-    carries no memo, so every check searches from scratch."""
+    """Each (scene, property) decided by a direct call, which has no memo
+    and searches from scratch, on its own copy of the scene."""
     out = []
     for csg in scenes:
         copy = _rebuilt(om, csg, lambda o: o.attributes)
-        assert copy.embedding_memo is None
         out += [sg_comparison(asg, copy, **kwargs) for asg in asgs]
     return out
 
@@ -517,7 +516,8 @@ def test_two_streams_over_the_same_scenes_keep_their_verdicts(om, scenario):
 
 def test_unchecked_search_runs_once_per_topology_run_and_property(om, monkeypatch):
     """In a stream the unpruned search runs once per run of scenes with one
-    topology and property; a direct call on one scene searches every time."""
+    topology and property; a direct call searches every time, on a scene a
+    stream has checked as on one it has not."""
     import scenemon.monitor
 
     unchecked = []  # the properties an unpruned search started for
@@ -537,10 +537,33 @@ def test_unchecked_search_runs_once_per_topology_run_and_property(om, monkeypatc
     assert len(unchecked) == runs * len(asgs)
     unchecked.clear()
     scene = _rebuilt(om, trace[0], lambda o: o.attributes)
-    for _ in range(2):
-        for asg in asgs:
-            sg_comparison(asg, scene)
-    assert unchecked == [asg.name for asg in asgs] * 2
+    for csg in (scene, trace[1]):
+        for _ in range(2):
+            for asg in asgs:
+                sg_comparison(asg, csg)
+    assert unchecked == [asg.name for asg in asgs] * 4
+
+
+def test_a_stream_leaves_its_scenes_as_it_found_them(om):
+    """The topology memo is the stream's own: a stream writes nothing into
+    the scenes it reads, and once it and its property list are dropped the
+    properties die by reference counting, though the scenes live on."""
+    trace = generate_trace(overtake_script(), om)
+    before = [dict(vars(csg)) for csg in trace]
+    asgs = builtin_asgs("P2", om)
+    refs = [weakref.ref(asg) for asg in asgs]
+    gc.disable()
+    try:
+        gc.collect()
+        stream = monitor_stream(asgs, trace)
+        assert len(list(stream)) == len(trace) * len(asgs)
+        del stream, asgs
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    for csg, fields in zip(trace, before):
+        assert vars(csg).keys() == fields.keys()
+        assert all(vars(csg)[name] is value for name, value in fields.items())
 
 
 def _recording_searches(monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import types
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scenemon import (
     AbstractSceneGraph,
+    ConcreteSceneGraph,
     SceneObject,
     SceneValidationError,
     SchemaError,
@@ -70,6 +72,21 @@ def test_make_csg_leaves_its_objects_alone(om):
     assert csg.nodes["ego"] is not given
     assert csg.nodes["ego"].attributes == {"velocity": 8.0, "position": (1.0, 2.0)}
     assert given.attributes == {"velocity": 8, "position": [1, 2]}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ConcreteSceneGraph)])
+def test_scene_is_immutable(om, scene_factory, name):
+    """A scene is a value: one built in full and one that stream ingest
+    built from the scene before it refuse every field assignment, and
+    neither is hashable."""
+    lines = [serialize_scene(scene_factory(t=t)) for t in (0.0, 1.0)]
+    fresh, reused = read_scene_stream(lines, om)
+    assert reused.class_index is fresh.class_index
+    for csg in (fresh, reused):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(csg, name, getattr(csg, name))
+        with pytest.raises(TypeError):
+            hash(csg)
 
 
 def test_duplicate_object_id_rejected(om):
