@@ -38,8 +38,10 @@ from .monitor import (
     Result,
     Verdict,
     monitor_stream,
+    reference_verdict,
     serialize_verdict,
     sg_comparison,
+    verdict_record,
 )
 from .object_model import ObjectModel, load_object_model
 from .scene_graph import (
@@ -256,9 +258,11 @@ def _oracle_problems(
     asg: AbstractSceneGraph,
     csg: ConcreteSceneGraph,
     verdict: Verdict,
+    epsilon: float,
     induced: bool,
 ) -> list[str]:
-    """Disagreements between the search matcher and the exhaustive one."""
+    """Disagreements between the search matcher and the exhaustive one, and
+    between the verdict and the one rebuilt from the exhaustive matcher."""
     native = set(find_embeddings(asg, csg, induced=induced))
     reference = set(brute_force_embeddings(asg, csg, induced=induced))
     problems: list[str] = []
@@ -279,18 +283,28 @@ def _oracle_problems(
     )
     if no_embedding != (not reference):
         problems.append("embedding existence disagrees with verdict cause")
+    want = reference_verdict(asg, csg, epsilon, induced)
+    if (verdict.result, verdict.cause, verdict.witness) != (want.result, want.cause, want.witness):
+        problems.append(f"verdict differs: got {_outcome(verdict)}, want {_outcome(want)}")
     return problems
+
+
+def _outcome(v: Verdict) -> str:
+    """A verdict's result, witness and cause, as its JSON record has them."""
+    rec = verdict_record(v)
+    return json.dumps({k: rec[k] for k in ("result", "witness", "cause") if k in rec})
 
 
 def _run_oracle(
     asgs: Sequence[AbstractSceneGraph],
     csg: ConcreteSceneGraph,
     verdicts: Sequence[Verdict],
+    epsilon: float,
     induced: bool,
 ) -> bool:
     diverged = False
     for asg, verdict in zip(asgs, verdicts):
-        for problem in _oracle_problems(asg, csg, verdict, induced):
+        for problem in _oracle_problems(asg, csg, verdict, epsilon, induced):
             diverged = True
             print(
                 f"scenemon: oracle divergence: t={csg.timestamp} "
@@ -318,7 +332,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sg_comparison(asg, csg, epsilon=args.epsilon, induced=args.induced)
         for asg in asgs
     ]
-    diverged = args.oracle and _run_oracle(asgs, csg, verdicts, args.induced)
+    diverged = args.oracle and _run_oracle(asgs, csg, verdicts, args.epsilon, args.induced)
     with _open_out(args.out) as out:
         out.write("".join([serialize_verdict(v) + "\n" for v in verdicts]))
     return _exit_code(
@@ -364,7 +378,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 automaton = automaton.step({v.property_name: v for v in row})
                 phase = automaton.index
             if args.oracle:
-                diverged |= _run_oracle(asgs, scene[0], row, args.induced)
+                diverged |= _run_oracle(asgs, scene[0], row, args.epsilon, args.induced)
             # one write per scene, after its last check and before the next read
             out.write("".join([serialize_verdict(v, phase_index=phase) + "\n" for v in row]))
             for verdict in row:

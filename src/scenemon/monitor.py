@@ -38,19 +38,26 @@ and starts a fresh one when a scene's topology differs from the previous
 scene's (along a run that `read_scene_stream` parsed, an identity test).
 A direct call has no memo and searches every time; no scene is written.
 The memo keeps each property beside its entry, so the property's id, its
-key, is not reused while the entry lives. It dies with the stream.
+key, is not reused while the entry lives. An entry may also keep its
+miss's search, which holds the run's first scene until the run ends. The
+memo dies with the stream.
 
 The memo-hit path looks the memo up before it builds anything. A property
 whose pattern had no embedding is decided at once, with the one shared
 `no_embedding` cause. Otherwise the scan starts at the recorded first
 embedding, evaluated on this scene's attributes; when it satisfies every
-predicate, that is the verdict, and no search was built. The same scan
-loop goes on only when the first embedding does not decide: a search is
-built when the scan needs a second embedding (a data gap, or a failure
-when the data is incomplete or a function's reads are unknown), and it
-skips its first yield, which is the recorded one; the pushdown search runs
-as without the memo. So a decided check costs its evaluation and its
-verdict object.
+predicate, that is the verdict, and no search was built. Since the whole
+embedding list, not just its head, is fixed along a run, the memo also
+learns whether the first embedding is the only one: the miss keeps its
+search, positioned after the first embedding, and the first check that
+needs the fact pulls one more embedding from it (a miss whose own scan
+goes on learns it on the way). On a one-embedding topology a hit is
+decided by that embedding alone: satisfied, violated with its cause, or
+an error with its ref. Only when a second embedding exists does the scan
+go on: a search is built when it needs one (the pushdown search after a
+failure with complete data, else an unpruned one that skips its first
+yield, the recorded one), as without the memo. So a decided check costs
+its evaluation and its verdict object, built with one dict update.
 
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
@@ -77,8 +84,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAttributeError, StreamOrderError
-from .matching import Embedding, iter_embeddings
-from .predicates import Compiled, attribute_reads, compile_predicates
+from .matching import Embedding, brute_force_embeddings, iter_embeddings, pattern_order
+from .predicates import Compiled, attribute_reads, bind, compile_predicates, evaluate
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, SceneObject
 
 
@@ -116,7 +123,7 @@ class Cause:
 _NO_EMBEDDING = Cause(CauseKind.NO_EMBEDDING)  # frozen: one serves every verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     timestamp: float
     property_name: str
@@ -124,6 +131,14 @@ class Verdict:
     witness: Embedding | None = None
     cause: Cause | None = None
     phase_index: int | None = None
+
+    def __init__(self, timestamp: float, property_name: str, result: Result,
+                 witness: Embedding | None = None, cause: Cause | None = None,
+                 phase_index: int | None = None) -> None:
+        # one dict update, where the generated frozen __init__ makes a
+        # call to object.__setattr__ per field
+        self.__dict__.update(timestamp=timestamp, property_name=property_name, result=result,
+                             witness=witness, cause=cause, phase_index=phase_index)
 
     @property
     def satisfied(self) -> bool:
@@ -136,11 +151,16 @@ def sg_comparison(
     *,
     epsilon: float = 0.0,
     induced: bool = False,
-    memo: dict[tuple[int, bool], tuple] | None = None,
+    memo: dict[tuple[int, bool], list] | None = None,
 ) -> Verdict:
     """Decide whether one scene satisfies one property. See module docstring.
-    `memo` ((id(asg), induced) -> (asg, first embedding or None), filled on a
-    miss) serves one topology and one `induced`; None searches from scratch."""
+
+    `memo` serves one topology and one `induced`; None searches from
+    scratch. A miss files `(id(asg), induced) -> [asg, first embedding or
+    None, rest]`, where `rest` is the miss's search, positioned after the
+    first embedding, until it is known whether that embedding is the only
+    one; then `rest` is that bool (`_only_embedding`).
+    """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
@@ -149,8 +169,8 @@ def sg_comparison(
     if entry is None:
         rest = iter_embeddings(asg, csg, induced=induced)
         emb = next(rest, None)
-        if memo is not None:  # the first embedding depends on the pattern, topology and `induced`
-            memo[id(asg), induced] = (asg, emb)  # holding asg keeps its id its own
+        if memo is not None:  # the embeddings depend on the pattern, topology and `induced`
+            entry = memo[id(asg), induced] = [asg, emb, rest]  # holding asg keeps its id its own
     else:
         emb = entry[1]
     if emb is None:
@@ -169,6 +189,8 @@ def sg_comparison(
                 return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
             if first_failure is None:
                 first_failure = Cause.predicate_failed(idx)
+                if rest is None and _only_embedding(entry):
+                    break
                 check = _pushdown_check(asg, csg, reads, due)
                 if check is not None:
                     # no evaluation can hit missing data: only the witness is open
@@ -177,12 +199,27 @@ def sg_comparison(
                         return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
                     break
         if rest is None:  # a memo hit: the search's first yield is the memo's embedding
+            if _only_embedding(entry):
+                break
             rest = iter_embeddings(asg, csg, induced=induced)
             next(rest, None)
         emb = next(rest, None)
+        if entry is not None and entry[2] is rest:  # the miss's own search passed the first
+            entry[2] = emb is None
     if first_error is not None:
         return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=first_error)
     return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
+
+
+def _only_embedding(entry: list) -> bool:
+    """Whether a memo entry's first embedding is its topology's only one.
+    The first call on an entry that still holds its miss's search pulls one
+    more embedding from it and keeps the answer in its place."""
+    rest = entry[2]
+    if rest.__class__ is bool:
+        return rest
+    entry[2] = only = next(rest, None) is None
+    return only
 
 
 def _first_false(
@@ -260,6 +297,36 @@ def _pushdown_check(
     return check
 
 
+def reference_verdict(
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, epsilon: float = 0.0, induced: bool = False,
+) -> Verdict:
+    """The verdict `sg_comparison` must give, rebuilt without its search,
+    memo, compiled predicates or pushdown: the exhaustive matcher's
+    embeddings sorted into matcher order, each bound and evaluated by the
+    tree-walking evaluator. For tests and `--oracle`; oracle-sized scenes."""
+    order = pattern_order(asg, csg)
+    embs = sorted(brute_force_embeddings(asg, csg, induced=induced),
+                  key=lambda e: tuple(e[p] for p in order))
+    first_failure = None
+    first_error = None
+    for emb in embs:
+        try:
+            ok, idx = evaluate(asg.predicates, bind(emb, csg), epsilon=epsilon)
+        except MissingAttributeError as exc:
+            if first_error is None:
+                first_error = Cause.missing_attribute(exc.ref)
+            continue
+        if ok:
+            return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
+        if first_failure is None:
+            first_failure = Cause.predicate_failed(idx)
+    if not embs:
+        return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=Cause.no_embedding())
+    if first_error is not None:
+        return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=first_error)
+    return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
+
+
 def monitor_stream(
     asgs: Sequence[AbstractSceneGraph],
     scenes: Iterable[ConcreteSceneGraph],
@@ -280,7 +347,7 @@ def monitor_stream(
             raise StreamOrderError(
                 f"scene timestamp {csg.timestamp} after {last.timestamp} is out of order")
         if last is None or not _same_topology(csg, last):
-            memo: dict[tuple[int, bool], tuple] = {}  # first embeddings for csg's topology
+            memo: dict[tuple[int, bool], list] = {}  # embeddings for csg's topology
         last = csg
         for asg in asgs:
             yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)

@@ -30,6 +30,7 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .dsl import parse_asg
+from .errors import SceneValidationError
 from .object_model import ObjectModel, default_object_model
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, SceneObject, make_csg
 
@@ -291,12 +292,14 @@ def iter_trace(
             states[actor.actor_id] = (actor, pos, _heading(vel, actor.rest_heading),
                                       math.hypot(*vel))
         ego_pos = states["ego"][1]
+        applied = []  # the perturbations this frame carries, for error messages
         for actor_id, rule in active.items():
             if phase == rule.phase_index and actor_id != "ego":
                 actor, _, head, speed = states[actor_id]
                 distance = rule.threshold + script.offsets[rule.key]
                 pos = _place_threat(rule, ego_pos, distance)
                 states[actor_id] = (actor, pos, head, speed)
+                applied.append(f"--perturb {rule.key}={script.offsets[rule.key]!r}")
 
         nodes = environment_nodes(script.layout)
         participants = []
@@ -310,7 +313,13 @@ def iter_trace(
                                  actor.half_width, actor.half_length)
             )
         edges = derive_edges(script.layout, participants)
-        yield make_csg(om, t, "ego", nodes, edges)
+        try:
+            csg = make_csg(om, t, "ego", nodes, edges)
+        except SceneValidationError as exc:
+            if not applied:
+                raise
+            raise SceneValidationError(f"{exc}, at t={t} under {', '.join(applied)}") from exc
+        yield csg
 
 
 # ---------------------------------------------------------------------------

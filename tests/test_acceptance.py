@@ -16,7 +16,6 @@ from scenemon import (
     Cause,
     CauseKind,
     Embedding,
-    MissingAttributeError,
     PhaseAutomaton,
     Result,
     SceneMonError,
@@ -33,12 +32,12 @@ from scenemon import (
     make_csg,
     overtake_script,
     parse_asg,
-    pattern_order,
     pull_out_script,
     serialize_asg,
     sg_comparison,
 )
 from scenemon.cli import build_bench_scene, main, run_bench
+from scenemon.monitor import reference_verdict
 from scenemon.scenarios import _ASSET_FILES, _bundled_text
 
 from conftest import halted_obstacle_scene
@@ -46,35 +45,6 @@ from randscene import random_instance
 
 
 # -- C1: search matcher vs exhaustive reference ----------------------------
-
-
-def _reference_verdict(asg, csg, epsilon=0.0, induced=False):
-    """Verdict rebuilt from the exhaustive matcher, scanned independently."""
-    order = pattern_order(asg, csg)
-    embs = sorted(brute_force_embeddings(asg, csg, induced=induced),
-                  key=lambda e: tuple(e[p] for p in order))
-    first_failure = None
-    first_error = None
-    for emb in embs:
-        try:
-            ok, idx = evaluate(asg.predicates, bind(emb, csg), epsilon=epsilon)
-        except MissingAttributeError as exc:
-            if first_error is None:
-                first_error = Cause.missing_attribute(exc.ref)
-            continue
-        if ok:
-            return Verdict(csg.timestamp, asg.name, Result.SATISFIED,
-                           witness=emb)
-        if first_failure is None:
-            first_failure = Cause.predicate_failed(idx)
-    if not embs:
-        return Verdict(csg.timestamp, asg.name, Result.VIOLATED,
-                       cause=Cause.no_embedding())
-    if first_error is not None:
-        return Verdict(csg.timestamp, asg.name, Result.ERROR,
-                       cause=first_error)
-    return Verdict(csg.timestamp, asg.name, Result.VIOLATED,
-                   cause=first_failure)
 
 
 def test_c1_oracle_equivalence(om):
@@ -88,7 +58,7 @@ def test_c1_oracle_equivalence(om):
         if native != reference:
             divergences.append(f"case {i}: embedding sets differ")
             continue
-        if sg_comparison(asg, csg) != _reference_verdict(asg, csg):
+        if sg_comparison(asg, csg) != reference_verdict(asg, csg):
             divergences.append(f"case {i}: verdicts differ")
     elapsed = time.perf_counter() - start
     assert divergences == []
@@ -118,7 +88,7 @@ def test_c1_pushdown_matches_oracle(om, monkeypatch):
         for epsilon in (0.0, 0.5):
             for induced in (False, True):
                 got = sg_comparison(asg, csg, epsilon=epsilon, induced=induced)
-                want = _reference_verdict(asg, csg, epsilon, induced)
+                want = reference_verdict(asg, csg, epsilon, induced)
                 results.add((got.result, got.cause and got.cause.kind))
                 if got != want:
                     mismatches.append(f"case {i} epsilon={epsilon} "

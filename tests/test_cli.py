@@ -80,6 +80,17 @@ def test_gen_stops_at_the_first_scene_it_cannot_write(capsys):
     assert out and nominal.startswith(out)
 
 
+def test_gen_names_the_perturbation_and_frame_it_cannot_place(capsys):
+    """The rear_gap perturbation starts at t=3.0, the frame after the
+    thirty written at dt 0.1; its message names the flag and the time."""
+    code, out, err = _run(capsys, "gen", "--scenario", "P2", "--perturb", "rear_gap=1e308")
+    assert code == 2
+    assert err == ("scenemon: error: attribute position expects a finite Vec2, got (inf, 3.5), "
+                   "at t=3.0 under --perturb rear_gap=1e+308\n")
+    assert len(out.splitlines()) == 30
+    assert json.loads(out.splitlines()[-1])["t"] == 2.9
+
+
 def test_gen_rejects_malformed_perturbation(capsys):
     code, _, err = _run(capsys, "gen", "--scenario", "P1",
                         "--perturb", "rear_gap=abc")
@@ -355,6 +366,34 @@ def test_monitor_oracle_sees_the_scene_of_each_verdict(capsys, tmp_path, monkeyp
     code, _, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
     assert code == 3
     assert "scenemon: oracle divergence: t=0.0 property=P1-1: " in err
+
+
+def test_monitor_oracle_reports_a_wrong_cause(capsys, tmp_path, monkeypatch):
+    """A verdict whose cause names the wrong predicate has the right
+    embeddings, so only the comparison with the reference verdict sees it."""
+    import scenemon.monitor
+
+    stream = _gen_stream(tmp_path, capsys, "--perturb", "rear_gap=-5")
+    plain_code, plain_out, _ = _run(capsys, "monitor", stream, "--phases", "P1")
+    first_false = scenemon.monitor._first_false
+
+    def off_by_one(*args):
+        idx = first_false(*args)
+        return None if idx is None else idx + 1
+
+    monkeypatch.setattr(scenemon.monitor, "_first_false", off_by_one)
+    code, out, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
+    assert code == 3 and plain_code != 3
+    wrong = [rec for rec in map(json.loads, out.splitlines())
+             if rec["result"] == "violated" and rec["cause"]["kind"] == "predicate_failed"]
+    assert wrong and out != plain_out
+    rec = wrong[0]
+    index = rec["cause"]["index"]
+    assert (f"scenemon: oracle divergence: t={rec['t']} property={rec['property']}: "
+            f'verdict differs: got {{"result": "violated", "cause": {{"kind": "predicate_failed", '
+            f'"index": {index}}}}}, want {{"result": "violated", "cause": {{"kind": '
+            f'"predicate_failed", "index": {index - 1}}}}}\n') in err
+    assert err.count("oracle divergence") == len(wrong)
 
 
 # sha256 of (stdout, stderr) and the exit code of

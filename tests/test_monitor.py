@@ -34,7 +34,7 @@ from scenemon import (
     sg_comparison,
     verdict_record,
 )
-from scenemon.monitor import _ENCODER
+from scenemon.monitor import _ENCODER, reference_verdict
 
 
 # -- single-scene verdicts -------------------------------------------------
@@ -582,10 +582,12 @@ def _recording_searches(monkeypatch):
     return built, search
 
 
-def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, monkeypatch):
+def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, ahead_asg, monkeypatch):
     """Along a P2 topology run a search is built for a property only on the
     run's first scene, or when the memo's first embedding does not decide
-    the verdict: it is there, and fails or hits missing data."""
+    the verdict and the topology has a second embedding: the first is
+    there, and fails or hits missing data. No P2 topology has a second
+    embedding for an undecided hit, so a two-obstacle run shows that case."""
     built, search = _recording_searches(monkeypatch)
     asgs = builtin_asgs("P2", om)
     trace = generate_trace(overtake_script(), om)
@@ -596,17 +598,53 @@ def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, monkeypa
         for asg in asgs:
             built.clear()
             v = next(verdicts)
-            first = next(search(asg, csg), None)
+            first, second = itertools.islice(itertools.chain(search(asg, csg), [None, None]), 2)
             if run_start:
                 assert built[:1] == [None]
-            elif first is None or v.witness == first:
+            elif first is None or v.witness == first or second is None:
                 decided += 1
                 assert built == [], (csg.timestamp, asg.name)
             else:
                 undecided += 1
                 assert built
     assert next(verdicts, None) is None
-    assert decided > 2 * undecided > 0
+    assert decided > 0 and undecided == 0
+    moving_first = [_multi_obstacle_scene(om, [("a0", {"velocity": 2.0, "position": (10.0, 0.0)}),
+                                               ("b1", _obstacle_at(12.0))])] * 3
+    for v in monitor_stream([ahead_asg], moving_first):
+        assert v.witness["obstacle"] == "b1"
+        assert built and built[-1] is not None  # a pushdown search, on every scene
+        built.clear()
+
+
+@pytest.mark.parametrize("perturb", [{}, {"rear_gap": -3.0}], ids=["nominal", "rear_gap"])
+@pytest.mark.parametrize("scenario", ["P1", "P2"])
+def test_a_memo_hit_on_a_one_embedding_topology_builds_no_search(om, monkeypatch, scenario,
+                                                                 perturb):
+    """When a topology has one embedding, a memo hit is decided by it,
+    whether it satisfies, fails or hits missing data: no search is built.
+    Ten scenes of each trace lose the ego's velocity to give the gaps."""
+    built, search = _recording_searches(monkeypatch)
+    asgs = _properties(om)
+    trace = generate_trace(builtin_script(scenario, offsets=perturb), om)
+    ego = trace[0].ego_id
+    trace[50:60] = [_rebuilt(om, csg, lambda o: {
+        k: v for k, v in o.attributes.items() if k != "velocity" or o.object_id != ego})
+        for csg in trace[50:60]]
+    expected = _fresh_verdicts(om, asgs, trace)
+    verdicts = monitor_stream(asgs, trace)
+    results = []
+    for prev, csg in zip([None, *trace], trace):
+        run_start = prev is None or _topology(prev) != _topology(csg)
+        for asg in asgs:
+            built.clear()
+            v = next(verdicts)
+            assert v == expected.pop(0)
+            if not run_start and len(list(itertools.islice(search(asg, csg), 2))) == 1:
+                assert built == [], (csg.timestamp, asg.name, v)
+                results.append(v.result)
+    assert next(verdicts, None) is None
+    assert all(results.count(r) >= 5 for r in Result), results
 
 
 def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
@@ -614,24 +652,26 @@ def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
     value left out, decided through the topology memo, equal the verdicts
     rebuilt from the exhaustive matcher on every path the memo can take."""
     from randscene import random_instance, topology_run
-    from test_acceptance import _reference_verdict
 
     built, search = _recording_searches(monkeypatch)
     rng = random.Random(2024)
     paths = dict.fromkeys(("memo-hit no_embedding", "satisfied at the first embedding",
-                           "satisfied later", "violated after pushdown", "error"), 0)
+                           "satisfied later", "violated after pushdown", "error",
+                           "violated by the only embedding", "error by the only embedding"), 0)
     for _ in range(600):
         asg, csg = random_instance(rng, om, edge_p=0.9)  # dense: some patterns embed twice
         run = topology_run(rng, csg, 5)
         for epsilon, induced in itertools.product((0.0, 0.5), (False, True)):
             kwargs = {"epsilon": epsilon, "induced": induced}
+            only = len(list(itertools.islice(search(asg, csg, induced=induced), 2))) == 1
             verdicts = monitor_stream([asg], run, **kwargs)
             for i, scene in enumerate(run):
                 built.clear()
                 v = next(verdicts)
-                assert v == _reference_verdict(asg, scene, **kwargs)
+                assert v == reference_verdict(asg, scene, **kwargs)
                 if v.result is Result.ERROR:
                     paths["error"] += 1
+                    paths["error by the only embedding"] += only and i > 0
                 elif v.satisfied and v.witness != next(search(asg, scene, induced=induced)):
                     paths["satisfied later"] += 1
                 elif v.satisfied:
@@ -640,6 +680,8 @@ def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
                     paths["memo-hit no_embedding"] += i > 0
                 elif any(check is not None for check in built):
                     paths["violated after pushdown"] += 1
+                elif only and i > 0:
+                    paths["violated by the only embedding"] += 1
     assert min(paths.values()) >= 20, paths
 
 
@@ -837,6 +879,49 @@ def test_property_is_immutable(ahead_asg, name):
     """Plans and pattern facts are kept on the property, so its fields stay put."""
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(ahead_asg, name, getattr(ahead_asg, name))
+
+
+# Verdict's twin with the generated frozen __init__. Verdict's own __init__
+# is hand-written; the rest of its contract must be the twin's.
+_GENERATED_VERDICT = dataclasses.make_dataclass("Verdict", [
+    ("timestamp", float), ("property_name", str), ("result", Result),
+    ("witness", object, None), ("cause", object, None), ("phase_index", object, None)],
+    frozen=True)
+VERDICT_ARGS = [
+    (0.0, "p", Result.SATISFIED, Embedding((("ego", "e"), ("lane", "l1")))),
+    (1.5, "p", Result.VIOLATED, None, Cause.no_embedding()),
+    (1.5, "q", Result.VIOLATED, None, Cause.predicate_failed(2), 3),
+    (-0.0, "q", Result.ERROR, None, Cause.missing_attribute("other.velocity"), None),
+    (math.nan, "", Result.SATISFIED),
+]
+
+
+@pytest.mark.parametrize("args", VERDICT_ARGS)
+def test_verdict_keeps_the_generated_dataclass_contract(args):
+    """Fields, defaults, immutability, `replace`, `==`, `hash` and `repr`
+    are those of the generated frozen dataclass, built positionally or by
+    keyword."""
+    assert [(f.name, f.default) for f in dataclasses.fields(Verdict)] == [
+        (f.name, f.default) for f in dataclasses.fields(_GENERATED_VERDICT)]
+    names = [f.name for f in dataclasses.fields(Verdict)]
+    kwargs = dict(zip(names, args))
+    for v, ref in ((Verdict(*args), _GENERATED_VERDICT(*args)),
+                   (Verdict(**kwargs), _GENERATED_VERDICT(**kwargs))):
+        assert repr(v) == repr(ref)
+        assert hash(v) == hash(ref)
+        assert v == v and (v != v) is False
+        assert (v == Verdict(*args)) == (ref == _GENERATED_VERDICT(*args))
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, getattr(v, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, name)
+        for other in VERDICT_ARGS:
+            changes = dict(zip(names[1:], other[1:]))
+            changed = dataclasses.replace(v, **changes)
+            assert type(changed) is Verdict
+            assert repr(changed) == repr(dataclasses.replace(ref, **changes))
+            assert (changed == v) == (dataclasses.replace(ref, **changes) == ref)
 
 
 def test_automaton_rejects_empty_phase_list():
