@@ -9,8 +9,10 @@ at load time.
 Constructing an ObjectModel validates its declarations, raising SchemaError
 naming the offending one, and resolves the class hierarchy once into lookup
 tables: the ancestors, the attributes and the attribute types of every
-class, and the class pairs each relationship admits. Every query afterwards
-is a table lookup.
+class (the types once more keyed by concrete class only, with the name
+string the model holds), and the class pairs each relationship admits
+and the name string it is held under. Every query afterwards is a table
+lookup.
 
 The schema text format is line-oriented:
 
@@ -90,9 +92,14 @@ class ObjectModel:
     # each class -> attribute name -> declared type, what scene ingest reads
     _attribute_types: dict[str, dict[str, str]] = field(
         init=False, compare=False, repr=False)
+    # each concrete class -> (its name, its `_attribute_types` entry)
+    _concrete_classes: dict[str, tuple[str, dict[str, str]]] = field(
+        init=False, compare=False, repr=False)
     # each relationship name -> every (source, target) class pair it admits
     _admitted: dict[str, frozenset[tuple[str, str]]] = field(
         init=False, compare=False, repr=False)
+    # each relationship name -> that name, the string this model holds
+    _relationship_table: dict[str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         by_name: dict[str, ClassDef] = {}
@@ -152,9 +159,12 @@ class ObjectModel:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ancestors", ancestors)
         object.__setattr__(self, "_attributes", attributes)
-        object.__setattr__(self, "_attribute_types", {
-            name: {a.name: a.type for a in attrs.values()} for name, attrs in attributes.items()})
+        types = {name: {a.name: a.type for a in attrs.values()} for name, attrs in attributes.items()}
+        object.__setattr__(self, "_attribute_types", types)
+        object.__setattr__(self, "_concrete_classes", {
+            name: (name, types[name]) for name, cls in by_name.items() if not cls.abstract})
         object.__setattr__(self, "_admitted", {k: frozenset(v) for k, v in admitted.items()})
+        object.__setattr__(self, "_relationship_table", {k: k for k in admitted})
 
     # -- class hierarchy -------------------------------------------------
 
@@ -195,10 +205,24 @@ class ObjectModel:
         type. The table is shared: read only."""
         return self._lookup(self._attribute_types, cls_name)
 
+    def concrete_class_table(self) -> dict[str, tuple[str, dict[str, str]]]:
+        """Each concrete class -> (its name, the string this model holds,
+        and its `attribute_types`). An abstract or unknown class is absent,
+        so one lookup tells scene ingest that a class may have instances,
+        and gives the name to keep and the types to check. The table is
+        shared: read only."""
+        return self._concrete_classes
+
     # -- relationships and functions -------------------------------------
 
     def relationship_names(self) -> tuple[str, ...]:
         return tuple(self._admitted)
+
+    def relationship_table(self) -> dict[str, str]:
+        """Each relationship name -> itself: a lookup turns a string equal
+        to a name into the model's own string. The table is shared: read
+        only."""
+        return self._relationship_table
 
     def admitted_pairs(self, rel: str) -> frozenset[tuple[str, str]]:
         """Every (source class, target class) pair a `rel` edge may connect,

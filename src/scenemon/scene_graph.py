@@ -9,28 +9,40 @@ matching and verdicts live in the matching and monitor modules. An ASG is
 immutable and carries the tables derived from it: the matcher's pattern
 facts and the monitor's compiled plans, each built on first use.
 
-Ingest checks edges in bulk, because a dense scene carries thousands of
-them. `parse_csg` takes the edge tuples out in one pass once whole-list
-type tests pass, and `make_csg` admits the few distinct (relation, classes,
-self-loop) kinds, not each edge. Only when a bulk test fails does the
-per-edge loop run, to raise the first error in order. The scene keeps no
-adjacency: edge tests read the edge set. `ConcreteSceneGraph.__post_init__`
-builds its one table, `class_index` (each class, abstract ancestors
-included -> the sorted ids of its objects), where the matcher finds its
-candidates. Attribute values are checked against the object model's
-per-class type table: a finite `float` for a Real and a pair of them for a
-Vec2 pass at once, anything else goes through the full check.
+Ingest reads a record's edges in canonical-id columns, because a dense
+scene carries thousands of them. `parse_csg` takes `src`, `rel` and `dst`
+out in three passes, maps each `src` and `dst` through the scene's
+{id: id} table and each `rel` through the object model's relationship
+table. A lookup that succeeds proves a decoded field a string equal to a
+known name, and yields the scene's own string for it, so the record's
+copies die with the record. It then admits the few distinct (relation,
+source class, target class) kinds, not each edge, and finds `inFrontOf`
+self-loops by identity. Nodes are read in the same pass that builds their
+objects: one lookup in the object model's per-concrete-class table tells
+that a class may have instances, and gives the model's own string for its
+name and its attribute types, against which a finite `float` for a Real
+and a pair of them for a Vec2 pass at once; anything else goes through
+the full check. When any lookup or test
+fails, the located pass runs instead: entry by entry and edge by edge, in
+record order, it raises the first error. `make_csg` checks its objects
+one by one and reads its edge tuples in the same columns. The scene keeps
+no adjacency: edge tests read the edge set.
+`ConcreteSceneGraph.__post_init__` builds its one table, `class_index`
+(each class, abstract ancestors included -> the sorted ids of its
+objects), class by class; the matcher finds its candidates there.
 
 A stream's topology rarely changes from one snapshot to the next: positions
 and speeds move, but the objects, their classes and the relations stay.
 `read_scene_stream` therefore parses each record with the scene before it
-as `previous`. When the record's object model, ego, (id, class) list and
-edge set are those of `previous`, every check that reads only them (ids,
-classes, edge admission, the ego's class) passed on `previous` already, so
-it is skipped. The new scene shares `previous`'s class index, edge set and
-its objects that carry no attributes; its attribute values and timestamp
-are checked as always. A run of such scenes thus shares one class index
-and one edge set, which the monitor compares by identity.
+as `previous`, and `parse_csg` tests that first, on the decoded record as
+it is. When the record's object model, ego, (id, class) list in order and
+edge set are those of `previous`, and its node entries and their attrs are
+dicts, every check that reads only them (entry structure, ids, classes,
+edge admission, the ego's class) passed on `previous` already, so it is
+skipped. The new scene shares `previous`'s class index, edge set and its
+objects that carry no attributes; its attribute values and timestamp are
+checked as always. A run of such scenes thus shares one class index and
+one edge set, which the monitor compares by identity.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -48,8 +60,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import compress
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
@@ -85,11 +97,15 @@ class ConcreteSceneGraph:
     __hash__ = None  # type: ignore[assignment]  # holds dicts: unhashable, though frozen
 
     def __post_init__(self) -> None:
+        ids_of: dict[str, list[str]] = {}
+        for nid, obj in self.nodes.items():
+            ids_of.setdefault(obj.cls, []).append(nid)
         members: dict[str, list[str]] = {}
-        for nid in sorted(self.nodes):
-            for cls in self.om.ancestors(self.nodes[nid].cls):
-                members.setdefault(cls, []).append(nid)
-        object.__setattr__(self, "class_index", {cls: tuple(ids) for cls, ids in members.items()})
+        for cls, ids in ids_of.items():  # class by class, not node by node
+            for ancestor in self.om.ancestors(cls):
+                members.setdefault(ancestor, []).extend(ids)
+        object.__setattr__(self, "class_index",
+                           {cls: tuple(sorted(ids)) for cls, ids in members.items()})
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
@@ -208,8 +224,9 @@ def _validated_csg(
     nodes: Iterable[tuple[str, str, Mapping[str, object]]],
     edges: Iterable[tuple[str, str, str]],
 ) -> ConcreteSceneGraph:
-    """`make_csg` over (id, class, attributes) triples: one SceneObject per
-    node, whose own copy of the attributes is normalized in place."""
+    """`make_csg` over (id, class, attributes) triples: node by node in
+    record order, then the edges in columns, and edge by edge only when
+    the columns fail, to raise at the first rejected edge."""
     node_map: dict[str, SceneObject] = {}
     for oid, cls, attrs in nodes:
         if not oid:
@@ -222,17 +239,14 @@ def _validated_csg(
             raise SceneValidationError(f"node {oid} has abstract class {cls}")
         node_map[oid] = _scene_object(om, oid, cls, attrs)
     cls_of = {nid: obj.cls for nid, obj in node_map.items()}
-    edges = list(edges)  # read again when the bulk test fails
-    edge_set: frozenset[tuple[str, str, str]] | set[tuple[str, str, str]]
-    try:  # bulk test: admit the few distinct (relation, classes, self-loop) kinds
-        kinds = {(rel, cls_of[src], cls_of[dst], src == dst) for src, rel, dst in edges}
-        admitted = all((src_cls, dst_cls) in om.admitted_pairs(rel)
-                       and not (loop and rel == "inFrontOf")
-                       for rel, src_cls, dst_cls, loop in kinds)
-        edge_set = frozenset(edges)
-    except (KeyError, TypeError, ValueError, SchemaError):
-        admitted = False  # an unknown node or relation, or a malformed edge from make_csg
-    if not admitted:  # edge by edge: raises at the first rejected one
+    edges = list(edges)  # read again when the columns fail
+    try:
+        srcs, rels, dsts = zip(*edges, strict=True)
+    except (TypeError, ValueError):  # no edges, or not all of them three fields
+        edge_set = None
+    else:
+        edge_set = _column_edges(om, cls_of, srcs, rels, dsts)
+    if edge_set is None:  # edge by edge: raises at the first rejected one
         edge_set = set()
         for src, rel, dst in edges:
             src_cls = cls_of.get(src)
@@ -260,13 +274,55 @@ def _validated_csg(
     return ConcreteSceneGraph(_timestamp(timestamp), node_map, frozenset(edge_set), ego_id, om)
 
 
+def _column_edges(
+    om: ObjectModel, cls_of: dict[str, str],
+    srcs: Iterable[object], rels: Iterable[object], dsts: Iterable[object],
+) -> frozenset[tuple[str, str, str]] | None:
+    """The edge set of (src, rel, dst) columns, or None unless every edge
+    is admitted. Each `src` and `dst` is looked up in the scene's {id: id}
+    table and each `rel` in the object model's relationship table: a
+    lookup that succeeds proves a decoded field a string equal to a known
+    name, and yields the scene's own string for it. Admission then tests
+    the few distinct (relation, source class, target class) kinds, not
+    each edge. `cls_of` maps each node id to its class."""
+    ids = dict(zip(cls_of, cls_of))
+    names = om.relationship_table()
+    try:
+        srcs = list(map(ids.__getitem__, srcs))
+        rels = list(map(names.__getitem__, rels))
+        dsts = list(map(ids.__getitem__, dsts))
+    except (KeyError, TypeError):  # an unknown or unhashable name, or a malformed entry
+        return None
+    kinds = set(zip(rels, map(cls_of.__getitem__, srcs), map(cls_of.__getitem__, dsts)))
+    if not all((src_cls, dst_cls) in om.admitted_pairs(rel) for rel, src_cls, dst_cls in kinds):
+        return None
+    if "inFrontOf" in compress(rels, map(is_, srcs, dsts)):  # the scene's ids: equal is identical
+        return None
+    return frozenset(zip(srcs, rels, dsts))
+
+
 def _scene_object(om: ObjectModel, oid: str, cls: str,
                   attrs: Mapping[str, object]) -> SceneObject:
-    """The object of a node whose class is known and concrete, holding its
-    own copy of `attrs` with each value type-checked and normalized."""
-    obj = SceneObject(oid, cls, attrs)
-    normalized = obj.attributes
-    types = om.attribute_types(cls)
+    """The object of a node of class `cls`, holding its own copy of `attrs`
+    with each value type-checked and normalized."""
+    return _new_object(oid, cls, _normalized(om, cls, om.attribute_types(cls), attrs))
+
+
+def _new_object(oid: str, cls: str, attributes: dict[str, object]) -> SceneObject:
+    """A SceneObject that holds `attributes` itself. Its fields are set in
+    one dict update, where the generated __init__ would set each through
+    object.__setattr__ and `__post_init__` would copy the dict again."""
+    obj = object.__new__(SceneObject)
+    obj.__dict__.update(object_id=oid, cls=cls, attributes=attributes)
+    return obj
+
+
+def _normalized(om: ObjectModel, cls: str, types: Mapping[str, str],
+                attrs: Mapping[str, object]) -> dict[str, object]:
+    """A copy of `attrs` with each value checked against `types`, the
+    attribute types of `cls`: a finite `float` for a Real and a list of two
+    for a Vec2 pass at once, anything else goes through the full check."""
+    normalized = dict(attrs)
     for name, value in normalized.items():  # replaces values only
         t = types.get(name)
         if t == "Real":
@@ -275,10 +331,10 @@ def _scene_object(om: ObjectModel, oid: str, cls: str,
         elif t == "Vec2" and type(value) is list and len(value) == 2:
             x, y = value
             if type(x) is float and type(y) is float and x - x == 0.0 == y - y:
-                normalized[name] = (x, y)  # type: ignore[index]
+                normalized[name] = (x, y)
                 continue
-        normalized[name] = _check_attr_value(om, cls, name, value)  # type: ignore[index]
-    return obj
+        normalized[name] = _check_attr_value(om, cls, name, value)
+    return normalized
 
 
 def _timestamp(value: object) -> float:
@@ -289,24 +345,84 @@ def _timestamp(value: object) -> float:
     return t
 
 
+_EDGE_FIELDS = itemgetter("src", "rel", "dst")
+_SRC, _REL, _DST = itemgetter("src"), itemgetter("rel"), itemgetter("dst")
+
+
+def _attrs_on_topology(
+    previous: ConcreteSceneGraph, om: ObjectModel, record: Mapping,
+    raw_nodes: list, raw_edges: list,
+) -> list[dict] | None:
+    """Each node entry's attrs when the record has `previous`'s object
+    model, ego, (id, class) list in order and edge set, and every node
+    entry and its attrs are dicts; None otherwise. The test reads the
+    decoded record as it is, before any other check."""
+    if previous.om is not om or record["ego"] != previous.ego_id:
+        return None
+    if len(raw_nodes) != len(previous.nodes):  # consecutive dense scenes rarely match here
+        return None
+    attrs_list = []
+    for item, (oid, old) in zip(raw_nodes, previous.nodes.items()):
+        if not isinstance(item, dict) or item.get("id") != oid or item.get("class") != old.cls:
+            return None
+        attrs = item.get("attrs", {})
+        if not isinstance(attrs, dict):
+            return None
+        attrs_list.append(attrs)
+    try:
+        same_edges = frozenset(map(_EDGE_FIELDS, raw_edges)) == previous.edges
+    except (KeyError, TypeError):  # a malformed entry or an unhashable field
+        return None
+    return attrs_list if same_edges else None
+
+
 def _reused_csg(
-    previous: ConcreteSceneGraph,
-    timestamp: object,
-    nodes: Iterable[tuple[str, str, Mapping[str, object]]],
+    previous: ConcreteSceneGraph, timestamp: object, attrs_list: list[dict],
 ) -> ConcreteSceneGraph:
     """A scene with `previous`'s ids, classes, ego and edges, all validated
     for `previous`, and its own attribute values and timestamp, checked now.
     It shares `previous`'s class index and edge set, and each object that
     has no attributes in either scene, being the same value in both."""
     om = previous.om
-    node_map = {oid: old if not (attrs or old.attributes) else _scene_object(om, oid, cls, attrs)
-                for (oid, cls, attrs), old in zip(nodes, previous.nodes.values())}
+    classes = om.concrete_class_table()
+    node_map = {oid: old if not (attrs or old.attributes)
+                else _new_object(oid, old.cls, _normalized(om, old.cls, classes[old.cls][1], attrs))
+                for attrs, (oid, old) in zip(attrs_list, previous.nodes.items())}
     scene = object.__new__(ConcreteSceneGraph)  # `previous`'s fields, without __post_init__
     vars(scene).update(vars(previous), timestamp=_timestamp(timestamp), nodes=node_map)
     return scene
 
 
-_EDGE_FIELDS = itemgetter("src", "rel", "dst")
+def _columned_csg(
+    om: ObjectModel, record: Mapping, raw_nodes: list, raw_edges: list,
+) -> ConcreteSceneGraph | None:
+    """The scene of a record whose node entries and their attrs are dicts,
+    or None if any check fails. Nodes are checked and built in one pass,
+    edges in columns."""
+    classes = om.concrete_class_table()
+    node_map: dict[str, SceneObject] = {}
+    cls_of: dict[str, str] = {}
+    try:
+        for item in raw_nodes:
+            if not isinstance(item, dict):
+                return None
+            oid, attrs = item["id"], item.get("attrs", {})
+            known = classes.get(item["class"])  # None for an unknown or abstract class
+            if (known is None or type(oid) is not str or not oid or oid in node_map
+                    or not isinstance(attrs, dict)):
+                return None
+            cls, types = known  # the model's own string for the class name
+            node_map[oid] = _new_object(oid, cls, _normalized(om, cls, types, attrs))
+            cls_of[oid] = cls
+    except (KeyError, TypeError, SceneValidationError):
+        return None
+    edge_set = _column_edges(om, cls_of, map(_SRC, raw_edges), map(_REL, raw_edges),
+                             map(_DST, raw_edges))
+    ego = record["ego"]
+    if (edge_set is None or type(ego) is not str or ego not in cls_of
+            or not om.is_subclass(cls_of[ego], "Vehicle")):
+        return None
+    return ConcreteSceneGraph(_timestamp(record["t"]), node_map, edge_set, ego, om)
 
 
 def parse_csg(
@@ -315,12 +431,15 @@ def parse_csg(
     """Parse one scene record (a decoded JSON object) into a validated CSG.
 
     `previous`, if given, is the scene parsed just before this one in the
-    same stream. When it was parsed against `om` and has the record's ego,
-    (id, class) list in record order and edge set, the new scene shares its
-    class index, edge set and attribute-free objects, and only attribute
-    values and the timestamp are checked: the other checks read nothing
-    else, and `previous` passed them. The result, or the error raised, is
-    the same as without `previous`; only the time taken differs.
+    same stream. It is tested first: when it was parsed against `om` and
+    the record has its ego, (id, class) list in order and edge set, the
+    new scene shares its class index, edge set and attribute-free objects,
+    and only attribute values and the timestamp are checked: the other
+    checks read nothing else, and `previous` passed them. Otherwise the
+    record is read in canonical-id columns. Only when that fails does the
+    located pass run, entry by entry and edge by edge, to raise the first
+    error in record order. The result, or the error raised, is the same
+    whichever path gives it; only the time taken differs.
     """
     if not isinstance(record, Mapping):
         raise SceneValidationError(f"scene record must be an object, got {type(record).__name__}")
@@ -331,7 +450,14 @@ def parse_csg(
     raw_edges = record["edges"]
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SceneValidationError("scene record fields nodes/edges must be arrays")
-    nodes = []
+    if previous is not None:
+        attrs_list = _attrs_on_topology(previous, om, record, raw_nodes, raw_edges)
+        if attrs_list is not None:
+            return _reused_csg(previous, record["t"], attrs_list)
+    scene = _columned_csg(om, record, raw_nodes, raw_edges)
+    if scene is not None:
+        return scene
+    nodes = []  # entry by entry: raises at the first malformed one
     for item in raw_nodes:
         # the dict test first: it is cheap and passes every decoded object
         if (not (isinstance(item, dict) or isinstance(item, Mapping))
@@ -343,31 +469,19 @@ def parse_csg(
         if not isinstance(item["id"], str) or not isinstance(item["class"], str):
             raise SceneValidationError(f"malformed node entry: {item!r}")
         nodes.append((item["id"], item["class"], attrs))
-    try:  # bulk test: every entry is a dict holding three strings
-        edges = list(map(_EDGE_FIELDS, raw_edges)) if set(map(type, raw_edges)) <= {dict} else None
-    except KeyError:
-        edges = None
-    if edges is None or not set(map(type, chain.from_iterable(edges))) <= {str}:
-        edges = []  # entry by entry: raises at the first malformed one
-        for item in raw_edges:
-            if (not (isinstance(item, dict) or isinstance(item, Mapping))
-                    or "src" not in item or "rel" not in item or "dst" not in item):
-                raise SceneValidationError(f"malformed edge entry: {item!r}")
-            src, rel, dst = item["src"], item["rel"], item["dst"]
-            if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
-                raise SceneValidationError(
-                    f"edge fields src, rel and dst must be strings: {item!r}")
-            edges.append((src, rel, dst))
+    edges = []
+    for item in raw_edges:
+        if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                or "src" not in item or "rel" not in item or "dst" not in item):
+            raise SceneValidationError(f"malformed edge entry: {item!r}")
+        src, rel, dst = item["src"], item["rel"], item["dst"]
+        if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
+            raise SceneValidationError(
+                f"edge fields src, rel and dst must be strings: {item!r}")
+        edges.append((src, rel, dst))
     ego = record["ego"]
     if not isinstance(ego, str):
         raise SceneValidationError("scene record field 'ego' must be a node id")
-    # the length test first: consecutive dense scenes rarely hold as many objects
-    if (previous is not None and previous.om is om and previous.ego_id == ego
-            and len(nodes) == len(previous.nodes)
-            and [(oid, cls) for oid, cls, _ in nodes]
-            == [(oid, obj.cls) for oid, obj in previous.nodes.items()]
-            and frozenset(edges) == previous.edges):
-        return _reused_csg(previous, record["t"], nodes)
     return _validated_csg(om, record["t"], ego, nodes, edges)
 
 

@@ -229,3 +229,24 @@ def _acyclic_models(draw):
 def test_random_tables_match_chain_walk(model):
     _assert_matches_reference(model)
     assert parse_object_model(serialize_object_model(model)) == model
+
+
+def _assert_ingest_tables(model):
+    """The tables scene ingest reads agree with the per-class queries."""
+    concrete = model.concrete_class_table()
+    assert concrete == {name: (name, model.attribute_types(name))
+                        for name in model.concrete_classes()}
+    assert all(key is name for key, (name, _) in concrete.items())
+    table = model.relationship_table()
+    assert tuple(table) == model.relationship_names()
+    assert all(key is value for key, value in table.items())
+
+
+def test_default_ingest_tables(om):
+    _assert_ingest_tables(om)
+
+
+@settings(max_examples=50, deadline=None)
+@given(model=_acyclic_models())
+def test_random_ingest_tables(model):
+    _assert_ingest_tables(model)

@@ -49,21 +49,73 @@ def test_make_csg_basic(om, scene_factory):
     assert csg.labels_between("obs", "ego") == {"inFrontOf"}
 
 
-def test_one_scene_object_per_node(om, scene_factory, monkeypatch):
+def test_one_scene_object_per_node(om, scene_factory):
+    """Ingest builds one new object per node, each holding its own
+    normalized copy of the node's attrs, and leaves the record as it was."""
     record = scene_record(scene_factory())
     record["nodes"][0]["attrs"] = {"velocity": 8, "position": [0, 0]}
-    built = []
-    original = SceneObject.__post_init__
+    given = copy.deepcopy(record)
+    first, second = parse_csg(record, om), parse_csg(record, om)
+    for csg in (first, second):
+        assert list(csg.nodes) == [node["id"] for node in record["nodes"]]
+        for (oid, obj), node in zip(csg.nodes.items(), record["nodes"]):
+            assert type(obj) is SceneObject and obj.object_id == oid
+            assert type(obj.attributes) is dict and obj.attributes is not node["attrs"]
+        assert csg.nodes["ego"].attributes == {"velocity": 8.0, "position": (0.0, 0.0)}
+    objects = [*first.nodes.values(), *second.nodes.values()]
+    assert len({id(obj) for obj in objects}) == len({id(obj.attributes) for obj in objects}) == 6
+    assert record == given
 
-    def counting(self):
-        built.append(self.object_id)
-        original(self)
 
-    monkeypatch.setattr(SceneObject, "__post_init__", counting)
-    csg = parse_csg(record, om)
-    assert sorted(built) == sorted(csg.nodes)
-    assert csg.nodes["ego"].attributes == {"velocity": 8.0, "position": (0.0, 0.0)}
-    assert record["nodes"][0]["attrs"] == {"velocity": 8, "position": [0, 0]}
+_SCENE_OBJECT_ARGS = [
+    ("ego", "Vehicle", {"velocity": 8.0, "position": (0.0, 1.5)}),
+    ("obs", "Static", {"velocity": 0.0}),
+    ("lane1", "Lane", {}),
+    ("lane2", "Lane"),
+]
+
+
+@pytest.mark.parametrize("args", _SCENE_OBJECT_ARGS)
+def test_scene_object_keeps_the_dataclass_contract(om, args):
+    """An object built by ingest, fresh or on a reused topology, and one
+    built by the constructor, positionally, by keyword or with the default
+    attributes, are alike: each holds its own copy of the attributes,
+    refuses every field assignment, and has one `repr`, `==`, `hash` (by
+    id and class) and `dataclasses.replace`."""
+    names = [f.name for f in dataclasses.fields(SceneObject)]
+    assert names == ["object_id", "cls", "attributes"]
+    oid, cls, attrs = (*args, {})[:3]
+    node = {"id": oid, "class": cls, "attrs": {k: list(v) if isinstance(v, tuple) else v
+                                               for k, v in attrs.items()}}
+    nodes = [node] if oid == "ego" else [{"id": "ego", "class": "Vehicle"}, node]
+    record = {"t": 0.0, "ego": "ego", "nodes": nodes, "edges": []}
+    fresh = parse_csg(record, om)
+    reused = parse_csg(record, om, previous=fresh)
+    assert reused.class_index is fresh.class_index
+    given = dict(attrs)
+    built = [SceneObject(*args), SceneObject(**dict(zip(names, args))),
+             fresh.nodes[oid], reused.nodes[oid]]
+    reference = built[0]
+    for obj in built:
+        assert type(obj) is SceneObject and list(vars(obj)) == names
+        assert obj.attributes == attrs and obj.attributes is not node["attrs"]
+        assert repr(obj) == repr(reference)
+        assert obj == reference and (obj != reference) is False
+        assert hash(obj) == hash((oid, cls))
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        changed = dataclasses.replace(obj, attributes=given)
+        assert type(changed) is SceneObject and changed.attributes is not given
+        assert changed == reference and repr(changed) == repr(reference)
+        moved = dataclasses.replace(obj, object_id="other")
+        assert moved != reference and hash(moved) == hash(("other", cls))
+    assert built[0].attributes is not built[1].attributes
+    assert SceneObject(oid, cls).attributes == {}
+    assert SceneObject(oid, cls).attributes is not SceneObject(oid, cls).attributes
+    assert given == attrs
 
 
 def test_make_csg_leaves_its_objects_alone(om):
@@ -457,6 +509,23 @@ def test_hostile_ingest_matches_reference(om, seed, data):
         _assert_class_tables_match(parse_csg(record, om), [])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_hostile_record_after_a_scene_matches_fresh_ingest(om, seed, data):
+    """One fault in a random record parsed with the scene of the clean
+    record as `previous`: the reuse test sees the record first, and the
+    result or message must be that of a fresh parse."""
+    record = scene_record(random_csg(random.Random(seed), om))
+    path = data.draw(st.sampled_from(list(_paths(record))), label="path")
+    hostile = _substituted(record, path, data.draw(_NAMES | _JSON_VALUES, label="value"))
+    try:
+        csg = parse_csg(hostile, om, previous=parse_csg(record, om))
+        got = csg.timestamp, csg.ego_id, csg.nodes, csg.edges
+    except SceneValidationError as exc:
+        got = str(exc)
+    assert got == _ingest(hostile, om) == _reference_ingest(hostile, om)
+
+
 def test_non_dict_mappings_are_ingested_like_dicts(om, scene_factory):
     record = scene_record(scene_factory())
     proxied = dict(record, edges=list(record["edges"]))
@@ -490,6 +559,18 @@ def _bad_edge(om, record, kind, edge):
         return {"src": record["ego"], "rel": "inFrontOf", "dst": record["ego"]}
     if kind == "non-string field":
         return dict(edge, src=7)
+    if kind == "bool field":
+        return dict(edge, src=True)
+    if kind == "null field":
+        return dict(edge, dst=None)
+    if kind == "list field":
+        return dict(edge, rel=[edge["rel"]])
+    if kind == "object field":
+        return dict(edge, dst={"id": edge["dst"]})
+    if kind == "relation names a node":
+        return dict(edge, rel=edge["src"])
+    if kind == "endpoint names a relation":
+        return dict(edge, dst=edge["rel"])
     if kind == "missing key":
         return {"src": edge["src"], "dst": edge["dst"]}
     assert kind == "non-dict entry"
@@ -497,7 +578,10 @@ def _bad_edge(om, record, kind, edge):
 
 
 _EDGE_FAULTS = ["unknown node", "unknown relationship", "pair not admitted",
-                "inFrontOf self-loop", "non-string field", "missing key", "non-dict entry"]
+                "inFrontOf self-loop", "non-string field", "missing key", "non-dict entry",
+                # what the column lookups meet first
+                "bool field", "null field", "list field", "object field",
+                "relation names a node", "endpoint names a relation"]
 
 
 @pytest.mark.parametrize("kind", _EDGE_FAULTS)
@@ -516,6 +600,24 @@ def test_one_bad_edge_in_a_dense_record_is_located(om, kind):
         message = _ingest(faulty, om)
         assert isinstance(message, str)
         assert message == _reference_ingest(faulty, om)
+
+
+def test_a_dense_record_is_read_into_the_scenes_own_strings(om):
+    """A serialized dense scene parses to the scene `make_csg` built from the
+    same objects. Its objects hold the object model's class names, and its
+    edge tuples the scene's own node-id keys and the object model's
+    relation names, not the record's copies of them."""
+    built = build_bench_scene(200, seed=5, om=om)
+    csg = parse_csg(json.loads(serialize_scene(built)), om)
+    assert csg.nodes == built.nodes and csg.edges == built.edges
+    assert csg.class_index == built.class_index
+    ids = {oid: oid for oid in csg.nodes}
+    names = {name: name for name in om.relationship_names()}
+    classes = {c.name: c.name for c in om.classes}
+    assert all(obj.object_id is ids[oid] and obj.cls is classes[obj.cls]
+               for oid, obj in csg.nodes.items())
+    assert all(src is ids[src] and rel is names[rel] and dst is ids[dst]
+               for src, rel, dst in csg.edges)
 
 
 class _Name(str):
@@ -647,9 +749,11 @@ _STREAM_FAULTS = {
     # the same edge set, listed otherwise: reused
     "edges reordered": _set(_record, "edges", lambda r: r["edges"][::-1]),
     "edge duplicated": _set(_record, "edges", lambda r: r["edges"] + r["edges"][:1]),
+    "edge with another key": _set(lambda r: r["edges"][0], "note", 1),
     "nodes reordered": _set(_record, "nodes", lambda r: r["nodes"][::-1]),
     # new attribute values on the same topology
     "attrs dropped": _set(_ego_node, "attrs", {}),
+    "attrs left out where they were {}": lambda r: _node_of_class(r, "Lane").pop("attrs"),
     "attrs on an attribute-free node": _set(lambda r: _node_of_class(r, "Lane"), "attrs",
                                             {"velocity": 1.0}),
     # hostile records after a reused one
@@ -659,6 +763,12 @@ _STREAM_FAULTS = {
     "timestamp non-finite": _set(_record, "t", float("nan")),
     "timestamp not a number": _set(_record, "t", "late"),
     "edge malformed": _set(_record, "edges", lambda r: [["ego", "isIn", "lane1"]] + r["edges"][1:]),
+    "edge field unhashable": _set(lambda r: r["edges"][0], "dst", ["lane1"]),
+    "node entry an array": _set(_record, "nodes", lambda r: [["ego", "Vehicle"]] + r["nodes"][1:]),
+    "attrs an array": _set(_ego_node, "attrs", []),
+    "attrs null": _set(_ego_node, "attrs", None),
+    "ego an array": _set(_record, "ego", ["ego"]),
+    "ego a number": _set(_record, "ego", 7),
     "edge renamed": _set(lambda r: r["edges"][0], "rel", "follows"),
     "edge to a ghost": _set(lambda r: r["edges"][-1], "dst", "ghost"),
 }
@@ -678,6 +788,18 @@ def test_stream_ingest_matches_fresh_ingest_after_a_reused_scene(om, fault):
     records[at] = copy.deepcopy(records[at])
     _STREAM_FAULTS[fault](records[at])
     _assert_stream_matches_fresh_ingest(om, records[:at + 3])
+
+
+def test_non_dict_entries_after_a_scene_are_read_in_full(om, scene_factory):
+    """A node entry or attrs that is a Mapping but not a dict gives the
+    scene a fresh parse gives, also after a scene of the same topology."""
+    record = scene_record(scene_factory())
+    previous = parse_csg(record, om)
+    for path in (("nodes", 0), ("nodes", 0, "attrs")):
+        proxied = _substituted(record, path, types.MappingProxyType(_at(record, path)))
+        again = parse_csg(proxied, om, previous=previous)
+        assert _scene_fields(again) == _scene_fields(previous)
+        assert _ingest(proxied, om) == _reference_ingest(proxied, om) == _ingest(record, om)
 
 
 def test_a_scene_of_another_object_model_is_not_reused(om):
