@@ -8,11 +8,10 @@ at load time.
 
 Constructing an ObjectModel validates its declarations, raising SchemaError
 naming the offending one, and resolves the class hierarchy once into lookup
-tables: the ancestors, the attributes and the attribute types of every
-class (the types once more keyed by concrete class only, with the name
-string the model holds), and the class pairs each relationship admits
-and the name string it is held under. Every query afterwards is a table
-lookup.
+tables: the ancestors and the attributes of every class, the attribute
+types of every concrete class with the name string the model holds, and
+the class pairs each relationship admits and the name string it is held
+under. Every query afterwards is a table lookup.
 
 The schema text format is line-oriented:
 
@@ -89,10 +88,7 @@ class ObjectModel:
     # each class -> attribute name -> declaration, inherited ones first
     _attributes: dict[str, dict[str, AttributeDef]] = field(
         init=False, compare=False, repr=False)
-    # each class -> attribute name -> declared type, what scene ingest reads
-    _attribute_types: dict[str, dict[str, str]] = field(
-        init=False, compare=False, repr=False)
-    # each concrete class -> (its name, its `_attribute_types` entry)
+    # each concrete class -> (its name, attribute name -> declared type)
     _concrete_classes: dict[str, tuple[str, dict[str, str]]] = field(
         init=False, compare=False, repr=False)
     # each relationship name -> every (source, target) class pair it admits
@@ -159,10 +155,9 @@ class ObjectModel:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ancestors", ancestors)
         object.__setattr__(self, "_attributes", attributes)
-        types = {name: {a.name: a.type for a in attrs.values()} for name, attrs in attributes.items()}
-        object.__setattr__(self, "_attribute_types", types)
         object.__setattr__(self, "_concrete_classes", {
-            name: (name, types[name]) for name, cls in by_name.items() if not cls.abstract})
+            name: (name, {a.name: a.type for a in attributes[name].values()})
+            for name, cls in by_name.items() if not cls.abstract})
         object.__setattr__(self, "_admitted", {k: frozenset(v) for k, v in admitted.items()})
         object.__setattr__(self, "_relationship_table", {k: k for k in admitted})
 
@@ -200,17 +195,12 @@ class ObjectModel:
     def find_attribute(self, cls_name: str, attr: str) -> AttributeDef | None:
         return self._lookup(self._attributes, cls_name).get(attr)
 
-    def attribute_types(self, cls_name: str) -> dict[str, str]:
-        """Each attribute of a class, inherited ones included -> its declared
-        type. The table is shared: read only."""
-        return self._lookup(self._attribute_types, cls_name)
-
     def concrete_class_table(self) -> dict[str, tuple[str, dict[str, str]]]:
         """Each concrete class -> (its name, the string this model holds,
-        and its `attribute_types`). An abstract or unknown class is absent,
-        so one lookup tells scene ingest that a class may have instances,
-        and gives the name to keep and the types to check. The table is
-        shared: read only."""
+        and each of its attributes, inherited ones included -> its declared
+        type). An abstract or unknown class is absent, so one lookup tells
+        scene ingest that a class may have instances, and gives the name to
+        keep and the types to check. The table is shared: read only."""
         return self._concrete_classes
 
     # -- relationships and functions -------------------------------------

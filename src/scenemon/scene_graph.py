@@ -9,24 +9,25 @@ matching and verdicts live in the matching and monitor modules. An ASG is
 immutable and carries the tables derived from it: the matcher's pattern
 facts and the monitor's compiled plans, each built on first use.
 
-Ingest reads a record's edges in canonical-id columns, because a dense
-scene carries thousands of them. `parse_csg` takes `src`, `rel` and `dst`
-out in three passes, maps each `src` and `dst` through the scene's
-{id: id} table and each `rel` through the object model's relationship
-table. A lookup that succeeds proves a decoded field a string equal to a
-known name, and yields the scene's own string for it, so the record's
-copies die with the record. It then admits the few distinct (relation,
-source class, target class) kinds, not each edge, and finds `inFrontOf`
-self-loops by identity. Nodes are read in the same pass that builds their
-objects: one lookup in the object model's per-concrete-class table tells
-that a class may have instances, and gives the model's own string for its
-name and its attribute types, against which a finite `float` for a Real
-and a pair of them for a Vec2 pass at once; anything else goes through
-the full check. When any lookup or test
-fails, the located pass runs instead: entry by entry and edge by edge, in
-record order, it raises the first error. `make_csg` checks its objects
-one by one and reads its edge tuples in the same columns. The scene keeps
-no adjacency: edge tests read the edge set.
+One builder checks and builds every scene: `parse_csg` hands it a decoded
+record's fields as they are, `make_csg` its objects and edge tuples. Nodes
+are read in order: one lookup in the object model's per-concrete-class
+table tells that a class may have instances, and gives the model's own
+string for its name and its attribute types, against which a finite
+`float` for a Real and a pair of them for a Vec2 pass at once; anything
+else goes through the full check. Edges are read in canonical-id columns,
+because a dense scene carries thousands of them: each `src` and `dst`
+through the scene's {id: id} table, each `rel` through the object model's
+relationship table. A lookup that succeeds proves a field a string equal
+to a known name, and yields the scene's own string for it, so the
+record's copies die with the record. The few distinct (relation, source
+class, target class) kinds are then admitted, not each edge, and
+`inFrontOf` self-loops found by identity. Only when the columns fail are
+the edges read one by one. The builder raises the first error in record
+order, but a malformed entry (not an object, a key missing, a field of
+the wrong type) comes first: when the builder raises, `parse_csg` raises
+the record's first malformed entry if it has one. The scene keeps no
+adjacency: edge tests read the edge set.
 `ConcreteSceneGraph.__post_init__` builds its one table, `class_index`
 (each class, abstract ancestors included -> the sorted ids of its
 objects), class by class; the matcher finds its candidates there.
@@ -61,7 +62,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import is_, itemgetter
+from operator import is_, itemgetter, methodcaller
 from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
@@ -213,39 +214,49 @@ def make_csg(
     omits stay absent; predicate evaluation reports them as errors later.
     The given objects are left as they are: the scene holds new ones.
     """
-    return _validated_csg(om, timestamp, ego_id,
-                          ((obj.object_id, obj.cls, obj.attributes) for obj in nodes), edges)
-
-
-def _validated_csg(
-    om: ObjectModel,
-    timestamp: float,
-    ego_id: str,
-    nodes: Iterable[tuple[str, str, Mapping[str, object]]],
-    edges: Iterable[tuple[str, str, str]],
-) -> ConcreteSceneGraph:
-    """`make_csg` over (id, class, attributes) triples: node by node in
-    record order, then the edges in columns, and edge by edge only when
-    the columns fail, to raise at the first rejected edge."""
-    node_map: dict[str, SceneObject] = {}
-    for oid, cls, attrs in nodes:
-        if not oid:
-            raise SceneValidationError("node with empty id")
-        if oid in node_map:
-            raise SceneValidationError(f"duplicate node id: {oid}")
-        if not om.has_class(cls):
-            raise SceneValidationError(f"node {oid} has unknown class {cls}")
-        if om.require_class(cls).abstract:
-            raise SceneValidationError(f"node {oid} has abstract class {cls}")
-        node_map[oid] = _scene_object(om, oid, cls, attrs)
-    cls_of = {nid: obj.cls for nid, obj in node_map.items()}
     edges = list(edges)  # read again when the columns fail
     try:
         srcs, rels, dsts = zip(*edges, strict=True)
     except (TypeError, ValueError):  # no edges, or not all of them three fields
-        edge_set = None
+        columns = None
     else:
-        edge_set = _column_edges(om, cls_of, srcs, rels, dsts)
+        columns = srcs, rels, dsts
+    return _built_csg(om, timestamp, ego_id,
+                      ((obj.object_id, obj.cls, obj.attributes) for obj in nodes),
+                      columns, edges)
+
+
+def _built_csg(
+    om: ObjectModel, timestamp: object, ego_id: object,
+    nodes: Iterable[tuple[object, object, object]],
+    columns: tuple[Iterable[object], Iterable[object], Iterable[object]] | None,
+    edges: Iterable[tuple[object, object, object]],
+) -> ConcreteSceneGraph:
+    """The scene of (id, class, attrs) `nodes` and of edges given twice: as
+    (src, rel, dst) `columns`, and as `edges` triples, read one by one only
+    when the columns fail or are None, to raise at the first rejected edge.
+    Nodes, edges, the ego and the timestamp are checked in that order, and
+    the first error is raised. Node ids and classes must be strings."""
+    classes = om.concrete_class_table()
+    node_map: dict[str, SceneObject] = {}
+    cls_of: dict[str, str] = {}
+    for oid, cls, attrs in nodes:
+        if not oid:
+            raise SceneValidationError("node with empty id")
+        if not isinstance(oid, str):
+            raise SceneValidationError(f"node id must be a string, got {oid!r}")
+        if oid in node_map:
+            raise SceneValidationError(f"duplicate node id: {oid}")
+        known = classes.get(cls) if isinstance(cls, str) else None
+        if known is None:  # not a string, or an unknown or abstract class
+            kind = "abstract" if isinstance(cls, str) and om.has_class(cls) else "unknown"
+            raise SceneValidationError(f"node {oid} has {kind} class {cls}")
+        if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
+            raise SceneValidationError(f"node {oid}: attrs must be an object")
+        cls, types = known  # the model's own string for the class name
+        node_map[oid] = _new_object(oid, cls, _normalized(om, cls, types, attrs))
+        cls_of[oid] = cls
+    edge_set = None if columns is None else _column_edges(om, cls_of, *columns)
     if edge_set is None:  # edge by edge: raises at the first rejected one
         edge_set = set()
         for src, rel, dst in edges:
@@ -266,11 +277,11 @@ def _validated_csg(
             if rel == "inFrontOf" and src == dst:
                 raise SceneValidationError(f"inFrontOf self-loop on {src}")
             edge_set.add((src, rel, dst))
-    if ego_id not in node_map:
+    if ego_id not in cls_of:
         raise SceneValidationError(f"ego node {ego_id!r} not present in scene")
-    if not om.is_subclass(node_map[ego_id].cls, "Vehicle"):
+    if not om.is_subclass(cls_of[ego_id], "Vehicle"):
         raise SceneValidationError(
-            f"ego node {ego_id} has class {node_map[ego_id].cls}, expected a Vehicle")
+            f"ego node {ego_id} has class {cls_of[ego_id]}, expected a Vehicle")
     return ConcreteSceneGraph(_timestamp(timestamp), node_map, frozenset(edge_set), ego_id, om)
 
 
@@ -299,13 +310,6 @@ def _column_edges(
     if "inFrontOf" in compress(rels, map(is_, srcs, dsts)):  # the scene's ids: equal is identical
         return None
     return frozenset(zip(srcs, rels, dsts))
-
-
-def _scene_object(om: ObjectModel, oid: str, cls: str,
-                  attrs: Mapping[str, object]) -> SceneObject:
-    """The object of a node of class `cls`, holding its own copy of `attrs`
-    with each value type-checked and normalized."""
-    return _new_object(oid, cls, _normalized(om, cls, om.attribute_types(cls), attrs))
 
 
 def _new_object(oid: str, cls: str, attributes: dict[str, object]) -> SceneObject:
@@ -345,6 +349,10 @@ def _timestamp(value: object) -> float:
     return t
 
 
+_ID, _CLASS = itemgetter("id"), itemgetter("class")
+# The one `{}` stands for every missing attrs: `_normalized` copies it, and
+# nothing writes it.
+_ATTRS = methodcaller("get", "attrs", {})
 _EDGE_FIELDS = itemgetter("src", "rel", "dst")
 _SRC, _REL, _DST = itemgetter("src"), itemgetter("rel"), itemgetter("dst")
 
@@ -393,38 +401,6 @@ def _reused_csg(
     return scene
 
 
-def _columned_csg(
-    om: ObjectModel, record: Mapping, raw_nodes: list, raw_edges: list,
-) -> ConcreteSceneGraph | None:
-    """The scene of a record whose node entries and their attrs are dicts,
-    or None if any check fails. Nodes are checked and built in one pass,
-    edges in columns."""
-    classes = om.concrete_class_table()
-    node_map: dict[str, SceneObject] = {}
-    cls_of: dict[str, str] = {}
-    try:
-        for item in raw_nodes:
-            if not isinstance(item, dict):
-                return None
-            oid, attrs = item["id"], item.get("attrs", {})
-            known = classes.get(item["class"])  # None for an unknown or abstract class
-            if (known is None or type(oid) is not str or not oid or oid in node_map
-                    or not isinstance(attrs, dict)):
-                return None
-            cls, types = known  # the model's own string for the class name
-            node_map[oid] = _new_object(oid, cls, _normalized(om, cls, types, attrs))
-            cls_of[oid] = cls
-    except (KeyError, TypeError, SceneValidationError):
-        return None
-    edge_set = _column_edges(om, cls_of, map(_SRC, raw_edges), map(_REL, raw_edges),
-                             map(_DST, raw_edges))
-    ego = record["ego"]
-    if (edge_set is None or type(ego) is not str or ego not in cls_of
-            or not om.is_subclass(cls_of[ego], "Vehicle")):
-        return None
-    return ConcreteSceneGraph(_timestamp(record["t"]), node_map, edge_set, ego, om)
-
-
 def parse_csg(
     record: Mapping, om: ObjectModel, *, previous: ConcreteSceneGraph | None = None,
 ) -> ConcreteSceneGraph:
@@ -436,10 +412,10 @@ def parse_csg(
     new scene shares its class index, edge set and attribute-free objects,
     and only attribute values and the timestamp are checked: the other
     checks read nothing else, and `previous` passed them. Otherwise the
-    record is read in canonical-id columns. Only when that fails does the
-    located pass run, entry by entry and edge by edge, to raise the first
-    error in record order. The result, or the error raised, is the same
-    whichever path gives it; only the time taken differs.
+    scene builder reads the record's fields as they are. Only when it
+    raises are the entries walked, to report the first malformed one, or
+    else the builder's error. The result, or the error raised, is the
+    same whichever path gives it; only the time taken differs.
     """
     if not isinstance(record, Mapping):
         raise SceneValidationError(f"scene record must be an object, got {type(record).__name__}")
@@ -454,35 +430,35 @@ def parse_csg(
         attrs_list = _attrs_on_topology(previous, om, record, raw_nodes, raw_edges)
         if attrs_list is not None:
             return _reused_csg(previous, record["t"], attrs_list)
-    scene = _columned_csg(om, record, raw_nodes, raw_edges)
-    if scene is not None:
-        return scene
-    nodes = []  # entry by entry: raises at the first malformed one
-    for item in raw_nodes:
-        # the dict test first: it is cheap and passes every decoded object
-        if (not (isinstance(item, dict) or isinstance(item, Mapping))
-                or "id" not in item or "class" not in item):
-            raise SceneValidationError(f"malformed node entry: {item!r}")
-        attrs = item.get("attrs", {})
-        if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
-            raise SceneValidationError(f"node {item['id']}: attrs must be an object")
-        if not isinstance(item["id"], str) or not isinstance(item["class"], str):
-            raise SceneValidationError(f"malformed node entry: {item!r}")
-        nodes.append((item["id"], item["class"], attrs))
-    edges = []
-    for item in raw_edges:
-        if (not (isinstance(item, dict) or isinstance(item, Mapping))
-                or "src" not in item or "rel" not in item or "dst" not in item):
-            raise SceneValidationError(f"malformed edge entry: {item!r}")
-        src, rel, dst = item["src"], item["rel"], item["dst"]
-        if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
-            raise SceneValidationError(
-                f"edge fields src, rel and dst must be strings: {item!r}")
-        edges.append((src, rel, dst))
-    ego = record["ego"]
-    if not isinstance(ego, str):
-        raise SceneValidationError("scene record field 'ego' must be a node id")
-    return _validated_csg(om, record["t"], ego, nodes, edges)
+    try:
+        return _built_csg(
+            om, record["t"], record["ego"],
+            zip(map(_ID, raw_nodes), map(_CLASS, raw_nodes), map(_ATTRS, raw_nodes)),
+            (map(_SRC, raw_edges), map(_REL, raw_edges), map(_DST, raw_edges)),
+            map(_EDGE_FIELDS, raw_edges))
+    except (SceneValidationError, KeyError, TypeError):
+        # entry by entry: the first malformed one is the error to report
+        for item in raw_nodes:
+            # the dict test first: it is cheap and passes every decoded object
+            if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                    or "id" not in item or "class" not in item):
+                raise SceneValidationError(f"malformed node entry: {item!r}")
+            attrs = item.get("attrs", {})
+            if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
+                raise SceneValidationError(f"node {item['id']}: attrs must be an object")
+            if not isinstance(item["id"], str) or not isinstance(item["class"], str):
+                raise SceneValidationError(f"malformed node entry: {item!r}")
+        for item in raw_edges:
+            if (not (isinstance(item, dict) or isinstance(item, Mapping))
+                    or "src" not in item or "rel" not in item or "dst" not in item):
+                raise SceneValidationError(f"malformed edge entry: {item!r}")
+            src, rel, dst = item["src"], item["rel"], item["dst"]
+            if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
+                raise SceneValidationError(
+                    f"edge fields src, rel and dst must be strings: {item!r}")
+        if not isinstance(record["ego"], str):
+            raise SceneValidationError("scene record field 'ego' must be a node id")
+        raise  # no malformed entry: the builder's error is the first
 
 
 def scene_record(csg: ConcreteSceneGraph) -> dict:

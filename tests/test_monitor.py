@@ -133,6 +133,24 @@ def test_failure_cause_comes_from_first_failing_embedding(om, ahead_asg):
     assert v.cause == Cause.predicate_failed(1)
 
 
+def test_a_later_failure_does_not_replace_the_first_on_incomplete_data(om, ahead_asg):
+    # obs_a fails predicate 0 and obs_b, later in matcher order, fails 1.
+    # obs_c has no velocity and is not in front of the ego: no embedding
+    # maps it, but the data is incomplete, so no pushdown runs and every
+    # embedding is evaluated. The second scene is a memo hit.
+    base = _multi_obstacle_scene(om, [
+        ("obs_a", {"velocity": 1.0, "position": (10.0, 0.0)}),
+        ("obs_b", {"velocity": 0.0, "position": (50.0, 0.0)}),
+    ])
+    nodes = [*base.nodes.values(), SceneObject("obs_c", "Static", {"position": (5.0, 0.0)})]
+    edges = [*base.edges, ("obs_c", "isIn", "lane1")]
+    scenes = [make_csg(om, t, "ego", nodes, edges) for t in (0.0, 1.0)]
+    first = Cause.predicate_failed(0)
+    assert reference_verdict(ahead_asg, scenes[0]).cause == first
+    assert sg_comparison(ahead_asg, scenes[0]).cause == first
+    assert [v.cause for v in monitor_stream([ahead_asg], scenes)] == [first, first]
+
+
 # -- predicate pushdown: the cause rule with the ego halted ----------------
 # P2-1 asserts dist(ego, obstacle) >= 5, then ego.velocity > 0. With the ego
 # halted the pruned search rejects every embedding at depth 0, so the cause

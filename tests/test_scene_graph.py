@@ -31,7 +31,7 @@ from scenemon import (
 
 from scenemon.matching import _candidates
 from scenemon.scenarios import build_bench_scene
-from scenemon.scene_graph import _check_attr_value, _finite, _scene_object
+from scenemon.scene_graph import _check_attr_value, _finite, _normalized
 
 from conftest import halted_obstacle_scene
 from randscene import random_asg, random_csg
@@ -652,6 +652,57 @@ def test_make_csg_reports_the_first_bad_edge_before_a_malformed_one(om, scene_fa
         make_csg(om, 0.0, "ego", objects, [("ego", "isPartOf", "lane1"), malformed])
 
 
+@pytest.mark.parametrize("obj, message", [
+    (SceneObject(7, "Static"), "node id must be a string, got 7"),
+    (SceneObject(("s", 1), "Static"), "node id must be a string, got ('s', 1)"),
+    (SceneObject("s", ["Static"]), "node s has unknown class ['Static']"),
+], ids=["int-id", "tuple-id", "list-class"])
+def test_make_csg_rejects_a_node_id_or_class_that_is_not_a_string(om, obj, message):
+    with pytest.raises(SceneValidationError) as exc:
+        make_csg(om, 0.0, "ego", [SceneObject("ego", "Vehicle"), obj], [])
+    assert str(exc.value) == message
+
+
+def _early_fault(record, kind):
+    """A semantic fault near the start of `record`."""
+    if kind == "unknown class":
+        record["nodes"][1]["class"] = "Bike"
+    elif kind == "bad attribute value":  # node 1, a lane, has no attributes
+        record["nodes"][0]["attrs"]["velocity"] = "fast"
+    else:
+        assert kind == "unknown node in an edge"
+        record["edges"][0]["dst"] = "ghost"
+
+
+def _late_fault(record, kind):
+    """A malformed entry or field at the end of `record`."""
+    edge = record["edges"][-1]
+    if kind == "int src":
+        edge["src"] = 7
+    elif kind == "edge as an array":
+        record["edges"][-1] = [edge["src"], edge["rel"], edge["dst"]]
+    elif kind == "attrs as an array":
+        record["nodes"][-1]["attrs"] = [1.0]
+    else:
+        assert kind == "ego as a number"
+        record["ego"] = 5
+
+
+@pytest.mark.parametrize("late", ["int src", "edge as an array", "attrs as an array",
+                                  "ego as a number"])
+@pytest.mark.parametrize("early", ["unknown class", "bad attribute value",
+                                   "unknown node in an edge"])
+def test_a_late_malformed_entry_is_reported_before_an_early_fault(om, early, late):
+    """The builder raises at the early fault; the malformed entry after it
+    is still the error, as in a structural pass before any other check."""
+    record = _dense_record(om)
+    _early_fault(record, early)
+    _late_fault(record, late)
+    message = _ingest(record, om)
+    assert isinstance(message, str)
+    assert message == _reference_ingest(record, om)
+
+
 def test_make_csg_takes_edges_as_lists(om, scene_factory):
     csg = scene_factory()
     objects = list(csg.nodes.values())
@@ -841,10 +892,10 @@ def test_attribute_type_table_matches_the_full_check(om, value):
     attribute name, declared on it or not."""
     names = sorted({a.name for c in om.classes for a in c.attributes}) + ["colour", ""]
     for cls in (c.name for c in om.classes):
+        types = {a.name: a.type for a in om.attributes_of(cls)}
         for name in names:
             attrs = {name: value}
-            checked = _typed_outcome(
-                lambda: _scene_object(om, "x", cls, attrs).attributes[name])
+            checked = _typed_outcome(lambda: _normalized(om, cls, types, attrs)[name])
             assert checked == _typed_outcome(_check_attr_value, om, cls, name, value)
             assert attrs == {name: value}
 
