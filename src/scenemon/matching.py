@@ -88,7 +88,9 @@ def _require_same_om(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> None:
             "pattern and scene were validated against different object models")
 
 
-def _candidates(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> dict[str, tuple[str, ...]]:
+def candidate_pools(
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph,
+) -> dict[str, tuple[str, ...]]:
     """Class-compatible scene objects per pattern node, ego pinned, sorted."""
     out: dict[str, tuple[str, ...]] = {}
     for pid, cls in asg.pattern_nodes.items():
@@ -107,7 +109,7 @@ def pattern_order(asg: AbstractSceneGraph, csg: ConcreteSceneGraph) -> tuple[str
     from ego in the undirected pattern, then by how few scene candidates
     they have, then by pattern id for a total order.
     """
-    return _visit_order(asg, asg.pattern_facts[0], _candidates(asg, csg))
+    return _visit_order(asg, asg.pattern_facts[0], candidate_pools(asg, csg))
 
 
 def _visit_order(
@@ -165,7 +167,7 @@ def iter_embeddings(
     """
     _require_same_om(asg, csg)
     rank, p_out, p_in = asg.pattern_facts
-    cand = _candidates(asg, csg)
+    cand = candidate_pools(asg, csg)
     order = _visit_order(asg, rank, cand)
     if not order:
         yield Embedding(())

@@ -21,7 +21,7 @@ Predicate pushdown: once the first embedding has failed, its cause is
 settled and only the witness is open. If the scene's data is complete for
 the property (every candidate of every pattern node carries every attribute
 the predicates read from that node), no evaluation can hit missing data, so
-the scan hands over to one search that evaluates each predicate at the
+the check hands over to one search that evaluates each predicate at the
 first depth where all its pattern nodes are bound and prunes the subtree
 below a false one. Its first embedding is the witness; if it yields none,
 the verdict is Violated with the recorded cause. With incomplete data the
@@ -29,35 +29,30 @@ scan goes on unpruned, because pruning could skip the embedding whose
 evaluation would have reported the gap. The verdicts are the same either
 way.
 
-Topology reuse: the first embedding in matcher order depends only on the
-pattern, `induced` and what the matcher reads of the scene, which is its
-object model, ego, class index and edge set. From one snapshot to the
-next, positions and velocities change but lanes and relations rarely do.
-So `monitor_stream` owns a memo of first embeddings, passed to each check,
-and starts a fresh one when a scene's topology differs from the previous
-scene's (along a run that `read_scene_stream` parsed, an identity test).
-A direct call has no memo and searches every time; no scene is written.
-The memo keeps each property beside its entry, so the property's id, its
-key, is not reused while the entry lives. An entry may also keep its
-miss's search, which holds the run's first scene until the run ends. The
-memo dies with the stream.
+Topology reuse: the embeddings in matcher order depend only on the
+pattern, `induced` and what the matcher reads of the scene: its object
+model, ego, class index and edge set. From one snapshot to the next,
+positions and velocities change but lanes and relations rarely do. So
+`monitor_stream` owns a memo, passed to each check, and starts a fresh
+one when a scene's topology differs from the previous scene's (along a
+run that `read_scene_stream` parsed, an identity test). A direct call has
+no memo; no scene is written. The memo dies with the stream. An entry
+(`_Embeddings`) holds the property, so its id, the key, is not reused
+while the entry lives, and the first embedding or None. It learns on
+demand whether that is the only embedding: it keeps the search that found
+the first one until a check asks, then pulls one more embedding from it
+and keeps the answer in its place.
 
-The memo-hit path looks the memo up before it builds anything. A property
-whose pattern had no embedding is decided at once, with the one shared
-`no_embedding` cause. Otherwise the scan starts at the recorded first
-embedding, evaluated on this scene's attributes; when it satisfies every
-predicate, that is the verdict, and no search was built. Since the whole
-embedding list, not just its head, is fixed along a run, the memo also
-learns whether the first embedding is the only one: the miss keeps its
-search, positioned after the first embedding, and the first check that
-needs the fact pulls one more embedding from it (a miss whose own scan
-goes on learns it on the way). On a one-embedding topology a hit is
-decided by that embedding alone: satisfied, violated with its cause, or
-an error with its ref. Only when a second embedding exists does the scan
-go on: a search is built when it needs one (the pushdown search after a
-failure with complete data, else an unpruned one that skips its first
-yield, the recorded one), as without the memo. So a decided check costs
-its evaluation and its verdict object, built with one dict update.
+A check runs three stages:
+  1. The first embedding. A hit looks its entry up; a miss builds one and
+     files it, given a memo. None gives `no_embedding`, with one shared
+     cause. Otherwise it is evaluated on this scene: satisfied returns (on
+     a hit, with no search built), and a failure or an error is recorded.
+  2. The pushdown witness search, after a failure. A hit first asks whether
+     the first embedding is the only one; if it is, the failure decides.
+  3. The unpruned scan, only when a second embedding exists: a new search
+     that skips its first yield, the evaluated one. Each cause keeps its
+     first value.
 
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
@@ -84,7 +79,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAttributeError, StreamOrderError
-from .matching import Embedding, brute_force_embeddings, iter_embeddings, pattern_order
+from .matching import (Embedding, brute_force_embeddings, candidate_pools, iter_embeddings,
+                       pattern_order)
 from .predicates import Compiled, attribute_reads, bind, compile_predicates, evaluate
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, SceneObject
 
@@ -151,75 +147,80 @@ def sg_comparison(
     *,
     epsilon: float = 0.0,
     induced: bool = False,
-    memo: dict[tuple[int, bool], list] | None = None,
+    memo: dict[tuple[int, bool], _Embeddings] | None = None,
 ) -> Verdict:
-    """Decide whether one scene satisfies one property. See module docstring.
-
-    `memo` serves one topology and one `induced`; None searches from
-    scratch. A miss files `(id(asg), induced) -> [asg, first embedding or
-    None, rest]`, where `rest` is the miss's search, positioned after the
-    first embedding, until it is known whether that embedding is the only
-    one; then `rest` is that bool (`_only_embedding`).
-    """
+    """Decide whether one scene satisfies one property, in the three stages
+    of the module docstring. `memo` serves one topology and one `induced`;
+    a miss files its `_Embeddings` there. None searches from scratch."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
+    # 1. the first embedding, from the memo's entry or a new one
     entry = None if memo is None else memo.get((id(asg), induced))
-    rest: Iterator[Embedding] | None = None  # the embeddings after `emb`, made when needed
-    if entry is None:
-        rest = iter_embeddings(asg, csg, induced=induced)
-        emb = next(rest, None)
+    hit = entry is not None
+    if not hit:
+        entry = _Embeddings(asg, csg, induced)
         if memo is not None:  # the embeddings depend on the pattern, topology and `induced`
-            entry = memo[id(asg), induced] = [asg, emb, rest]  # holding asg keeps its id its own
-    else:
-        emb = entry[1]
-    if emb is None:
+            memo[id(asg), induced] = entry
+    first = entry.first
+    if first is None:
         return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=_NO_EMBEDDING)
     nodes = csg.nodes
-    first_failure: Cause | None = None
-    first_error: Cause | None = None
-    while emb is not None:
-        try:
-            idx = _first_false(predicates, nodes, emb.as_dict())
-        except MissingAttributeError as exc:
-            if first_error is None:
-                first_error = Cause.missing_attribute(exc.ref)
-        else:
-            if idx is None:
-                return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
-            if first_failure is None:
-                first_failure = Cause.predicate_failed(idx)
-                if rest is None and _only_embedding(entry):
-                    break
-                check = _pushdown_check(asg, csg, reads, due)
-                if check is not None:
-                    # no evaluation can hit missing data: only the witness is open
-                    witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
-                    if witness is not None:
-                        return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
-                    break
-        if rest is None:  # a memo hit: the search's first yield is the memo's embedding
-            if _only_embedding(entry):
-                break
-            rest = iter_embeddings(asg, csg, induced=induced)
-            next(rest, None)
-        emb = next(rest, None)
-        if entry is not None and entry[2] is rest:  # the miss's own search passed the first
-            entry[2] = emb is None
-    if first_error is not None:
-        return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=first_error)
-    return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=first_failure)
+    failure: Cause | None = None
+    error: Cause | None = None
+    try:
+        idx = _first_false(predicates, nodes, first.as_dict())
+    except MissingAttributeError as exc:
+        error = Cause.missing_attribute(exc.ref)
+    else:
+        if idx is None:
+            return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=first)
+        failure = Cause.predicate_failed(idx)
+        # 2. the pushdown witness search, unless a hit's only embedding decides
+        check = None if hit and entry.only() else _pushdown_check(asg, csg, reads, due)
+        if check is not None:
+            # no evaluation can hit missing data: only the witness is open
+            witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
+            if witness is not None:
+                return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
+            return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=failure)
+    if not entry.only():  # 3. the unpruned scan, past the first embedding
+        rest = iter_embeddings(asg, csg, induced=induced)
+        next(rest, None)  # the first embedding, evaluated above
+        for emb in rest:
+            try:
+                idx = _first_false(predicates, nodes, emb.as_dict())
+            except MissingAttributeError as exc:
+                error = error or Cause.missing_attribute(exc.ref)
+            else:
+                if idx is None:
+                    return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
+                failure = failure or Cause.predicate_failed(idx)
+    if error is not None:
+        return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=error)
+    return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=failure)
 
 
-def _only_embedding(entry: list) -> bool:
-    """Whether a memo entry's first embedding is its topology's only one.
-    The first call on an entry that still holds its miss's search pulls one
-    more embedding from it and keeps the answer in its place."""
-    rest = entry[2]
-    if rest.__class__ is bool:
+class _Embeddings:
+    """A property's embeddings into one topology, as far as checks need
+    them: the first in matcher order, or None, and whether it is the only
+    one. `asg` is held so that the memo key, its id, stays its own."""
+
+    __slots__ = ("asg", "first", "_rest")
+
+    def __init__(self, asg: AbstractSceneGraph, csg: ConcreteSceneGraph, induced: bool) -> None:
+        self.asg = asg
+        self._rest: Iterator[Embedding] | bool = iter_embeddings(asg, csg, induced=induced)
+        self.first = next(self._rest, None)
+
+    def only(self) -> bool:
+        """Whether `first` is the topology's only embedding. The first call
+        pulls one more embedding from the search and keeps the answer in
+        its place, which frees the search and the scene it holds."""
+        rest = self._rest
+        if rest.__class__ is not bool:
+            rest = self._rest = next(rest, None) is None
         return rest
-    entry[2] = only = next(rest, None) is None
-    return only
 
 
 def _first_false(
@@ -265,16 +266,12 @@ def _property_plan(
 
 
 def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> bool:
-    """Whether every class-compatible candidate of every pattern node carries
-    every attribute the predicates read from that node."""
+    """Whether every candidate of every pattern node carries every
+    attribute the predicates read from that node."""
+    pools, nodes = candidate_pools(asg, csg), csg.nodes
     for pid, names in reads:
-        cls = asg.pattern_nodes[pid]
-        if pid == asg.ego_pattern_id:
-            pool = (csg.ego_id,) if asg.om.is_subclass(csg.nodes[csg.ego_id].cls, cls) else ()
-        else:
-            pool = csg.class_index.get(cls, ())
-        for oid in pool:
-            if not names <= csg.nodes[oid].attributes.keys():
+        for oid in pools[pid]:
+            if not names <= nodes[oid].attributes.keys():
                 return False
     return True
 
@@ -347,7 +344,7 @@ def monitor_stream(
             raise StreamOrderError(
                 f"scene timestamp {csg.timestamp} after {last.timestamp} is out of order")
         if last is None or not _same_topology(csg, last):
-            memo: dict[tuple[int, bool], list] = {}  # embeddings for csg's topology
+            memo: dict[tuple[int, bool], _Embeddings] = {}  # for csg's topology
         last = csg
         for asg in asgs:
             yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)

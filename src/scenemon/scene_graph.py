@@ -259,7 +259,14 @@ def _built_csg(
     edge_set = None if columns is None else _column_edges(om, cls_of, *columns)
     if edge_set is None:  # edge by edge: raises at the first rejected one
         edge_set = set()
-        for src, rel, dst in edges:
+        for edge in edges:
+            try:
+                src, rel, dst = edge
+            except (TypeError, ValueError):
+                raise SceneValidationError(f"malformed edge entry: {edge!r}") from None
+            if not (isinstance(src, str) and isinstance(rel, str) and isinstance(dst, str)):
+                raise SceneValidationError(
+                    f"edge fields src, rel and dst must be strings: {edge!r}")
             src_cls = cls_of.get(src)
             if src_cls is None:
                 raise SceneValidationError(f"edge references unknown node {src}")
@@ -277,7 +284,7 @@ def _built_csg(
             if rel == "inFrontOf" and src == dst:
                 raise SceneValidationError(f"inFrontOf self-loop on {src}")
             edge_set.add((src, rel, dst))
-    if ego_id not in cls_of:
+    if not isinstance(ego_id, str) or ego_id not in cls_of:
         raise SceneValidationError(f"ego node {ego_id!r} not present in scene")
     if not om.is_subclass(cls_of[ego_id], "Vehicle"):
         raise SceneValidationError(

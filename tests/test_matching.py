@@ -22,7 +22,7 @@ from scenemon import (
     sg_comparison,
 )
 from scenemon.matching import (
-    _candidates,
+    candidate_pools,
     _require_same_om,
     _visit_order,
 )
@@ -233,7 +233,7 @@ def _recursive_reference(asg, csg, *, induced=False, check=None):
     """The recursive form of the search, kept as the order reference."""
     _require_same_om(asg, csg)
     rank, p_out, p_in = asg.pattern_facts
-    cand = _candidates(asg, csg)
+    cand = candidate_pools(asg, csg)
     order = _visit_order(asg, rank, cand)
     edges = csg.edges
     mapping = {}

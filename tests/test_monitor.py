@@ -703,6 +703,26 @@ def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
     assert min(paths.values()) >= 20, paths
 
 
+@pytest.mark.parametrize("name, specs, ego_speed", [
+    ("obstacle-ahead", [("a0", {"position": (10.0, 0.0)}),
+                        ("s1", {"velocity": 0.0, "position": (11.0, 0.0)})], 8.0),
+    ("obstacle-ahead", [("a0", {"position": (10.0, 0.0)}), ("b1", {"velocity": 0.0}),
+                        ("c2", {"velocity": 2.0, "position": (9.0, 0.0)})], 8.0),
+    ("obstacle-ahead", [("a0", {"velocity": 0.0, "position": (25.0, 0.0)}),
+                        ("b1", {"velocity": 2.0, "position": (10.0, 0.0)})], 8.0),
+    ("P2-1", [("a0", _obstacle_at(10.0)), ("b1", {"velocity": 0.0})], 0.0),
+], ids=["satisfied-outranks-error", "error-outranks-failure", "first-failure-cause",
+        "pushdown-falls-back-on-a-gap"])
+def test_memo_hits_keep_the_verdict_rules(om, ahead_asg, name, specs, ego_speed):
+    """The hand-built scenes with several embeddings, checked as a memo miss
+    and then two hits, give the reference verdict, as a direct call does."""
+    asg = ahead_asg if name == ahead_asg.name else load_bundled_asg(name, om)
+    csg = _multi_obstacle_scene(om, specs, ego_speed)
+    expected = reference_verdict(asg, csg)
+    assert sg_comparison(asg, csg) == expected
+    assert list(monitor_stream([asg], [csg] * 3)) == [expected] * 3
+
+
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
     """Pattern facts and compiled predicates cost once per property object,
     however many scenes the stream holds, and a second stream over the same

@@ -29,7 +29,7 @@ from scenemon import (
     validate_asg,
 )
 
-from scenemon.matching import _candidates
+from scenemon.matching import candidate_pools
 from scenemon.scenarios import build_bench_scene
 from scenemon.scene_graph import _check_attr_value, _finite, _normalized
 
@@ -443,7 +443,7 @@ def _ingest(record, om):
 
 
 def _assert_class_tables_match(csg, asgs):
-    """The class index and `_candidates` against an `is_subclass` filter."""
+    """The class index and `candidate_pools` against an `is_subclass` filter."""
     om = csg.om
     for cls in (c.name for c in om.classes):
         naive = tuple(sorted(oid for oid, obj in csg.nodes.items()
@@ -456,7 +456,7 @@ def _assert_class_tables_match(csg, asgs):
             else tuple(sorted(oid for oid, obj in csg.nodes.items()
                               if om.is_subclass(obj.cls, cls)))
             for pid, cls in asg.pattern_nodes.items()}
-        assert {pid: tuple(c) for pid, c in _candidates(asg, csg).items()} == expected
+        assert {pid: tuple(c) for pid, c in candidate_pools(asg, csg).items()} == expected
 
 
 def test_ingest_matches_reference_on_random_scenes(om):
@@ -650,6 +650,24 @@ def test_make_csg_reports_the_first_bad_edge_before_a_malformed_one(om, scene_fa
     objects = list(scene_factory().nodes.values())
     with pytest.raises(SceneValidationError, match="isPartOf does not admit Vehicle -> Lane"):
         make_csg(om, 0.0, "ego", objects, [("ego", "isPartOf", "lane1"), malformed])
+
+
+@pytest.mark.parametrize("ego, edges, message", [
+    (["ego"], [], "ego node ['ego'] not present in scene"),
+    ("ego", [("ego", "isIn")], "malformed edge entry: ('ego', 'isIn')"),
+    ("ego", [("ego", "isIn", "lane1", "x")], "malformed edge entry: ('ego', 'isIn', 'lane1', 'x')"),
+    ("ego", [None], "malformed edge entry: None"),
+    ("ego", [("ego", "isIn", "lane1"), ("ego", "isIn")], "malformed edge entry: ('ego', 'isIn')"),
+    ("ego", [(["ego"], "isIn", "lane1")], "must be strings: (['ego'], 'isIn', 'lane1')"),
+    ("ego", [("ego", {"isIn"}, "lane1")], "must be strings: ('ego', {'isIn'}, 'lane1')"),
+    ("ego", [("ego", "isIn", ["lane1"])], "must be strings: ('ego', 'isIn', ['lane1'])"),
+], ids=["list-ego", "two-fields", "four-fields", "none-edge", "two-fields-after-a-valid-edge",
+        "list-src", "set-rel", "list-dst"])
+def test_make_csg_rejects_a_malformed_ego_or_edge(om, scene_factory, ego, edges, message):
+    objects = list(scene_factory().nodes.values())
+    with pytest.raises(SceneValidationError) as exc:
+        make_csg(om, 0.0, ego, objects, edges)
+    assert str(exc.value).endswith(message)
 
 
 @pytest.mark.parametrize("obj, message", [
