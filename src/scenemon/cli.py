@@ -6,8 +6,10 @@ Subcommands:
 * ``monitor``: evaluate a scene stream, optionally tracking a maneuver's
   phase sequence.
 * ``gen``: sample a built-in scenario script into a scene stream.
-* ``bench``: time property checking on a synthetic dense scene.
 * ``export``: render a scene or property as Graphviz DOT.
+
+Latency is measured outside the CLI: ``perfbench`` times ``gen | monitor``
+end to end, and the C8 acceptance tests time single checks.
 
 Verdicts are emitted as JSON lines on stdout (or ``--out``); diagnostics go
 to stderr. Exit codes: 0 all satisfied, 1 at least one violated verdict
@@ -22,9 +24,7 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Iterator, Sequence, TextIO
@@ -53,7 +53,6 @@ from .scene_graph import (
     serialize_scene,
 )
 from .scenarios import (
-    build_bench_scene,
     builtin_asgs,
     builtin_script,
     iter_trace,
@@ -175,17 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the script's sampling step")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_bench = sub.add_parser(
-        "bench", parents=[om_parent, out_parent],
-        help="time property checking on a synthetic dense scene")
-    p_bench.add_argument("--nodes", type=int, default=100,
-                         help="scene size in objects (default 100)")
-    p_bench.add_argument("--repeat", type=int, default=50,
-                         help="timed repetitions (default 50)")
-    p_bench.add_argument("--seed", type=int, default=0,
-                         help="layout seed (default 0)")
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_export = sub.add_parser(
         "export", parents=[om_parent, out_parent],
         help="render a scene or property as Graphviz DOT")
@@ -264,7 +252,8 @@ def _oracle_problems(
     """Disagreements between the search matcher and the exhaustive one, and
     between the verdict and the one rebuilt from the exhaustive matcher."""
     native = set(find_embeddings(asg, csg, induced=induced))
-    reference = set(brute_force_embeddings(asg, csg, induced=induced))
+    embeddings = brute_force_embeddings(asg, csg, induced=induced)
+    reference = set(embeddings)
     problems: list[str] = []
     if native != reference:
         missing = len(reference - native)
@@ -283,7 +272,7 @@ def _oracle_problems(
     )
     if no_embedding != (not reference):
         problems.append("embedding existence disagrees with verdict cause")
-    want = reference_verdict(asg, csg, epsilon, induced)
+    want = reference_verdict(asg, csg, epsilon, induced, embeddings=embeddings)
     if (verdict.result, verdict.cause, verdict.witness) != (want.result, want.cause, want.witness):
         problems.append(f"verdict differs: got {_outcome(verdict)}, want {_outcome(want)}")
     return problems
@@ -407,43 +396,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         for csg in iter_trace(script, om):
             print(serialize_scene(csg), file=out)
-    return 0
-
-
-def run_bench(
-    n_nodes: int = 100, repeat: int = 50, seed: int = 0,
-    om: ObjectModel | None = None,
-) -> dict:
-    """Time `sg_comparison` on the synthetic scene; durations in ms."""
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    if om is None:
-        om = load_object_model("default")
-    csg = build_bench_scene(n_nodes, seed, om)
-    asg = load_bundled_asg("P2-2", om)
-    timings = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        verdict = sg_comparison(asg, csg)
-        timings.append((time.perf_counter() - start) * 1000.0)
-    timings.sort()
-    p99 = timings[min(len(timings) - 1, max(0, round(0.99 * len(timings)) - 1))]
-    return {
-        "scene_nodes": len(csg.nodes),
-        "pattern_nodes": len(asg.pattern_nodes),
-        "property": asg.name,
-        "repeat": repeat,
-        "result": verdict.result.value,
-        "p50_ms": round(statistics.median(timings), 4),
-        "p99_ms": round(p99, 4),
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    om = load_object_model(args.om)
-    report = run_bench(args.nodes, args.repeat, args.seed, om)
-    with _open_out(args.out) as out:
-        print(json.dumps(report, separators=(", ", ": ")), file=out)
     return 0
 
 

@@ -203,25 +203,10 @@ def iter_embeddings(
 
 
 def find_embeddings(
-    asg: AbstractSceneGraph,
-    csg: ConcreteSceneGraph,
-    *,
-    limit: int | None = None,
-    induced: bool = False,
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, *, induced: bool = False,
 ) -> list[Embedding]:
-    """All embeddings of `asg` into `csg`, in deterministic matcher order.
-
-    `limit` stops the search after that many embeddings. The list is empty
-    iff no embedding exists.
-    """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
-    out: list[Embedding] = []
-    for emb in iter_embeddings(asg, csg, induced=induced):
-        out.append(emb)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    """All embeddings of `asg` into `csg`, in deterministic matcher order."""
+    return list(iter_embeddings(asg, csg, induced=induced))
 
 
 def brute_force_embeddings(

@@ -147,7 +147,7 @@ def sg_comparison(
     *,
     epsilon: float = 0.0,
     induced: bool = False,
-    memo: dict[tuple[int, bool], _Embeddings] | None = None,
+    memo: dict[int, _Embeddings] | None = None,
 ) -> Verdict:
     """Decide whether one scene satisfies one property, in the three stages
     of the module docstring. `memo` serves one topology and one `induced`;
@@ -156,12 +156,14 @@ def sg_comparison(
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
     predicates, reads, due = _property_plan(asg, epsilon)
     # 1. the first embedding, from the memo's entry or a new one
-    entry = None if memo is None else memo.get((id(asg), induced))
+    entry = None if memo is None else memo.get(id(asg))
     hit = entry is not None
     if not hit:
         entry = _Embeddings(asg, csg, induced)
-        if memo is not None:  # the embeddings depend on the pattern, topology and `induced`
-            memo[id(asg), induced] = entry
+        if memo is not None:
+            # the embeddings depend on the pattern, the topology and `induced`;
+            # a memo serves one topology and one `induced`, so the pattern keys it
+            memo[id(asg)] = entry
     first = entry.first
     if first is None:
         return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=_NO_EMBEDDING)
@@ -296,14 +298,18 @@ def _pushdown_check(
 
 def reference_verdict(
     asg: AbstractSceneGraph, csg: ConcreteSceneGraph, epsilon: float = 0.0, induced: bool = False,
+    *, embeddings: Iterable[Embedding] | None = None,
 ) -> Verdict:
     """The verdict `sg_comparison` must give, rebuilt without its search,
     memo, compiled predicates or pushdown: the exhaustive matcher's
     embeddings sorted into matcher order, each bound and evaluated by the
-    tree-walking evaluator. For tests and `--oracle`; oracle-sized scenes."""
+    tree-walking evaluator. For tests and `--oracle`; oracle-sized scenes.
+    `embeddings` is `brute_force_embeddings`' result for these arguments,
+    when the caller has it; None computes it."""
+    if embeddings is None:
+        embeddings = brute_force_embeddings(asg, csg, induced=induced)
     order = pattern_order(asg, csg)
-    embs = sorted(brute_force_embeddings(asg, csg, induced=induced),
-                  key=lambda e: tuple(e[p] for p in order))
+    embs = sorted(embeddings, key=lambda e: tuple(e[p] for p in order))
     first_failure = None
     first_error = None
     for emb in embs:
@@ -344,7 +350,7 @@ def monitor_stream(
             raise StreamOrderError(
                 f"scene timestamp {csg.timestamp} after {last.timestamp} is out of order")
         if last is None or not _same_topology(csg, last):
-            memo: dict[tuple[int, bool], _Embeddings] = {}  # for csg's topology
+            memo: dict[int, _Embeddings] = {}  # for csg's topology and `induced`
         last = csg
         for asg in asgs:
             yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)

@@ -36,9 +36,9 @@ from scenemon import (
     serialize_asg,
     sg_comparison,
 )
-from scenemon.cli import build_bench_scene, main, run_bench
+from scenemon.cli import main
 from scenemon.monitor import reference_verdict
-from scenemon.scenarios import _ASSET_FILES, _bundled_text
+from scenemon.scenarios import _ASSET_FILES, _bundled_text, build_bench_scene
 
 from conftest import halted_obstacle_scene
 from randscene import random_instance
@@ -337,11 +337,18 @@ def test_c7_spec_language_round_trip_and_fuzz(om):
 
 
 def test_c8_dense_scene_latency(om):
-    report = run_bench(n_nodes=100, repeat=50, seed=0, om=om)
-    assert report["scene_nodes"] == 100
-    assert report["pattern_nodes"] == 6
-    assert report["p50_ms"] < 10.0, report
-    print(f"ACCEPTANCE C8 (100-node scene, p50={report['p50_ms']}ms): PASS")
+    csg = build_bench_scene(100, seed=0, om=om)
+    asg = load_bundled_asg("P2-2", om)
+    assert len(csg.nodes) == 100
+    assert len(asg.pattern_nodes) == 6
+    timings = []
+    for _ in range(50):
+        start = time.perf_counter()
+        sg_comparison(asg, csg)
+        timings.append((time.perf_counter() - start) * 1000.0)
+    p50 = statistics.median(timings)
+    assert p50 < 10.0, f"p50 {p50:.3f} ms"
+    print(f"ACCEPTANCE C8 (100-node scene, p50={p50:.4f}ms): PASS")
 
 
 def test_c8_halted_ego_worst_case_latency(om):
