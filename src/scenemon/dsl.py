@@ -429,6 +429,10 @@ def _check_expr(expr: Expr, nodes: dict[str, str], om: ObjectModel) -> str:
         fn = om.find_function(expr.fn)
         if fn is None:
             raise SpecTypeError(f"unknown function {expr.fn!r}", expr.line, expr.column)
+        from .predicates import BUILTIN_FUNCTIONS  # a top-level import would be circular
+        if expr.fn not in BUILTIN_FUNCTIONS:
+            raise SpecTypeError(f"function {expr.fn!r} has no implementation",
+                                expr.line, expr.column)
         if len(expr.args) != len(fn.params):
             raise SpecTypeError(
                 f"function {expr.fn} expects {len(fn.params)} arguments, got {len(expr.args)}",

@@ -17,17 +17,13 @@ evaluation completed, the cause is the first failure of the first embedding;
 if any evaluation hit missing data, the verdict is an Error (a data gap must
 not masquerade as a threshold violation).
 
-Predicate pushdown: once the first embedding has failed, its cause is
-settled and only the witness is open. If the scene's data is complete for
-the property (every candidate of every pattern node carries every attribute
-the predicates read from that node), no evaluation can hit missing data, so
-the check hands over to one search that evaluates each predicate at the
-first depth where all its pattern nodes are bound and prunes the subtree
-below a false one. Its first embedding is the witness; if it yields none,
-the verdict is Violated with the recorded cause. With incomplete data the
-scan goes on unpruned, because pruning could skip the embedding whose
-evaluation would have reported the gap. The verdicts are the same either
-way.
+Predicate pushdown: past the first embedding, a search evaluates each
+predicate at the first depth where all its pattern nodes are bound and
+prunes the subtree below a false one. A predicate that hits missing data
+reads as false: its embeddings are not all-true, so no witness is pruned,
+whatever the data. Only an embedding that maps a gap object, a candidate
+lacking an attribute the predicates read from its node, can hit missing
+data; a second search, kept to those, finds the errors.
 
 Topology reuse: the embeddings in matcher order depend only on the
 pattern, `induced` and what the matcher reads of the scene: its object
@@ -48,11 +44,12 @@ A check runs three stages:
      files it, given a memo. None gives `no_embedding`, with one shared
      cause. Otherwise it is evaluated on this scene: satisfied returns (on
      a hit, with no search built), and a failure or an error is recorded.
-  2. The pushdown witness search, after a failure. A hit first asks whether
-     the first embedding is the only one; if it is, the failure decides.
-  3. The unpruned scan, only when a second embedding exists: a new search
-     that skips its first yield, the evaluated one. Each cause keeps its
-     first value.
+  2. The witness search, unless a hit's first embedding is the only one and
+     decides. If it finds nothing after an error, that error decides: the
+     first embedding is first in matcher order.
+  3. The error search, after a failure, if the scene holds a gap object.
+     The first of its yields that hits missing data gives the error;
+     otherwise the failure decides.
 
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
@@ -168,39 +165,30 @@ def sg_comparison(
     if first is None:
         return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=_NO_EMBEDDING)
     nodes = csg.nodes
-    failure: Cause | None = None
-    error: Cause | None = None
     try:
         idx = _first_false(predicates, nodes, first.as_dict())
     except MissingAttributeError as exc:
-        error = Cause.missing_attribute(exc.ref)
+        result, cause = Result.ERROR, Cause.missing_attribute(exc.ref)
     else:
         if idx is None:
             return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=first)
-        failure = Cause.predicate_failed(idx)
-        # 2. the pushdown witness search, unless a hit's only embedding decides
-        check = None if hit and entry.only() else _pushdown_check(asg, csg, reads, due)
-        if check is not None:
-            # no evaluation can hit missing data: only the witness is open
-            witness = next(iter_embeddings(asg, csg, induced=induced, check=check), None)
-            if witness is not None:
-                return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
-            return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=failure)
-    if not entry.only():  # 3. the unpruned scan, past the first embedding
-        rest = iter_embeddings(asg, csg, induced=induced)
-        next(rest, None)  # the first embedding, evaluated above
-        for emb in rest:
+        result, cause = Result.VIOLATED, Cause.predicate_failed(idx)
+    if hit and entry.only():  # the first embedding is the only one: it decides
+        return Verdict(csg.timestamp, asg.name, result, cause=cause)
+    # 2. the witness search, on every scene
+    witness = next(iter_embeddings(
+        asg, csg, induced=induced, check=_witness_check(nodes, due)), None)
+    if witness is not None:
+        return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
+    check = _gap_check(asg, csg, reads) if result is Result.VIOLATED else None
+    if check is not None:  # 3. the error search
+        for emb in iter_embeddings(asg, csg, induced=induced, check=check):
             try:
-                idx = _first_false(predicates, nodes, emb.as_dict())
+                _first_false(predicates, nodes, emb.as_dict())
             except MissingAttributeError as exc:
-                error = error or Cause.missing_attribute(exc.ref)
-            else:
-                if idx is None:
-                    return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=emb)
-                failure = failure or Cause.predicate_failed(idx)
-    if error is not None:
-        return Verdict(csg.timestamp, asg.name, Result.ERROR, cause=error)
-    return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=failure)
+                return Verdict(csg.timestamp, asg.name, Result.ERROR,
+                               cause=Cause.missing_attribute(exc.ref))
+    return Verdict(csg.timestamp, asg.name, result, cause=cause)
 
 
 class _Embeddings:
@@ -237,15 +225,16 @@ def _first_false(
 
 _Reads = tuple[tuple[str, frozenset[str]], ...]  # attributes read, per pattern node
 _Due = dict[str, tuple[tuple[frozenset[str], Compiled], ...]]  # (pattern ids, predicate), per node
+_Check = Callable[[str, Mapping[str, str]], bool]  # a search's per-depth check
 
 
 def _property_plan(
     asg: AbstractSceneGraph, epsilon: float,
-) -> tuple[tuple[Compiled, ...], _Reads | None, _Due]:
+) -> tuple[tuple[Compiled, ...], _Reads, _Due]:
     """What checking a property needs that depends on the property alone,
     built once per epsilon and kept in `asg.plans`: the compiled predicates
-    in declaration order, their read set (None when a function's reads are
-    unknown) and the pushdown schedule. The tables are shared: read only.
+    in declaration order, their read set and the pushdown schedule. The
+    tables are shared: read only.
 
     A predicate is filed under each of its pattern nodes and becomes due
     when the last of them is mapped; one with no node refs is due at depth
@@ -255,43 +244,53 @@ def _property_plan(
     if plan is not None:  # two threads may both build it: equal plans, either kept
         return plan
     compiled = compile_predicates(asg.predicates, epsilon=epsilon)
-    reads = attribute_reads(asg.predicates)
     due: dict[str, list[tuple[frozenset[str], Compiled]]] = {}
     for pred, fn in zip(asg.predicates, compiled):
         ids = pred.pattern_ids()
         for pid in ids or (asg.ego_pattern_id,):
             due.setdefault(pid, []).append((ids, fn))
     plan = asg.plans[epsilon] = (
-        compiled, None if reads is None else tuple(reads.items()),
+        compiled, tuple(attribute_reads(asg.predicates).items()),
         {pid: tuple(v) for pid, v in due.items()})
     return plan
 
 
-def _data_complete(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> bool:
-    """Whether every candidate of every pattern node carries every
-    attribute the predicates read from that node."""
+def _witness_check(nodes: Mapping[str, SceneObject], due: _Due) -> _Check:
+    """The witness search's per-depth check: every predicate that falls due
+    holds. One that hits missing data reads as false: it is not all-true."""
+    def check(pid: str, mapping: Mapping[str, str]) -> bool:
+        try:
+            for ids, pred in due.get(pid, ()):
+                if ids <= mapping.keys() and not pred(nodes, mapping):
+                    return False
+        except MissingAttributeError:
+            return False
+        return True
+
+    return check
+
+
+def _gap_check(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> _Check | None:
+    """The error search's per-depth check, or None when the gap table is
+    empty. The table lists, per pattern node, the candidates that lack an
+    attribute the predicates read from that node. A partial mapping is kept
+    while a node in the table is mapped to one of its gap objects, or is
+    still unmapped."""
     pools, nodes = candidate_pools(asg, csg), csg.nodes
+    gaps = {}
     for pid, names in reads:
-        for oid in pools[pid]:
-            if not names <= nodes[oid].attributes.keys():
-                return False
-    return True
-
-
-def _pushdown_check(
-    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads | None, due: _Due,
-) -> Callable[[str, Mapping[str, str]], bool] | None:
-    """The search's per-depth predicate check, or None unless the scene's
-    data is complete for the property."""
-    if reads is None or not _data_complete(asg, csg, reads):
+        objs = {oid for oid in pools[pid] if not names <= nodes[oid].attributes.keys()}
+        if objs:
+            gaps[pid] = objs
+    if not gaps:
         return None
-    nodes = csg.nodes
 
     def check(pid: str, mapping: Mapping[str, str]) -> bool:
-        for ids, pred in due.get(pid, ()):
-            if ids <= mapping.keys() and not pred(nodes, mapping):
-                return False
-        return True
+        for q, objs in gaps.items():
+            oid = mapping.get(q)
+            if oid is None or oid in objs:
+                return True
+        return False
 
     return check
 

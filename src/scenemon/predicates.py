@@ -92,21 +92,16 @@ BUILTIN_FUNCTIONS = {"dist": dist}
 NODE_ARG_READS = {"dist": ("position",)}
 
 
-def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]] | None:
-    """The attributes evaluating `predicates` may read, per pattern node.
-
-    None when a predicate calls a function with no implementation here:
-    evaluating it raises, so no read set describes it.
-    """
+def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
+    """The attributes evaluating `predicates` may read, per pattern node. A
+    function with no implementation reads none: it raises first."""
     reads: dict[str, set[str]] = {}
     stack = list(predicates)
     while stack:
         expr = stack.pop()
         if isinstance(expr, AttrRef):
             reads.setdefault(expr.node_id, set()).add(expr.attr)
-        elif isinstance(expr, Call):
-            if expr.fn not in NODE_ARG_READS:
-                return None
+        elif isinstance(expr, Call) and expr.fn in NODE_ARG_READS:
             for arg in expr.args:
                 if isinstance(arg, NodeRef):
                     reads.setdefault(arg.name, set()).update(NODE_ARG_READS[expr.fn])

@@ -372,3 +372,36 @@ def test_c8_halted_ego_worst_case_latency(om):
     p50 = statistics.median(timings)
     assert p50 < 30.0, f"p50 {p50:.1f} ms"
     print(f"ACCEPTANCE C8 (400-node halted-ego scene, p50={p50:.2f}ms): PASS")
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_c8_data_gap_latency(om, which):
+    """The halted-ego scene with one non-ego `Vehicle` (the first or the last
+    in node order) lacking `position`: no embedding satisfies and one hits
+    the gap, so the verdict is an error found without enumerating every
+    embedding. With the gap on the first, the first embedding hits it."""
+    dense = build_bench_scene(400, seed=0, om=om)
+    vehicles = [oid for oid, obj in dense.nodes.items()
+                if obj.cls == "Vehicle" and oid != dense.ego_id]
+    gap = vehicles[0] if which == "first" else vehicles[-1]
+    nodes = []
+    for obj in dense.nodes.values():
+        attrs = dict(obj.attributes)
+        if obj.object_id == dense.ego_id:
+            attrs["velocity"] = 0.0
+        elif obj.object_id == gap:
+            del attrs["position"]
+        nodes.append(SceneObject(obj.object_id, obj.cls, attrs))
+    csg = make_csg(om, dense.timestamp, dense.ego_id, nodes, dense.edges)
+    asg = load_bundled_asg("P2-2", om)
+    timings = []
+    for _ in range(21):
+        start = time.perf_counter()
+        verdict = sg_comparison(asg, csg)
+        timings.append((time.perf_counter() - start) * 1000.0)
+    assert verdict.result is Result.ERROR
+    assert verdict.cause == Cause.missing_attribute("oncoming.position")
+    p50 = statistics.median(timings)
+    assert p50 < 30.0, f"p50 {p50:.1f} ms"
+    print(f"ACCEPTANCE C8 (400-node halted-ego scene, gap on the {which} Vehicle, "
+          f"p50={p50:.2f}ms): PASS")

@@ -7,7 +7,9 @@ from scenemon import (
     load_asg,
     load_bundled_asg,
     parse_asg,
+    parse_object_model,
     serialize_asg,
+    serialize_object_model,
 )
 
 BUNDLED = ("obstacle-ahead", "P1-1", "P1-2", "P1-3",
@@ -158,6 +160,17 @@ def test_ordering_on_bool_rejected(om):
 def test_vec2_equality_rejected(om):
     with pytest.raises(SpecTypeError):
         _expr_asg(om, "ego.position == other.position")
+
+
+def test_function_without_implementation_located(om):
+    """A function the object model declares but the monitor cannot evaluate
+    is rejected when the property is parsed, not when a scene reaches it."""
+    heading_om = parse_object_model(serialize_object_model(om) + "fn heading(node) -> Real;\n")
+    text = 'asg "r" {\n  node ego: Vehicle;\n  ego ego;\n  assert heading(ego) > 0;\n}'
+    with pytest.raises(SpecTypeError) as err:
+        parse_asg(text, heading_om)
+    assert str(err.value) == "4:10: function 'heading' has no implementation"
+    assert (err.value.line, err.value.column) == (4, 10)
 
 
 def test_unknown_attribute_names_class(om):

@@ -35,6 +35,7 @@ from scenemon import (
     verdict_record,
 )
 from scenemon.monitor import _ENCODER, reference_verdict
+from scenemon.predicates import attribute_reads
 
 
 # -- single-scene verdicts -------------------------------------------------
@@ -176,7 +177,7 @@ def test_pushdown_keeps_first_embedding_cause(om):
 
 
 def test_pushdown_falls_back_on_a_later_data_gap(om):
-    # a0 fails ego.velocity > 0; b1 has no position, so the unpruned scan
+    # a0 fails ego.velocity > 0; b1 has no position, so the error search
     # reaches the gap, which a search pruned at depth 0 would never see
     csg = _halted(om, [("a0", _obstacle_at(10.0)), ("b1", {"velocity": 0.0})])
     v = sg_comparison(load_bundled_asg("P2-1", om), csg)
@@ -721,6 +722,61 @@ def test_memo_hits_keep_the_verdict_rules(om, ahead_asg, name, specs, ego_speed)
     expected = reference_verdict(asg, csg)
     assert sg_comparison(asg, csg) == expected
     assert list(monitor_stream([asg], [csg] * 3)) == [expected] * 3
+
+
+def _with_gap(rng, asg, csg):
+    """`csg` with one attribute that `asg` reads from a pattern node removed
+    from a class-compatible non-ego object, or None if no object has one."""
+    sites = [(oid, name)
+             for pid, names in sorted(attribute_reads(asg.predicates).items())
+             if pid != asg.ego_pattern_id
+             for oid, obj in sorted(csg.nodes.items())
+             if oid != csg.ego_id and csg.om.is_subclass(obj.cls, asg.pattern_nodes[pid])
+             for name in sorted(names & obj.attributes.keys())]
+    if not sites:
+        return None
+    oid, name = rng.choice(sites)
+    nodes = [SceneObject(o.object_id, o.cls,
+                         {k: v for k, v in o.attributes.items()
+                          if (o.object_id, k) != (oid, name)})
+             for o in csg.nodes.values()]
+    return make_csg(csg.om, csg.timestamp, csg.ego_id, nodes, csg.edges)
+
+
+def test_error_search_matches_the_reference_verdict(om, monkeypatch):
+    """Random scenes with an attribute the property reads taken from a
+    non-ego object, checked by direct call and as a memo miss then two hits,
+    equal the verdicts rebuilt from the exhaustive matcher. The error search
+    is the second checked search of a check; it must run often, and both
+    find an error and come out `violated` although a gap exists."""
+    from randscene import random_instance
+
+    built, _ = _recording_searches(monkeypatch)
+    rng = random.Random(2026)
+    paths = dict.fromkeys(("error search", "error found by the error search",
+                           "violated although a gap exists"), 0)
+    for _ in range(1000):
+        asg, csg = random_instance(rng, om, edge_p=rng.choice((0.3, 0.9)))
+        csg = _with_gap(rng, asg, csg)
+        if csg is None:
+            continue
+        for epsilon, induced in itertools.product((0.0, 0.5), (False, True)):
+            kwargs = {"epsilon": epsilon, "induced": induced}
+            expected = reference_verdict(asg, csg, **kwargs)
+            built.clear()
+            got = []
+            for v in itertools.chain([sg_comparison(asg, csg, **kwargs)],
+                                     monitor_stream([asg], [csg] * 3, **kwargs)):
+                got.append(v)
+                if sum(check is not None for check in built) == 2:
+                    paths["error search"] += 1
+                    paths["error found by the error search"] += expected.result is Result.ERROR
+                    paths["violated although a gap exists"] += (
+                        expected.result is Result.VIOLATED)
+                built.clear()
+            assert got == [expected] * 4
+    assert paths["error search"] >= 50, paths
+    assert min(paths.values()) >= 10, paths
 
 
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
