@@ -362,6 +362,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                                   induced=args.induced)
         # monitor_stream yields a scene's verdicts before it reads the next
         phase = None  # the automaton's index, written into each verdict line
+        violated, error = Result.VIOLATED, Result.ERROR  # locals: no Enum lookup per verdict
         for row in zip(*[verdicts] * len(asgs)):
             if automaton is not None:
                 automaton = automaton.step({v.property_name: v for v in row})
@@ -374,8 +375,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 # a phase property being unsatisfied off-phase is expected;
                 # the automaton decides whether the sequence was violated
                 if verdict.property_name not in phase_names:
-                    any_violated |= verdict.result is Result.VIOLATED
-                any_error |= verdict.result is Result.ERROR
+                    any_violated |= verdict.result is violated
+                any_error |= verdict.result is error
     if automaton is not None:
         any_violated |= automaton.violations > 0
         gaps = f"gaps={automaton.gaps} " if automaton.gaps else ""

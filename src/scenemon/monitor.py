@@ -34,10 +34,12 @@ one when a scene's topology differs from the previous scene's (along a
 run that `read_scene_stream` parsed, an identity test). A direct call has
 no memo; no scene is written. The memo dies with the stream. An entry
 (`_Embeddings`) holds the property, so its id, the key, is not reused
-while the entry lives, and the first embedding or None. It learns on
-demand whether that is the only embedding: it keeps the search that found
-the first one until a check asks, then pulls one more embedding from it
-and keeps the answer in its place.
+while the entry lives, and the first embedding or None, with that
+embedding's pattern id -> object id mapping, built once per topology for
+every scene of the run to evaluate. It learns on demand whether that is
+the only embedding: it keeps the search that found the first one until a
+check asks, then pulls one more embedding from it and keeps the answer in
+its place.
 
 A check runs three stages:
   1. The first embedding. A hit looks its entry up; a miss builds one and
@@ -54,9 +56,10 @@ A check runs three stages:
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
 compiled predicates (`predicates.compile_predicates`), the attributes they
-read per pattern node, and the pushdown schedule of which predicates fall
-due when a pattern node is mapped. Per scene, only the search and the
-evaluations remain.
+read per pattern node, the pushdown schedule of which predicates fall
+due when a pattern node is mapped, and each predicate's `predicate_failed`
+cause, shared by every verdict that reports it. Per scene, only the
+search, the evaluations and the verdict remain.
 
 `monitor_stream` applies a list of properties to a time-ordered scene
 stream, yielding per-scene verdicts in (scene order, property order) before
@@ -114,6 +117,9 @@ class Cause:
 
 
 _NO_EMBEDDING = Cause(CauseKind.NO_EMBEDDING)  # frozen: one serves every verdict
+# the members as module constants: a global read is cheaper than an Enum
+# class-attribute lookup, on every verdict
+_SATISFIED, _VIOLATED, _ERROR = Result.SATISFIED, Result.VIOLATED, Result.ERROR
 
 
 @dataclass(frozen=True, init=False)
@@ -135,7 +141,7 @@ class Verdict:
 
     @property
     def satisfied(self) -> bool:
-        return self.result is Result.SATISFIED
+        return self.result is _SATISFIED
 
 
 def sg_comparison(
@@ -151,7 +157,7 @@ def sg_comparison(
     a miss files its `_Embeddings` there. None searches from scratch."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
-    predicates, reads, due = _property_plan(asg, epsilon)
+    predicates, reads, due, causes = asg.plans.get(epsilon) or _property_plan(asg, epsilon)
     # 1. the first embedding, from the memo's entry or a new one
     entry = None if memo is None else memo.get(id(asg))
     hit = entry is not None
@@ -163,45 +169,50 @@ def sg_comparison(
             memo[id(asg)] = entry
     first = entry.first
     if first is None:
-        return Verdict(csg.timestamp, asg.name, Result.VIOLATED, cause=_NO_EMBEDDING)
+        return Verdict(csg.timestamp, asg.name, _VIOLATED, cause=_NO_EMBEDDING)
     nodes = csg.nodes
     try:
-        idx = _first_false(predicates, nodes, first.as_dict())
+        idx = _first_false(predicates, nodes, entry.mapping)
     except MissingAttributeError as exc:
-        result, cause = Result.ERROR, Cause.missing_attribute(exc.ref)
+        result, cause = _ERROR, Cause.missing_attribute(exc.ref)
     else:
         if idx is None:
-            return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=first)
-        result, cause = Result.VIOLATED, Cause.predicate_failed(idx)
+            return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=first)
+        # the plan's shared cause; an index past it can only come from a
+        # replaced `_first_false`, and is reported as given
+        cause = causes[idx] if idx < len(causes) else Cause.predicate_failed(idx)
+        result = _VIOLATED
     if hit and entry.only():  # the first embedding is the only one: it decides
         return Verdict(csg.timestamp, asg.name, result, cause=cause)
     # 2. the witness search, on every scene
     witness = next(iter_embeddings(
         asg, csg, induced=induced, check=_witness_check(nodes, due)), None)
     if witness is not None:
-        return Verdict(csg.timestamp, asg.name, Result.SATISFIED, witness=witness)
-    check = _gap_check(asg, csg, reads) if result is Result.VIOLATED else None
+        return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=witness)
+    check = _gap_check(asg, csg, reads) if result is _VIOLATED else None
     if check is not None:  # 3. the error search
         for emb in iter_embeddings(asg, csg, induced=induced, check=check):
             try:
                 _first_false(predicates, nodes, emb.as_dict())
             except MissingAttributeError as exc:
-                return Verdict(csg.timestamp, asg.name, Result.ERROR,
+                return Verdict(csg.timestamp, asg.name, _ERROR,
                                cause=Cause.missing_attribute(exc.ref))
     return Verdict(csg.timestamp, asg.name, result, cause=cause)
 
 
 class _Embeddings:
     """A property's embeddings into one topology, as far as checks need
-    them: the first in matcher order, or None, and whether it is the only
-    one. `asg` is held so that the memo key, its id, stays its own."""
+    them: the first in matcher order, or None, with its pattern id ->
+    object id mapping, and whether it is the only one. `asg` is held so
+    that the memo key, its id, stays its own."""
 
-    __slots__ = ("asg", "first", "_rest")
+    __slots__ = ("asg", "first", "mapping", "_rest")
 
     def __init__(self, asg: AbstractSceneGraph, csg: ConcreteSceneGraph, induced: bool) -> None:
         self.asg = asg
         self._rest: Iterator[Embedding] | bool = iter_embeddings(asg, csg, induced=induced)
         self.first = next(self._rest, None)
+        self.mapping = None if self.first is None else self.first.as_dict()  # read only
 
     def only(self) -> bool:
         """Whether `first` is the topology's only embedding. The first call
@@ -230,19 +241,19 @@ _Check = Callable[[str, Mapping[str, str]], bool]  # a search's per-depth check
 
 def _property_plan(
     asg: AbstractSceneGraph, epsilon: float,
-) -> tuple[tuple[Compiled, ...], _Reads, _Due]:
+) -> tuple[tuple[Compiled, ...], _Reads, _Due, tuple[Cause, ...]]:
     """What checking a property needs that depends on the property alone,
-    built once per epsilon and kept in `asg.plans`: the compiled predicates
-    in declaration order, their read set and the pushdown schedule. The
-    tables are shared: read only.
+    built for one epsilon and kept in `asg.plans`, where checks look it up
+    before they call this: the compiled predicates in declaration order,
+    their read set, the pushdown schedule, and the `predicate_failed` cause
+    of each predicate, shared by every verdict as `_NO_EMBEDDING` is. The
+    tables are shared: read only. Two threads may both build a plan: the
+    plans are equal, and either is kept.
 
     A predicate is filed under each of its pattern nodes and becomes due
     when the last of them is mapped; one with no node refs is due at depth
     0, where the ego is mapped.
     """
-    plan = asg.plans.get(epsilon)
-    if plan is not None:  # two threads may both build it: equal plans, either kept
-        return plan
     compiled = compile_predicates(asg.predicates, epsilon=epsilon)
     due: dict[str, list[tuple[frozenset[str], Compiled]]] = {}
     for pred, fn in zip(asg.predicates, compiled):
@@ -251,7 +262,8 @@ def _property_plan(
             due.setdefault(pid, []).append((ids, fn))
     plan = asg.plans[epsilon] = (
         compiled, tuple(attribute_reads(asg.predicates).items()),
-        {pid: tuple(v) for pid, v in due.items()})
+        {pid: tuple(v) for pid, v in due.items()},
+        tuple(Cause.predicate_failed(i) for i in range(len(compiled))))
     return plan
 
 
@@ -409,7 +421,7 @@ class PhaseAutomaton:
         if nxt is not None and nxt.satisfied:
             new_index += 1
         elif not current.satisfied:
-            if current.result is Result.ERROR or nxt is not None and nxt.result is Result.ERROR:
+            if current.result is _ERROR or nxt is not None and nxt.result is _ERROR:
                 gaps += 1
             else:
                 violations += 1
@@ -417,7 +429,11 @@ class PhaseAutomaton:
         dwell[new_index] += 1
         completed = self.completed or (
             new_index == len(self.phases) - 1 and verdict_for(self.phases[new_index]).satisfied)
-        return PhaseAutomaton(self.phases, new_index, tuple(dwell), completed, violations, gaps)
+        # one dict update, as Verdict.__init__; `self` passed __post_init__'s checks
+        successor = object.__new__(PhaseAutomaton)
+        successor.__dict__.update(phases=self.phases, index=new_index, dwell=tuple(dwell),
+                                  completed=completed, violations=violations, gaps=gaps)
+        return successor
 
 
 # -- verdict records -------------------------------------------------------

@@ -22,7 +22,13 @@ mapping, so nothing is copied per embedding; the monitor uses that form.
 `bind` plus `evaluate` interpret the syntax tree over a snapshot of the
 matched objects. They are the reference that tests and the benchmark
 check the compiled form against, as the exhaustive matcher is for the
-search. Both share `_compare`, `BUILTIN_FUNCTIONS` and the interval rule.
+search. Both share `BUILTIN_FUNCTIONS` and the interval rule.
+
+Comparison operators are resolved at lowering: a compiled comparison holds
+its operator's rule from `_NUMERIC_RULES` and applies it directly when both
+operands are floats. Any other operand goes to `_compare`, which the
+interpreter always uses: it is both the fallback and the reference the
+table is tested against.
 """
 from __future__ import annotations
 
@@ -112,6 +118,18 @@ def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
         elif isinstance(expr, InInterval):
             stack += (expr.value, expr.lo, expr.hi)
     return {pid: frozenset(names) for pid, names in reads.items()}
+
+
+# The numeric rule of each comparison operator, on two floats and epsilon,
+# as `_compare` applies it
+_NUMERIC_RULES: dict[str, Callable[[float, float, float], bool]] = {
+    "==": lambda a, b, epsilon: abs(a - b) <= epsilon,
+    "!=": lambda a, b, epsilon: abs(a - b) > epsilon,
+    "<": lambda a, b, epsilon: a < b + epsilon,
+    "<=": lambda a, b, epsilon: a <= b + epsilon,
+    ">": lambda a, b, epsilon: a > b - epsilon,
+    ">=": lambda a, b, epsilon: a >= b - epsilon,
+}
 
 
 def _compare(op: str, left: object, right: object, epsilon: float) -> bool:
@@ -241,8 +259,14 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
         return call
     if isinstance(expr, Compare):
         op, left, right = expr.op, _lower(expr.left, epsilon), _lower(expr.right, epsilon)
-        return lambda nodes, mapping: _compare(
-            op, left(nodes, mapping), right(nodes, mapping), epsilon)
+        rule = _NUMERIC_RULES.get(op)
+
+        def compare(nodes, mapping):
+            a, b = left(nodes, mapping), right(nodes, mapping)
+            if a.__class__ is float and b.__class__ is float and rule is not None:
+                return rule(a, b, epsilon)
+            return _compare(op, a, b, epsilon)
+        return compare
     if isinstance(expr, InInterval):
         x_of, lo_of, hi_of = (_lower(e, epsilon) for e in (expr.value, expr.lo, expr.hi))
         lo_closed, hi_closed = expr.lo_closed, expr.hi_closed
@@ -270,5 +294,8 @@ def _lower_node_arg(pid: str) -> Compiled:
     def node(nodes, mapping):
         oid = mapping[pid]
         obj = nodes[oid]
-        return BoundObject(pid, oid, obj.cls, obj.attributes)
+        bound = object.__new__(BoundObject)  # one dict update, as scene_graph._new_object
+        bound.__dict__.update(pattern_id=pid, object_id=oid, cls=obj.cls,
+                              attributes=obj.attributes)
+        return bound
     return node

@@ -443,8 +443,9 @@ def parse_csg(
             zip(map(_ID, raw_nodes), map(_CLASS, raw_nodes), map(_ATTRS, raw_nodes)),
             (map(_SRC, raw_edges), map(_REL, raw_edges), map(_DST, raw_edges)),
             map(_EDGE_FIELDS, raw_edges))
-    except (SceneValidationError, KeyError, TypeError):
-        # entry by entry: the first malformed one is the error to report
+    except (SceneValidationError, KeyError, TypeError, AttributeError):
+        # entry by entry: the first malformed one is the error to report;
+        # AttributeError comes from a node entry with no `get`
         for item in raw_nodes:
             # the dict test first: it is cheap and passes every decoded object
             if (not (isinstance(item, dict) or isinstance(item, Mapping))

@@ -137,8 +137,9 @@ def test_failure_cause_comes_from_first_failing_embedding(om, ahead_asg):
 def test_a_later_failure_does_not_replace_the_first_on_incomplete_data(om, ahead_asg):
     # obs_a fails predicate 0 and obs_b, later in matcher order, fails 1.
     # obs_c has no velocity and is not in front of the ego: no embedding
-    # maps it, but the data is incomplete, so no pushdown runs and every
-    # embedding is evaluated. The second scene is a memo hit.
+    # maps it, but it is a gap object, so after the witness search finds
+    # nothing the error search runs, finds no embedding, and the first
+    # failure decides. The second scene is a memo hit.
     base = _multi_obstacle_scene(om, [
         ("obs_a", {"velocity": 1.0, "position": (10.0, 0.0)}),
         ("obs_b", {"velocity": 0.0, "position": (50.0, 0.0)}),
@@ -489,13 +490,15 @@ def test_stream_reuse_follows_a_topology_change_mid_run(om, monkeypatch, scenari
     import scenemon.monitor
 
     trace = _mutated_trace(om, scenario, MUTATIONS[mutation])
-    before, first, last, after = (trace[i] for i in (
-        MUTATED[0] - 1, MUTATED[0], MUTATED[-1], MUTATED[-1] + 1))
+    before, first, after = (trace[i] for i in (MUTATED[0] - 1, MUTATED[0], MUTATED[-1] + 1))
     assert _topology(before) == _topology(after)
     assert (_topology(before) == _topology(first)) == (mutation == "position_lost")
     asgs = _properties(om)
     expected = _fresh_verdicts(om, asgs, trace, induced=induced)
-    unchecked = []  # the scenes an unpruned search started on
+    unmutated = _fresh_verdicts(om, asgs, generate_trace(builtin_script(scenario), om),
+                                induced=induced)
+    assert expected != unmutated
+    unchecked = []  # the scenes an unpruned search started on, in the stream alone
     search = scenemon.monitor.iter_embeddings
 
     def recording(asg, csg, **kwargs):
@@ -505,12 +508,14 @@ def test_stream_reuse_follows_a_topology_change_mid_run(om, monkeypatch, scenari
 
     monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
     assert list(monitor_stream(asgs, trace, induced=induced)) == expected
-    unmutated = _fresh_verdicts(om, asgs, generate_trace(builtin_script(scenario), om),
-                                induced=induced)
-    assert expected != unmutated
-    if mutation == "position_lost":  # a reused first embedding hit the gap: a second search ran
-        assert {first.timestamp, last.timestamp} <= set(unchecked)
+    around = {t for t in unchecked if before.timestamp <= t <= after.timestamp}
+    if mutation == "position_lost":
+        # the topology is kept, so every first embedding is reused; the gap
+        # is found by checked searches alone
+        assert around == set()
         assert any(v.result is Result.ERROR for v in expected)
+    else:  # a new topology at the first mutated scene, the old one back after the last
+        assert around == {first.timestamp, after.timestamp}
 
 
 @pytest.mark.parametrize("scenario", ["P1", "P2"])

@@ -1,10 +1,12 @@
 """Exact-boundary and epsilon semantics for predicate evaluation."""
 
+import math
 import random
 
 import pytest
 
 from scenemon import (
+    Binding,
     MissingAttributeError,
     SceneMonError,
     SceneObject,
@@ -16,7 +18,7 @@ from scenemon import (
     parse_asg,
     sg_comparison,
 )
-from scenemon.dsl import And, AttrRef, Call, Compare, NodeRef, NumberLit, StringLit
+from scenemon.dsl import And, AttrRef, BoolLit, Call, Compare, NodeRef, NumberLit, StringLit
 
 from randscene import random_instance
 
@@ -286,3 +288,52 @@ def test_compiled_predicates_match_the_interpreter_off_the_grammar(om, pred):
     compiled = compile_predicates((pred,))  # compiling never raises
     assert len(compiled) == 1
     assert _compiled((pred,), emb, csg, 0.0) == _reference((pred,), emb, csg, 0.0)
+
+
+# -- the compiled comparison rules against `_compare` ------------------------
+
+
+def _float_operands():
+    """(left, right) float pairs at, one step below and one step above each
+    threshold where a rule can flip, at epsilon 0 and 0.5."""
+    for right in (3.0, 0.1, -2.5):
+        for threshold in (right, right - 0.5, right + 0.5):
+            for left in (threshold, math.nextafter(threshold, -math.inf),
+                         math.nextafter(threshold, math.inf)):
+                yield left, right
+                yield right, left
+
+
+_MIXED_OPERANDS = [(2, 2.0), (3, 2.5), (2.0, 3), (True, 1.0), (0.0, False),
+                   ("a", "a"), ("a", "b"), (True, True), (True, False)]
+
+
+def _literal(value):
+    cls = {bool: BoolLit, str: StringLit}.get(type(value), NumberLit)
+    return _ast(cls, value)
+
+
+def _outcome_or_error(run):
+    try:
+        return run()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def test_compiled_comparisons_match_the_interpreter_for_every_operand_type(op):
+    """The operator rule a comparison is lowered to, for two floats, and
+    `_compare` for any other operands, against the interpreter."""
+    outcomes = []
+    for left, right in [*_float_operands(), *_MIXED_OPERANDS]:
+        pred = _ast(Compare, op, _literal(left), _literal(right))
+        for epsilon in (0.0, 0.5):
+            (compiled,) = compile_predicates((pred,), epsilon=epsilon)
+            got = _outcome_or_error(lambda: compiled({}, {}))
+            want = _outcome_or_error(
+                lambda: evaluate((pred,), Binding({}), epsilon=epsilon)[0])
+            assert got == want, (left, right, epsilon)
+            outcomes.append(want)
+    assert True in outcomes and False in outcomes
+    # ordering strings or bools raises, whichever form evaluates it
+    assert any(isinstance(o, tuple) for o in outcomes) == (op not in ("==", "!="))

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import random
+import re
 import types
 import typing
 import weakref
@@ -22,9 +23,11 @@ from scenemon import (
     make_csg,
     overtake_script,
     parse_csg,
+    parse_object_model,
     pull_out_script,
     read_scene_stream,
     scene_record,
+    serialize_object_model,
     serialize_scene,
     validate_asg,
 )
@@ -167,6 +170,57 @@ def test_attribute_value_types_checked(om):
     # bool is not a Real
     with pytest.raises(SceneValidationError):
         make_csg(om, 0.0, "ego", _nodes([("ego", "Vehicle", {"velocity": True})]), [])
+
+
+_TYPED_OM = ('class Signal extends TrafficEnvironment {\n'
+             '  count: Int;\n  lit: Bool;\n  label: String;\n}\n')
+
+
+@pytest.fixture(scope="module")
+def typed_om(om):
+    """The default model with a class carrying Int, Bool and String attributes."""
+    return parse_object_model(serialize_object_model(om) + _TYPED_OM)
+
+
+def _signal_record(attrs):
+    return {"t": 0.0, "ego": "ego", "edges": [],
+            "nodes": [{"id": "ego", "class": "Vehicle", "attrs": {}},
+                      {"id": "sig", "class": "Signal", "attrs": attrs}]}
+
+
+@pytest.mark.parametrize("attrs", [
+    {"count": 3, "lit": True, "label": "red"},
+    {"count": -(10**20), "lit": False, "label": ""},
+    {"count": 0},
+])
+def test_int_bool_and_string_attributes_are_kept_as_given(typed_om, attrs):
+    record = _signal_record(attrs)
+    nodes = [SceneObject("ego", "Vehicle", {}), SceneObject("sig", "Signal", attrs)]
+    line = json.dumps(record)
+    for csg in (make_csg(typed_om, 0.0, "ego", nodes, []), parse_csg(record, typed_om),
+                *read_scene_stream([line, line], typed_om)):
+        got = csg.nodes["sig"].attributes
+        assert [(type(v), v) for v in got.values()] == [(type(v), v) for v in attrs.values()]
+
+
+@pytest.mark.parametrize("name,value,expects", [
+    ("count", True, "Int"), ("count", 2.0, "Int"),
+    ("lit", 1, "Bool"), ("label", 3, "String"),
+])
+def test_int_bool_and_string_attributes_reject_other_types(typed_om, name, value, expects):
+    message = f"attribute {name} expects {expects}, got {value!r}"
+    record = _signal_record({name: value})
+    nodes = [SceneObject("ego", "Vehicle", {}), SceneObject("sig", "Signal", {name: value})]
+    with pytest.raises(SceneValidationError, match=f"^{re.escape(message)}$"):
+        make_csg(typed_om, 0.0, "ego", nodes, [])
+    with pytest.raises(SceneValidationError, match=f"^{re.escape(message)}$"):
+        parse_csg(record, typed_om)
+    # alone, and after a line of the same topology, whose scene it reuses
+    good = json.dumps(_signal_record({}))
+    for lines, lineno in (([json.dumps(record)], 1), ([good, json.dumps(record)], 2)):
+        with pytest.raises(SceneValidationError,
+                           match=f"^line {lineno}: {re.escape(message)}$"):
+            list(read_scene_stream(lines, typed_om))
 
 
 def test_disallowed_edge_rejected(om):
@@ -533,6 +587,26 @@ def test_non_dict_mappings_are_ingested_like_dicts(om, scene_factory):
     proxied = types.MappingProxyType(proxied)
     assert _ingest(proxied, om) == _ingest(record, om) == _reference_ingest(record, om)
     assert parse_csg(proxied, om).class_index == parse_csg(record, om).class_index
+
+
+class _GetlessEntry:
+    """A node entry that can be indexed but is not a Mapping: it has no `get`."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def __getitem__(self, key):
+        return self.fields[key]
+
+    def __repr__(self):
+        return f"_GetlessEntry({self.fields!r})"
+
+
+def test_a_node_entry_without_get_is_a_malformed_entry(om):
+    entry = _GetlessEntry({"id": "ego", "class": "Vehicle"})
+    record = {"t": 0.0, "ego": "ego", "nodes": [entry], "edges": []}
+    with pytest.raises(SceneValidationError, match=re.escape(f"malformed node entry: {entry!r}")):
+        parse_csg(record, om)
 
 
 # -- the bulk edge path and its located fallback ----------------------------
