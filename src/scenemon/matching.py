@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
@@ -74,6 +76,15 @@ class Embedding:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
+
+    @cached_property
+    def json_text(self) -> str:
+        """`as_dict()` as JSON object text, `{"ego": "e1", ...}`, each id
+        escaped as `json` escapes strings for ASCII output. Rendered on first
+        use and kept in the instance dict, so a witness that many verdicts
+        share renders once. A non-string id raises TypeError."""
+        return "{" + ", ".join(
+            [f"{_quote(pid)}: {_quote(oid)}" for pid, oid in self.as_dict().items()]) + "}"
 
     def __getitem__(self, pattern_id: str) -> str:
         for pid, oid in self.mapping:

@@ -61,6 +61,13 @@ due when a pattern node is mapped, and each predicate's `predicate_failed`
 cause, shared by every verdict that reports it. Per scene, only the
 search, the evaluations and the verdict remain.
 
+A verdict line is written from fragments rendered once per shared object:
+each `Cause` caches its cause field (`Cause.json_field`) and each
+`Embedding` its JSON object text (`Embedding.json_text`). A plan's causes
+and `_NO_EMBEDDING` serve every verdict that reports them, and a memo
+entry's first embedding is the witness of every scene of its run that it
+satisfies, so their text is rendered once, not once a line.
+
 `monitor_stream` applies a list of properties to a time-ordered scene
 stream, yielding per-scene verdicts in (scene order, property order) before
 the next scene is consumed. `PhaseAutomaton` layers maneuver-sequence
@@ -75,6 +82,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -114,6 +122,20 @@ class Cause:
     @staticmethod
     def missing_attribute(ref: str) -> "Cause":
         return Cause(CauseKind.MISSING_ATTRIBUTE, ref=ref)
+
+    @cached_property
+    def json_field(self) -> str:
+        """The verdict line's cause field, `, "cause": {...}`, rendered on
+        first use and kept in the instance dict, so a shared cause renders
+        once. `serialize_verdict` reads it only after its type guard has
+        checked `kind` and `index`; a `ref` that is not a string raises
+        TypeError and caches nothing."""
+        text = f', "cause": {{"kind": "{self.kind.value}"'
+        if self.index is not None:
+            text += f', "index": {self.index!r}'
+        if self.ref is not None:
+            text += f', "ref": {_quote(self.ref)}'
+        return text + "}"
 
 
 _NO_EMBEDDING = Cause(CauseKind.NO_EMBEDDING)  # frozen: one serves every verdict
@@ -388,6 +410,9 @@ class PhaseAutomaton:
     gap leaves the scene inconclusive, like LTL3's "?" verdict, and never
     reads as a violation. The phase index never decreases and never skips.
     `completed` latches once the final phase is satisfied while current.
+    A state `step` could not take raises ValueError when constructed: no
+    phases, repeated phase names, an index that is not an int in range, or
+    a given `dwell` without one count per phase.
     """
 
     phases: tuple[str, ...]
@@ -398,40 +423,49 @@ class PhaseAutomaton:
     gaps: int = 0
 
     def __post_init__(self) -> None:
-        if not self.phases:
+        n = len(self.phases)
+        if not n:
             raise ValueError("phase automaton needs at least one phase")
+        if len(set(self.phases)) != n:
+            raise ValueError(f"phase names must be unique, got {self.phases!r}")
+        if not (isinstance(self.index, int) and 0 <= self.index < n):
+            raise ValueError(f"phase index {self.index!r} is not an int in 0..{n - 1}")
         if not self.dwell:
-            object.__setattr__(self, "dwell", (0,) * len(self.phases))
+            object.__setattr__(self, "dwell", (0,) * n)
+        elif len(self.dwell) != n:
+            raise ValueError(f"dwell {self.dwell!r} needs one count per phase, {n}")
 
     @property
     def current_phase(self) -> str:
         return self.phases[self.index]
 
     def step(self, verdicts: Mapping[str, Verdict]) -> "PhaseAutomaton":
-        def verdict_for(name: str) -> Verdict:
-            if name not in verdicts:
-                raise ValueError(f"no verdict provided for phase {name!r}")
-            return verdicts[name]
-
-        current = verdict_for(self.phases[self.index])
-        nxt = None
-        if self.index + 1 < len(self.phases):
-            nxt = verdict_for(self.phases[self.index + 1])
-        new_index, violations, gaps = self.index, self.violations, self.gaps
+        phases, index, completed = self.phases, self.index, self.completed
+        last = len(phases) - 1
+        name = phases[index]
+        try:  # one lookup per verdict
+            current = verdicts[name]
+            nxt = None
+            if index < last:
+                name = phases[index + 1]
+                nxt = verdicts[name]
+        except KeyError:
+            raise ValueError(f"no verdict provided for phase {name!r}") from None
+        violations, gaps = self.violations, self.gaps
         if nxt is not None and nxt.satisfied:
-            new_index += 1
-        elif not current.satisfied:
-            if current.result is _ERROR or nxt is not None and nxt.result is _ERROR:
-                gaps += 1
-            else:
-                violations += 1
+            index += 1
+            completed = completed or index == last
+        elif current.satisfied:
+            completed = completed or index == last
+        elif current.result is _ERROR or nxt is not None and nxt.result is _ERROR:
+            gaps += 1
+        else:
+            violations += 1
         dwell = list(self.dwell)
-        dwell[new_index] += 1
-        completed = self.completed or (
-            new_index == len(self.phases) - 1 and verdict_for(self.phases[new_index]).satisfied)
+        dwell[index] += 1
         # one dict update, as Verdict.__init__; `self` passed __post_init__'s checks
         successor = object.__new__(PhaseAutomaton)
-        successor.__dict__.update(phases=self.phases, index=new_index, dwell=tuple(dwell),
+        successor.__dict__.update(phases=phases, index=index, dwell=tuple(dwell),
                                   completed=completed, violations=violations, gaps=gaps)
         return successor
 
@@ -458,7 +492,6 @@ def verdict_record(v: Verdict) -> dict:
 
 _ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
 _RESULT_FIELDS = {r: f', "result": "{r.value}"' for r in Result}
-_CAUSE_FIELDS = {k: f', "cause": {{"kind": "{k.value}"' for k in CauseKind}
 
 
 _KEEP = object()  # serialize_verdict writes the verdict's own phase index
@@ -472,14 +505,19 @@ def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
     from a fixed template in the record's field order instead: strings are
     escaped as that encoder escapes them, a finite float timestamp and an
     exact int index are written with their repr, and each result and cause
-    kind is a literal. Any other value (a timestamp that is not a finite
-    float, a number that is not an exact int, a result or kind that is not
-    the enum, a string field holding a non-string) goes to the reference, so
-    every verdict gives the reference's bytes or raises its exception.
+    kind is a literal. The witness and cause fields are fragments cached on
+    the shared objects (`Embedding.json_text`, `Cause.json_field`), so a
+    memo entry's witness and a plan's cause render once, not once a line.
+    Any other value (a timestamp that is not a finite float, a number that
+    is not an exact int, a result or kind that is not the enum, a witness or
+    cause of another type, a string field holding a non-string) goes to the
+    reference, so every verdict gives the reference's bytes or raises its
+    exception. The reference reads no cache.
     """
-    t, result, cause = v.timestamp, v.result, v.cause
+    t, result, witness, cause = v.timestamp, v.result, v.witness, v.cause
     phase = v.phase_index if phase_index is _KEEP else phase_index
     if (type(t) is not float or not -math.inf < t < math.inf or type(result) is not Result
+            or witness is not None and type(witness) is not Embedding
             or cause is not None and (
                 type(cause) is not Cause or type(cause.kind) is not CauseKind
                 or cause.index is not None and type(cause.index) is not int)
@@ -487,18 +525,11 @@ def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
         return _reference_line(v, phase)
     try:
         line = f'{{"t": {t!r}, "property": {_quote(v.property_name)}{_RESULT_FIELDS[result]}'
-        if v.witness is not None:
-            pairs = {pid: oid for pid, oid in v.witness.mapping}  # as verdict_record
-            line += ', "witness": {' + ", ".join(
-                [f"{_quote(pid)}: {_quote(oid)}" for pid, oid in pairs.items()]) + "}"
+        if witness is not None:
+            line += ', "witness": ' + witness.json_text
         if cause is not None:
-            line += _CAUSE_FIELDS[cause.kind]
-            if cause.index is not None:
-                line += f', "index": {cause.index!r}'
-            if cause.ref is not None:
-                line += f', "ref": {_quote(cause.ref)}'
-            line += "}"
-    except TypeError:  # a string field holding something else
+            line += cause.json_field
+    except (TypeError, ValueError):  # a field the template cannot write: the reference decides
         return _reference_line(v, phase)
     if phase is not None:
         line += f', "phase_index": {phase!r}'

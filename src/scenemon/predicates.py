@@ -24,10 +24,21 @@ matched objects. They are the reference that tests and the benchmark
 check the compiled form against, as the exhaustive matcher is for the
 search. Both share `BUILTIN_FUNCTIONS` and the interval rule.
 
-Comparison operators are resolved at lowering: a compiled comparison holds
-its operator's rule from `_NUMERIC_RULES` and applies it directly when both
-operands are floats. Any other operand goes to `_compare`, which the
-interpreter always uses: it is both the fallback and the reference the
+Builtin functions take attribute values, not objects. A pattern-node
+argument is replaced by the values of the attributes `NODE_ARG_READS`
+declares for the function, read in argument order, so `dist(ego, rear)`
+receives `ego.position` and `rear.position`, and a missing one raises
+MissingAttributeError for the first argument first. The interpreter reads
+them through `BoundObject.attribute`, the compiled form through the same
+closure an `AttrRef` lowers to.
+
+Lowering does once what depends on the predicate alone. A call holds its
+builtin's implementation; a function with none lowers to a closure that
+raises the interpreter's SceneMonError when evaluated, so compiling never
+raises. A comparison holds its operator's rule from `_NUMERIC_RULES` and
+applies it directly when both operands are floats, and a number literal
+operand is held as its value. Any other operand goes to `_compare`, which
+the interpreter always uses: it is both the fallback and the reference the
 table is tested against.
 """
 from __future__ import annotations
@@ -86,15 +97,14 @@ def bind(embedding: Embedding, csg: ConcreteSceneGraph) -> Binding:
     return Binding(objects)
 
 
-def dist(a: BoundObject, b: BoundObject) -> float:
-    """Euclidean distance between two bound objects' positions."""
-    pa = a.attribute("position")
-    pb = b.attribute("position")
+def dist(pa: Sequence[float], pb: Sequence[float]) -> float:
+    """Euclidean distance between two positions."""
     return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
 
 BUILTIN_FUNCTIONS = {"dist": dist}
-# attributes each builtin function reads from its pattern-node arguments
+# The attributes each builtin function reads from a pattern-node argument.
+# The function receives their values in place of the node, in this order.
 NODE_ARG_READS = {"dist": ("position",)}
 
 
@@ -169,10 +179,14 @@ def _eval(expr: Expr, binding: Binding, epsilon: float) -> object:
         impl = BUILTIN_FUNCTIONS.get(expr.fn)
         if impl is None:
             raise SceneMonError(f"no implementation for function {expr.fn!r}")
-        args = [
-            binding[a.name] if isinstance(a, NodeRef) else _eval(a, binding, epsilon)
-            for a in expr.args
-        ]
+        reads = NODE_ARG_READS.get(expr.fn, ())
+        args = []
+        for a in expr.args:
+            if isinstance(a, NodeRef):
+                obj = binding[a.name]
+                args += [obj.attribute(name) for name in reads]
+            else:
+                args.append(_eval(a, binding, epsilon))
         return impl(*args)
     if isinstance(expr, Compare):
         return _compare(expr.op,
@@ -224,9 +238,8 @@ def compile_predicates(
     through the mapping, so nothing is bound or copied per embedding. It
     gives the same values and raises the same errors, in the same order,
     as `evaluate` on a `bind` of the same embedding, which stays the
-    reference it is tested against. Function names are looked up when a
-    closure runs, so a missing implementation still fails at evaluation
-    time, not here.
+    reference it is tested against. A function's implementation is
+    resolved here; a missing one still fails at evaluation time, not here.
     """
     return tuple(_lower(pred, epsilon) for pred in predicates)
 
@@ -236,37 +249,27 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
         value = expr.value
         return lambda nodes, mapping: value
     if isinstance(expr, AttrRef):
-        pid, name = expr.node_id, expr.attr
-        ref = f"{pid}.{name}"
-
-        def attribute(nodes, mapping):
-            attributes = nodes[mapping[pid]].attributes
-            try:
-                return attributes[name]
-            except KeyError:
-                raise MissingAttributeError(ref) from None
-        return attribute
+        return _lower_attribute(expr.node_id, expr.attr)
     if isinstance(expr, Call):
         fn = expr.fn
-        args = tuple(_lower_node_arg(a.name) if isinstance(a, NodeRef) else _lower(a, epsilon)
-                     for a in expr.args)
-
-        def call(nodes, mapping):
-            impl = BUILTIN_FUNCTIONS.get(fn)
-            if impl is None:
+        impl = BUILTIN_FUNCTIONS.get(fn)
+        if impl is None:
+            def missing(nodes, mapping):
                 raise SceneMonError(f"no implementation for function {fn!r}")
-            return impl(*[arg(nodes, mapping) for arg in args])
-        return call
+            return missing
+        reads = NODE_ARG_READS.get(fn, ())
+        args: list[Compiled] = []
+        for a in expr.args:
+            if isinstance(a, NodeRef):
+                args += [_lower_attribute(a.name, name) for name in reads]
+            else:
+                args.append(_lower(a, epsilon))
+        if len(args) == 2:  # dist's two positions, passed without building a list
+            first, second = args
+            return lambda nodes, mapping: impl(first(nodes, mapping), second(nodes, mapping))
+        return lambda nodes, mapping: impl(*[arg(nodes, mapping) for arg in args])
     if isinstance(expr, Compare):
-        op, left, right = expr.op, _lower(expr.left, epsilon), _lower(expr.right, epsilon)
-        rule = _NUMERIC_RULES.get(op)
-
-        def compare(nodes, mapping):
-            a, b = left(nodes, mapping), right(nodes, mapping)
-            if a.__class__ is float and b.__class__ is float and rule is not None:
-                return rule(a, b, epsilon)
-            return _compare(op, a, b, epsilon)
-        return compare
+        return _lower_compare(expr, epsilon)
     if isinstance(expr, InInterval):
         x_of, lo_of, hi_of = (_lower(e, epsilon) for e in (expr.value, expr.lo, expr.hi))
         lo_closed, hi_closed = expr.lo_closed, expr.hi_closed
@@ -288,14 +291,48 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
     return unknown
 
 
-def _lower_node_arg(pid: str) -> Compiled:
-    """A function's pattern-node argument: the object itself, unbound until
-    the function reads an attribute of it."""
-    def node(nodes, mapping):
-        oid = mapping[pid]
-        obj = nodes[oid]
-        bound = object.__new__(BoundObject)  # one dict update, as scene_graph._new_object
-        bound.__dict__.update(pattern_id=pid, object_id=oid, cls=obj.cls,
-                              attributes=obj.attributes)
-        return bound
-    return node
+def _lower_attribute(pid: str, name: str) -> Compiled:
+    """An attribute of a pattern node: an `AttrRef`, or one value a builtin
+    function receives for a node argument."""
+    ref = f"{pid}.{name}"
+
+    def attribute(nodes, mapping):
+        attributes = nodes[mapping[pid]].attributes
+        try:
+            return attributes[name]
+        except KeyError:
+            raise MissingAttributeError(ref) from None
+    return attribute
+
+
+def _lower_compare(expr: Compare, epsilon: float) -> Compiled:
+    """A comparison, with its operator's rule resolved and a number literal
+    operand held as its value."""
+    op, rule = expr.op, _NUMERIC_RULES.get(expr.op)
+    if isinstance(expr.right, NumberLit):
+        left, b = _lower(expr.left, epsilon), expr.right.value
+
+        def compare_to_literal(nodes, mapping):
+            a = left(nodes, mapping)
+            if a.__class__ is float and b.__class__ is float and rule is not None:
+                return rule(a, b, epsilon)
+            return _compare(op, a, b, epsilon)
+        return compare_to_literal
+    right = _lower(expr.right, epsilon)
+    if isinstance(expr.left, NumberLit):
+        a = expr.left.value
+
+        def literal_to_compare(nodes, mapping):
+            b = right(nodes, mapping)
+            if a.__class__ is float and b.__class__ is float and rule is not None:
+                return rule(a, b, epsilon)
+            return _compare(op, a, b, epsilon)
+        return literal_to_compare
+    left = _lower(expr.left, epsilon)
+
+    def compare(nodes, mapping):
+        a, b = left(nodes, mapping), right(nodes, mapping)
+        if a.__class__ is float and b.__class__ is float and rule is not None:
+            return rule(a, b, epsilon)
+        return _compare(op, a, b, epsilon)
+    return compare

@@ -1028,6 +1028,32 @@ def test_automaton_rejects_empty_phase_list():
         PhaseAutomaton(())
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dwell": (0,)}, "one count per phase"),
+    ({"dwell": (0, 0, 0)}, "one count per phase"),
+    ({"index": -1}, "not an int in 0..1"),
+    ({"index": 2}, "not an int in 0..1"),
+    ({"index": 0.5}, "not an int in 0..1"),
+])
+def test_automaton_rejects_a_state_it_cannot_step(kwargs, message):
+    """An index that is not an int or lies outside the phases, or a dwell
+    tuple of another length, would step from the wrong phase or fail at
+    the first step."""
+    with pytest.raises(ValueError, match=message):
+        PhaseAutomaton(("A", "B"), **kwargs)
+
+
+def test_automaton_rejects_repeated_phase_names():
+    with pytest.raises(ValueError, match="unique"):
+        PhaseAutomaton(("A", "B", "A"))
+
+
+def test_automaton_keeps_a_given_state_it_can_step():
+    pa = PhaseAutomaton(("A", "B"), index=1, dwell=(2, 3), violations=4)
+    pa = pa.step({"B": _v("B", False)})
+    assert (pa.index, pa.dwell, pa.violations, pa.completed) == (1, (2, 4), 5, False)
+
+
 # -- phase properties against the scripted pull-out trace ------------------
 
 
@@ -1105,13 +1131,14 @@ _causes = st.one_of(
     st.builds(Cause, st.sampled_from(list(CauseKind) + [k.value for k in CauseKind]), _numbers,
               st.one_of(st.none(), _texts)),
 )
+_embeddings = st.builds(Embedding, st.lists(st.tuples(_texts, _texts)).map(tuple))
 _verdicts = st.builds(
     Verdict,
     st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
               st.integers(), st.booleans()),
     _texts,
     st.sampled_from(list(Result) + [r.value for r in Result]),
-    st.one_of(st.none(), st.builds(Embedding, st.lists(st.tuples(_texts, _texts)).map(tuple))),
+    st.one_of(st.none(), _embeddings),
     _causes,
     _numbers,
 )
@@ -1148,8 +1175,41 @@ def test_serialize_verdict_matches_the_reference_encoder(v, stamp):
     """The template gives the reference's bytes, or raises its error: for a
     non-finite timestamp, or a result or cause kind that is not the enum.
     Stamped with a phase index, it gives the reference's bytes for the
-    verdict with that index."""
-    assert _outcome(serialize_verdict, v) == _outcome(_reference_encoding, v)
-    stamped = dataclasses.replace(v, phase_index=stamp)
-    assert (_outcome(lambda v: serialize_verdict(v, phase_index=stamp), v)
-            == _outcome(_reference_encoding, stamped))
+    verdict with that index. Each is serialized twice, with the witness's
+    and the cause's cached fragments cold, then warm."""
+    v = _uncached(v)
+    want = _outcome(_reference_encoding, v)
+    assert _outcome(serialize_verdict, v) == want  # cold
+    assert _outcome(serialize_verdict, v) == want  # warm
+    v = _uncached(v)
+    want = _outcome(_reference_encoding, dataclasses.replace(v, phase_index=stamp))
+
+    def stamped(v):
+        return serialize_verdict(v, phase_index=stamp)
+    assert _outcome(stamped, v) == want  # cold
+    assert _outcome(stamped, v) == want  # warm
+
+
+def _uncached(v):
+    """`v` with fresh copies of its witness and cause, whose fragments have
+    not been rendered."""
+    return dataclasses.replace(
+        v, witness=v.witness if v.witness is None else dataclasses.replace(v.witness),
+        cause=v.cause if v.cause is None else dataclasses.replace(v.cause))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.none(), _embeddings), _causes, st.lists(st.tuples(st.floats(), _stamps), min_size=1, max_size=4),
+       st.sampled_from(list(Result)))
+@example(Embedding((("ego", "e"), ("lane", "l1"))), Cause.predicate_failed(1),
+         [(0.5, 1), (1.0, None), (-0.0, 3)], Result.VIOLATED)
+@example(Embedding((("ego", 1),)), Cause(CauseKind.MISSING_ATTRIBUTE, ref=2),
+         [(0.5, 1), (1.0, None)], Result.ERROR)
+def test_serialize_verdict_shares_cached_fragments_across_verdicts(witness, cause, lines, result):
+    """One witness and one cause object serve verdicts with different
+    timestamps and phase stamps, as a memo entry's witness and a plan's
+    cause do: each line is the reference's, or raises its error."""
+    for t, stamp in lines:
+        v = Verdict(t, "p", result, witness=witness, cause=cause)
+        assert (_outcome(lambda v: serialize_verdict(v, phase_index=stamp), v)
+                == _outcome(_reference_encoding, dataclasses.replace(v, phase_index=stamp)))

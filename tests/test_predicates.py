@@ -7,6 +7,7 @@ import pytest
 
 from scenemon import (
     Binding,
+    Embedding,
     MissingAttributeError,
     SceneMonError,
     SceneObject,
@@ -19,6 +20,8 @@ from scenemon import (
     sg_comparison,
 )
 from scenemon.dsl import And, AttrRef, BoolLit, Call, Compare, NodeRef, NumberLit, StringLit
+from scenemon.object_model import NODE_PARAM
+from scenemon.predicates import BUILTIN_FUNCTIONS, NODE_ARG_READS, _eval
 
 from randscene import random_instance
 
@@ -288,6 +291,56 @@ def test_compiled_predicates_match_the_interpreter_off_the_grammar(om, pred):
     compiled = compile_predicates((pred,))  # compiling never raises
     assert len(compiled) == 1
     assert _compiled((pred,), emb, csg, 0.0) == _reference((pred,), emb, csg, 0.0)
+
+
+def _value(run):
+    """A run's value, or the reference of the attribute it found missing."""
+    try:
+        return run()
+    except MissingAttributeError as exc:
+        return ("missing", exc.ref)
+
+
+def _random_position(rng):
+    """Two coordinates, each a float, an integral float, an int or a tiny float."""
+    return tuple(rng.choice((rng.uniform(-1e3, 1e3), float(rng.randint(-50, 50)),
+                             rng.randint(-50, 50), rng.uniform(-1e-9, 1e-9)))
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("missing", [(), ("ego",), ("s1",), ("ego", "s1")])
+def test_compiled_dist_matches_the_interpreter(om, missing):
+    """`dist` over random positions, with `position` left out of the first
+    argument, the second or both: both forms give the same value, or the
+    same missing reference, the first argument's first."""
+    rng = random.Random(f"dist {missing}")
+    for _ in range(200):
+        attrs = {pid: {"velocity": 0.0} if pid in missing else
+                 {"velocity": 0.0, "position": _random_position(rng)} for pid in ("ego", "s1")}
+        csg = _scene(om, ego_attrs=attrs["ego"], extra=[SceneObject("s1", "Static", attrs["s1"])],
+                     edges=[("s1", "isIn", "lane1")])
+        emb = Embedding.from_dict({"ego": "ego", "lane": "lane1", "s1": "s1"})
+        for args in (("ego", "s1"), ("s1", "ego")):
+            call = _ast(Call, "dist", tuple(_ast(NodeRef, a) for a in args))
+            (compiled,) = compile_predicates((call,))
+            got = _value(lambda: compiled(csg.nodes, emb.as_dict()))
+            assert got == _value(lambda: _eval(call, bind(emb, csg), 0.0))
+            absent = [a for a in args if a in missing]
+            if absent:
+                assert got == ("missing", f"{absent[0]}.position")
+            else:
+                (xa, ya), (xb, yb) = (attrs[a]["position"] for a in args)
+                assert got == math.hypot(xa - xb, ya - yb)
+
+
+def test_every_builtin_with_a_node_parameter_declares_its_reads(om):
+    """A node argument becomes the values `NODE_ARG_READS` declares, so a
+    builtin that takes a node without an entry would receive none."""
+    for name in BUILTIN_FUNCTIONS:
+        fn = om.find_function(name)
+        assert fn is not None, name
+        if NODE_PARAM in fn.params:
+            assert NODE_ARG_READS.get(name), name
 
 
 # -- the compiled comparison rules against `_compare` ------------------------
