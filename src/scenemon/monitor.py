@@ -428,7 +428,7 @@ class PhaseAutomaton:
             raise ValueError("phase automaton needs at least one phase")
         if len(set(self.phases)) != n:
             raise ValueError(f"phase names must be unique, got {self.phases!r}")
-        if not (isinstance(self.index, int) and 0 <= self.index < n):
+        if not (type(self.index) is int and 0 <= self.index < n):
             raise ValueError(f"phase index {self.index!r} is not an int in 0..{n - 1}")
         if not self.dwell:
             object.__setattr__(self, "dwell", (0,) * n)

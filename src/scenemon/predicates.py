@@ -37,9 +37,9 @@ builtin's implementation; a function with none lowers to a closure that
 raises the interpreter's SceneMonError when evaluated, so compiling never
 raises. A comparison holds its operator's rule from `_NUMERIC_RULES` and
 applies it directly when both operands are floats, and a number literal
-operand is held as its value. Any other operand goes to `_compare`, which
-the interpreter always uses: it is both the fallback and the reference the
-table is tested against.
+on the right, as every bundled comparison has, is held as its value. Any
+other operand goes to `_compare`, which the interpreter always uses: it is
+both the fallback and the reference the table is tested against.
 """
 from __future__ import annotations
 
@@ -264,9 +264,6 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
                 args += [_lower_attribute(a.name, name) for name in reads]
             else:
                 args.append(_lower(a, epsilon))
-        if len(args) == 2:  # dist's two positions, passed without building a list
-            first, second = args
-            return lambda nodes, mapping: impl(first(nodes, mapping), second(nodes, mapping))
         return lambda nodes, mapping: impl(*[arg(nodes, mapping) for arg in args])
     if isinstance(expr, Compare):
         return _lower_compare(expr, epsilon)
@@ -307,7 +304,7 @@ def _lower_attribute(pid: str, name: str) -> Compiled:
 
 def _lower_compare(expr: Compare, epsilon: float) -> Compiled:
     """A comparison, with its operator's rule resolved and a number literal
-    operand held as its value."""
+    on the right held as its value."""
     op, rule = expr.op, _NUMERIC_RULES.get(expr.op)
     if isinstance(expr.right, NumberLit):
         left, b = _lower(expr.left, epsilon), expr.right.value
@@ -318,17 +315,7 @@ def _lower_compare(expr: Compare, epsilon: float) -> Compiled:
                 return rule(a, b, epsilon)
             return _compare(op, a, b, epsilon)
         return compare_to_literal
-    right = _lower(expr.right, epsilon)
-    if isinstance(expr.left, NumberLit):
-        a = expr.left.value
-
-        def literal_to_compare(nodes, mapping):
-            b = right(nodes, mapping)
-            if a.__class__ is float and b.__class__ is float and rule is not None:
-                return rule(a, b, epsilon)
-            return _compare(op, a, b, epsilon)
-        return literal_to_compare
-    left = _lower(expr.left, epsilon)
+    left, right = _lower(expr.left, epsilon), _lower(expr.right, epsilon)
 
     def compare(nodes, mapping):
         a, b = left(nodes, mapping), right(nodes, mapping)

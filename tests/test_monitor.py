@@ -1034,6 +1034,7 @@ def test_automaton_rejects_empty_phase_list():
     ({"index": -1}, "not an int in 0..1"),
     ({"index": 2}, "not an int in 0..1"),
     ({"index": 0.5}, "not an int in 0..1"),
+    ({"index": True}, "not an int in 0..1"),
 ])
 def test_automaton_rejects_a_state_it_cannot_step(kwargs, message):
     """An index that is not an int or lies outside the phases, or a dwell
