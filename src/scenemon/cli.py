@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``check``: evaluate one scene record against properties.
+* ``check``: evaluate one scene record against properties, by the loop
+  ``monitor`` runs, over that one scene.
 * ``monitor``: evaluate a scene stream, optionally tracking a maneuver's
   phase sequence.
 * ``gen``: sample a built-in scenario script into a scene stream.
@@ -27,20 +28,18 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import load_asg
 from .errors import SceneMonError, SceneValidationError
 from .matching import brute_force_embeddings, check_embedding, find_embeddings
 from .monitor import (
-    CauseKind,
     PhaseAutomaton,
     Result,
     Verdict,
     monitor_stream,
     reference_verdict,
     serialize_verdict,
-    sg_comparison,
     verdict_record,
 )
 from .object_model import ObjectModel, load_object_model
@@ -61,41 +60,27 @@ from .scenarios import (
 )
 
 
+def _finite(text: str, low: float = -math.inf, *, strict: bool = False) -> float:
+    """`text` as a finite float at or above `low`, or above it if `strict`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = "" if low == -math.inf else f" {'above' if strict else 'at or above'} {low:g}"
+        raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text!r}")
+    return value
+
+
 def _kv_offset(text: str) -> tuple[str, float]:
     key, sep, value = text.partition("=")
     if not sep or not key:
         raise argparse.ArgumentTypeError(
             f"expected KEY=OFFSET, got {text!r}")
     try:
-        offset = float(value)
-    except ValueError:
-        offset = math.nan
-    if not math.isfinite(offset):
-        raise argparse.ArgumentTypeError(
-            f"offset for {key!r} must be a finite number, got {value!r}")
-    return key, offset
-
-
-def _step_seconds(text: str) -> float:
-    try:
-        step = float(text)
-    except ValueError:
-        step = math.nan
-    if not (math.isfinite(step) and step > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds above 0, got {text!r}")
-    return step
-
-
-def _tolerance(text: str) -> float:
-    try:
-        epsilon = float(text)
-    except ValueError:
-        epsilon = math.nan
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number at or above 0, got {text!r}")
-    return epsilon
+        return key, _finite(value)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"offset for {key!r} {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_parent = argparse.ArgumentParser(add_help=False)
     eval_parent.add_argument(
-        "--epsilon", type=_tolerance, default=0.0, metavar="E",
+        "--epsilon", type=lambda text: _finite(text, 0.0), default=0.0, metavar="E",
         help="comparison tolerance applied to every numeric predicate "
              "(default 0: exact)")
     eval_parent.add_argument(
@@ -170,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shift one scripted safety distance by OFFSET meters during "
              "its phase; repeatable")
     p_gen.add_argument(
-        "--dt", type=_step_seconds, default=None, metavar="SECONDS",
+        "--dt", type=lambda text: _finite(text, 0.0, strict=True), default=None,
+        metavar="SECONDS",
         help="override the script's sampling step")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -249,8 +235,11 @@ def _oracle_problems(
     epsilon: float,
     induced: bool,
 ) -> list[str]:
-    """Disagreements between the search matcher and the exhaustive one, and
-    between the verdict and the one rebuilt from the exhaustive matcher."""
+    """Disagreements between the search matcher and the exhaustive one, the
+    witness's defects, and the difference between the verdict and the one
+    rebuilt from the exhaustive matcher. A verdict that equals the rebuilt
+    one has a reference witness, and `no_embedding` exactly when there is
+    no reference embedding, so neither is checked apart."""
     native = set(find_embeddings(asg, csg, induced=induced))
     embeddings = brute_force_embeddings(asg, csg, induced=induced)
     reference = set(embeddings)
@@ -260,18 +249,9 @@ def _oracle_problems(
         extra = len(native - reference)
         problems.append(
             f"embedding sets differ ({missing} missing, {extra} spurious)")
-    if verdict.result is Result.SATISFIED:
-        if verdict.witness is None or verdict.witness not in reference:
-            problems.append("witness is not a reference embedding")
-        elif defects := check_embedding(asg, csg, verdict.witness,
-                                        induced=induced):
-            problems.append("witness defects: " + "; ".join(defects))
-    no_embedding = (
-        verdict.cause is not None
-        and verdict.cause.kind is CauseKind.NO_EMBEDDING
-    )
-    if no_embedding != (not reference):
-        problems.append("embedding existence disagrees with verdict cause")
+    if verdict.witness is not None and (
+            defects := check_embedding(asg, csg, verdict.witness, induced=induced)):
+        problems.append("witness defects: " + "; ".join(defects))
     want = reference_verdict(asg, csg, epsilon, induced, embeddings=embeddings)
     if (verdict.result, verdict.cause, verdict.witness) != (want.result, want.cause, want.witness):
         problems.append(f"verdict differs: got {_outcome(verdict)}, want {_outcome(want)}")
@@ -316,18 +296,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not asgs:
         raise ValueError("no properties given; use --props or --builtin")
     _require_unique_names(asgs)
-    csg = _load_scene_file(args.scene, om)
-    verdicts = [
-        sg_comparison(asg, csg, epsilon=args.epsilon, induced=args.induced)
-        for asg in asgs
-    ]
-    diverged = args.oracle and _run_oracle(asgs, csg, verdicts, args.epsilon, args.induced)
-    with _open_out(args.out) as out:
-        out.write("".join([serialize_verdict(v) + "\n" for v in verdicts]))
-    return _exit_code(
-        any(v.result is Result.VIOLATED for v in verdicts),
-        any(v.result is Result.ERROR for v in verdicts),
-        diverged)
+    csg = _load_scene_file(args.scene, om)  # before --out opens: a bad scene writes no file
+    return _monitor(args, asgs, [csg])
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -337,28 +307,38 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     stream_path = args.stream if args.stream is not None else args.in_stream
     om = load_object_model(args.om)
     asgs = _resolve_props(args.props, args.builtin, om)
-    automaton: PhaseAutomaton | None = None
-    phase_names: frozenset[str] = frozenset()
-    if args.phases is not None:
-        phase_asgs = builtin_asgs(args.phases, om)
-        automaton = PhaseAutomaton(tuple(a.name for a in phase_asgs))
-        phase_names = frozenset(a.name for a in phase_asgs)
-        asgs += list(phase_asgs)
+    phase_asgs = () if args.phases is None else builtin_asgs(args.phases, om)
+    asgs += phase_asgs
     if not asgs:
         raise ValueError(
             "no properties given; use --props, --builtin or --phases")
     _require_unique_names(asgs)
+    with _open_in(stream_path) as stream:
+        return _monitor(args, asgs, read_scene_stream(stream, om), phase_asgs)
 
+
+def _monitor(
+    args: argparse.Namespace,
+    asgs: Sequence[AbstractSceneGraph],
+    scenes: Iterable[ConcreteSceneGraph],
+    phase_asgs: Sequence[AbstractSceneGraph] = (),
+) -> int:
+    """Check `scenes` against `asgs`, write each scene's verdict lines to
+    `--out`, cross-check them under `--oracle`, and return the exit code.
+    `phase_asgs`, the last of `asgs`, are tracked by a phase automaton,
+    whose summary goes to stderr."""
+    automaton = PhaseAutomaton(tuple(a.name for a in phase_asgs)) if phase_asgs else None
+    phase_names = frozenset(a.name for a in phase_asgs)
     any_violated = any_error = diverged = False
     scene: list[ConcreteSceneGraph] = []  # the scene being checked, for --oracle
-    with _open_in(stream_path) as stream, _open_out(args.out) as out:
+    with _open_out(args.out) as out:
 
-        def scenes() -> Iterator[ConcreteSceneGraph]:
-            for csg in read_scene_stream(stream, om):
+        def tracked() -> Iterator[ConcreteSceneGraph]:
+            for csg in scenes:
                 scene[:] = [csg]
                 yield csg
 
-        verdicts = monitor_stream(asgs, scenes(), epsilon=args.epsilon,
+        verdicts = monitor_stream(asgs, tracked(), epsilon=args.epsilon,
                                   induced=args.induced)
         # monitor_stream yields a scene's verdicts before it reads the next
         phase = None  # the automaton's index, written into each verdict line

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -151,15 +151,13 @@ class Verdict:
     result: Result
     witness: Embedding | None = None
     cause: Cause | None = None
-    phase_index: int | None = None
 
     def __init__(self, timestamp: float, property_name: str, result: Result,
-                 witness: Embedding | None = None, cause: Cause | None = None,
-                 phase_index: int | None = None) -> None:
+                 witness: Embedding | None = None, cause: Cause | None = None) -> None:
         # one dict update, where the generated frozen __init__ makes a
         # call to object.__setattr__ per field
         self.__dict__.update(timestamp=timestamp, property_name=property_name, result=result,
-                             witness=witness, cause=cause, phase_index=phase_index)
+                             witness=witness, cause=cause)
 
     @property
     def satisfied(self) -> bool:
@@ -200,9 +198,7 @@ def sg_comparison(
     else:
         if idx is None:
             return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=first)
-        # the plan's shared cause; an index past it can only come from a
-        # replaced `_first_false`, and is reported as given
-        cause = causes[idx] if idx < len(causes) else Cause.predicate_failed(idx)
+        cause = causes[idx]  # the plan's shared cause
         result = _VIOLATED
     if hit and entry.only():  # the first embedding is the only one: it decides
         return Verdict(csg.timestamp, asg.name, result, cause=cause)
@@ -473,8 +469,10 @@ class PhaseAutomaton:
 # -- verdict records -------------------------------------------------------
 
 
-def verdict_record(v: Verdict) -> dict:
-    """JSON-ready record; field order is fixed for byte-stable output."""
+def verdict_record(v: Verdict, phase_index: object = None) -> dict:
+    """JSON-ready record; field order is fixed for byte-stable output.
+    `phase_index`, the phase automaton's index when one tracks the stream,
+    is stamped last as the `phase_index` field; None leaves it out."""
     rec: dict = {"t": v.timestamp, "property": v.property_name, "result": v.result.value}
     if v.witness is not None:
         rec["witness"] = {pid: oid for pid, oid in v.witness.mapping}
@@ -485,8 +483,8 @@ def verdict_record(v: Verdict) -> dict:
         if v.cause.ref is not None:
             cause["ref"] = v.cause.ref
         rec["cause"] = cause
-    if v.phase_index is not None:
-        rec["phase_index"] = v.phase_index
+    if phase_index is not None:
+        rec["phase_index"] = phase_index
     return rec
 
 
@@ -494,14 +492,11 @@ _ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
 _RESULT_FIELDS = {r: f', "result": "{r.value}"' for r in Result}
 
 
-_KEEP = object()  # serialize_verdict writes the verdict's own phase index
+def serialize_verdict(v: Verdict, *, phase_index: object = None) -> str:
+    """`verdict_record(v, phase_index)` as one line of JSON: the verdict,
+    stamped with the phase index unless it is None.
 
-
-def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
-    """`verdict_record(v)` as one line of JSON; with `phase_index`, the line
-    of `dataclasses.replace(v, phase_index=phase_index)`, built without it.
-
-    The reference is `_ENCODER.encode(verdict_record(v))`. The line is built
+    The reference is `_ENCODER.encode(verdict_record(v, phase_index))`. The line is built
     from a fixed template in the record's field order instead: strings are
     escaped as that encoder escapes them, a finite float timestamp and an
     exact int index are written with their repr, and each result and cause
@@ -515,14 +510,13 @@ def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
     exception. The reference reads no cache.
     """
     t, result, witness, cause = v.timestamp, v.result, v.witness, v.cause
-    phase = v.phase_index if phase_index is _KEEP else phase_index
     if (type(t) is not float or not -math.inf < t < math.inf or type(result) is not Result
             or witness is not None and type(witness) is not Embedding
             or cause is not None and (
                 type(cause) is not Cause or type(cause.kind) is not CauseKind
                 or cause.index is not None and type(cause.index) is not int)
-            or phase is not None and type(phase) is not int):
-        return _reference_line(v, phase)
+            or phase_index is not None and type(phase_index) is not int):
+        return _ENCODER.encode(verdict_record(v, phase_index))
     try:
         line = f'{{"t": {t!r}, "property": {_quote(v.property_name)}{_RESULT_FIELDS[result]}'
         if witness is not None:
@@ -530,14 +524,7 @@ def serialize_verdict(v: Verdict, *, phase_index: object = _KEEP) -> str:
         if cause is not None:
             line += cause.json_field
     except (TypeError, ValueError):  # a field the template cannot write: the reference decides
-        return _reference_line(v, phase)
-    if phase is not None:
-        line += f', "phase_index": {phase!r}'
+        return _ENCODER.encode(verdict_record(v, phase_index))
+    if phase_index is not None:
+        line += f', "phase_index": {phase_index!r}'
     return line + "}"
-
-
-def _reference_line(v: Verdict, phase: object) -> str:
-    """The reference encoder's line for `v` with `phase` as its phase index."""
-    if phase is not v.phase_index:
-        v = replace(v, phase_index=phase)
-    return _ENCODER.encode(verdict_record(v))

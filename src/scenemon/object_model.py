@@ -263,12 +263,9 @@ def parse_object_model(text: str) -> ObjectModel:
             functions.append(_parse_fn(ts))
         else:
             tok = ts.peek()
-            raise SchemaErrorAt(tok, f"expected class, rel, or fn declaration, found {tok.text!r}")
+            raise SchemaError(
+                f"{tok.line}:{tok.column}: expected class, rel, or fn declaration, found {tok.text!r}")
     return ObjectModel(tuple(classes), tuple(relationships), tuple(functions))
-
-
-def SchemaErrorAt(tok, message: str) -> SchemaError:  # noqa: N802 - raise helper
-    return SchemaError(f"{tok.line}:{tok.column}: {message}")
 
 
 def _parse_class(ts: TokenStream) -> ClassDef:

@@ -233,6 +233,43 @@ def test_check_oracle_refuses_large_scenes(capsys, tmp_path, om):
     assert "scenemon: error:" in err
 
 
+@pytest.mark.parametrize("scene_kw, result, code", [
+    ({}, "satisfied", 0),
+    ({"obstacle_speed": 1.0}, "violated", 1),
+    ({"obstacle_attrs": {"position": [10.0, 0.0]}}, "error", 3),
+], ids=["satisfied", "predicate_failed", "error"])
+@pytest.mark.parametrize("flags", [(), ("--oracle",), ("--epsilon", "0.5"), ("--induced",)],
+                         ids=["plain", "oracle", "epsilon", "induced"])
+def test_check_equals_monitor_over_a_one_line_stream(capsys, tmp_path, om, scene_kw, result,
+                                                     code, flags):
+    """`check FILE` gives the stdout, stderr and exit code of `monitor` over
+    a stream holding FILE's record as its one line."""
+    scene = _write_scene(tmp_path, om, **scene_kw)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text((tmp_path / "scene.json").read_text() + "\n")
+    props = tmp_path / "in_lane.asg"
+    props.write_text(IN_LANE)
+    argv = ("--builtin", "obstacle-ahead", "--props", str(props), *flags)
+    checked = _run(capsys, "check", scene, *argv)
+    assert checked == _run(capsys, "monitor", str(stream), *argv)
+    assert checked[0] == code
+    results = {rec["property"]: rec["result"] for rec in map(json.loads, checked[1].splitlines())}
+    assert results == {"in-lane": "satisfied", "obstacle-ahead": result}
+
+
+def test_check_with_an_invalid_scene_writes_no_file(capsys, tmp_path, om):
+    rec = scene_record(halted_obstacle_scene(om))
+    rec["nodes"][1]["class"] = "Bike"
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps(rec))
+    out = tmp_path / "verdicts.jsonl"
+    code, _, err = _run(capsys, "check", str(scene), "--builtin", "obstacle-ahead",
+                        "--out", str(out))
+    assert code == 2
+    assert "scenemon: error:" in err
+    assert not out.exists()
+
+
 # -- monitor ---------------------------------------------------------------
 
 
@@ -378,23 +415,25 @@ def test_monitor_oracle_reports_a_wrong_cause(capsys, tmp_path, monkeypatch):
     plain_code, plain_out, _ = _run(capsys, "monitor", stream, "--phases", "P1")
     first_false = scenemon.monitor._first_false
 
-    def off_by_one(*args):
-        idx = first_false(*args)
-        return None if idx is None else idx + 1
+    def rotated(predicates, nodes, mapping):
+        idx = first_false(predicates, nodes, mapping)
+        return None if idx is None else (idx + 1) % len(predicates)
 
-    monkeypatch.setattr(scenemon.monitor, "_first_false", off_by_one)
+    monkeypatch.setattr(scenemon.monitor, "_first_false", rotated)
     code, out, err = _run(capsys, "monitor", stream, "--phases", "P1", "--oracle")
     assert code == 3 and plain_code != 3
-    wrong = [rec for rec in map(json.loads, out.splitlines())
-             if rec["result"] == "violated" and rec["cause"]["kind"] == "predicate_failed"]
-    assert wrong and out != plain_out
-    rec = wrong[0]
-    index = rec["cause"]["index"]
-    assert (f"scenemon: oracle divergence: t={rec['t']} property={rec['property']}: "
-            f'verdict differs: got {{"result": "violated", "cause": {{"kind": "predicate_failed", '
-            f'"index": {index}}}}}, want {{"result": "violated", "cause": {{"kind": '
-            f'"predicate_failed", "index": {index - 1}}}}}\n') in err
-    assert err.count("oracle divergence") == len(wrong)
+    changed = [(json.loads(got), json.loads(want))
+               for got, want in zip(out.splitlines(), plain_out.splitlines()) if got != want]
+    assert changed and len(out.splitlines()) == len(plain_out.splitlines())
+    for got, want in changed:
+        assert got["cause"]["kind"] == want["cause"]["kind"] == "predicate_failed"
+        line = (f"scenemon: oracle divergence: t={got['t']} property={got['property']}: "
+                f'verdict differs: got {{"result": "violated", "cause": {{"kind": '
+                f'"predicate_failed", "index": {got["cause"]["index"]}}}}}, want {{"result": '
+                f'"violated", "cause": {{"kind": "predicate_failed", "index": '
+                f'{want["cause"]["index"]}}}}}\n')
+        assert err.count(line) == 1
+    assert err.count("oracle divergence") == len(changed)
 
 
 # sha256 of (stdout, stderr) and the exit code of
