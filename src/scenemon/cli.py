@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import load_asg
 from .errors import SceneMonError, SceneValidationError
-from .matching import brute_force_embeddings, check_embedding, find_embeddings
+from .matching import brute_force_embeddings, check_embedding, find_embeddings, require_oracle_size
 from .monitor import (
     PhaseAutomaton,
     Result,
@@ -297,6 +297,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("no properties given; use --props or --builtin")
     _require_unique_names(asgs)
     csg = _load_scene_file(args.scene, om)  # before --out opens: a bad scene writes no file
+    if args.oracle:  # nor does one too large for the oracle
+        require_oracle_size(csg)
     return _monitor(args, asgs, [csg])
 
 

@@ -22,15 +22,24 @@ pattern nodes, and `and` conjunction; see docs/asg-grammar.ebnf.
 
 The parser is hand-written recursive descent over the shared tokenizer so
 errors carry exact line/column positions, and parsing is total: any input
-either yields an AbstractSceneGraph or raises a located package error.
+either yields an AbstractSceneGraph or raises a package error, located
+unless it is about the pattern as a whole.
+
+`parse_asg` is a property's one checker: one that could never be
+evaluated is refused at load, not reported on every scene. A builtin call
+is checked as it will run: the schema must declare the signature in
+`predicates.BUILTINS`, and a node argument is checked as the `AttrRef`s
+it stands for (`Call.operands`), so `dist(ego, lane)` is refused at `lane`
+as `lane.position` would be.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 
-from .errors import SpecSyntaxError, SpecTypeError
+from .errors import SceneValidationError, SpecSyntaxError, SpecTypeError
 from .lexing import (
     KIND_EOF,
     KIND_IDENT,
@@ -40,8 +49,8 @@ from .lexing import (
     TokenStream,
     tokenize,
 )
-from .object_model import NODE_PARAM, ObjectModel
-from .scene_graph import AbstractSceneGraph, validate_asg
+from .object_model import NODE_PARAM, ObjectModel, is_relationship_allowed
+from .scene_graph import AbstractSceneGraph, pattern_distances
 
 # "ego" stays legal as a node id: the ego declaration is identified by its
 # statement position, so the conventional `node ego: Vehicle; ego ego;`
@@ -150,6 +159,25 @@ class Call(Expr):
     def to_text(self) -> str:
         return f"{self.fn}({', '.join(a.to_text() for a in self.args)})"
 
+    @cached_property
+    def operands(self) -> tuple[Expr, ...]:
+        """The builtin's arguments, built on first use: each pattern-node
+        argument becomes an `AttrRef` at its position for each attribute
+        the builtin reads, and any other stays. A function with no builtin
+        receives none."""
+        from .predicates import BUILTINS  # a top-level import would be circular
+        builtin = BUILTINS.get(self.fn)
+        if builtin is None:
+            return ()
+        operands: list[Expr] = []
+        for a in self.args:
+            if isinstance(a, NodeRef):
+                operands += [AttrRef(a.line, a.column, a.name, read.name)
+                             for read in builtin.reads]
+            else:
+                operands.append(a)
+        return tuple(operands)
+
 
 @dataclass(frozen=True)
 class Compare(Expr):
@@ -203,9 +231,9 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
     """Parse and type-check one property spec against an object model.
 
     Raises SpecSyntaxError for malformed text, SpecTypeError for well-formed
-    text that misuses the vocabulary, and SceneValidationError for structural
-    problems (disconnected pattern, bad ego class). All carry positions where
-    one exists.
+    text that misuses the vocabulary, and SceneValidationError for an ego
+    that is no Vehicle, an edge the schema does not admit or a pattern that
+    is disconnected when read undirected. Pattern classes may be abstract.
     """
     ts = TokenStream(tokenize(text))
     open_tok = ts.expect_keyword("asg")
@@ -287,16 +315,28 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
         if t != "Bool":
             raise SpecTypeError(f"assert expression has type {t}, expected Bool",
                                 pred.line, pred.column)
-    asg = AbstractSceneGraph(
-        name=name_tok.text,
+    name = name_tok.text
+    if not om.is_subclass(nodes[ego_id], "Vehicle"):
+        raise SceneValidationError(
+            f"pattern {name!r}: ego node has class {nodes[ego_id]}, expected a Vehicle")
+    for src, rel, dst in edges:
+        if not is_relationship_allowed(om, rel, nodes[src], nodes[dst]):
+            raise SceneValidationError(
+                f"pattern {name!r}: edge ({src}, {rel}, {dst}) not allowed for "
+                f"{nodes[src]} -> {nodes[dst]}")
+    reached = pattern_distances(edges, next(iter(nodes)))
+    if len(reached) != len(nodes):
+        missing = sorted(set(nodes) - reached.keys())
+        raise SceneValidationError(
+            f"pattern {name!r} is disconnected; unreachable: {', '.join(missing)}")
+    return AbstractSceneGraph(
+        name=name,
         pattern_nodes=nodes,
         pattern_edges=frozenset(edges),
         ego_pattern_id=ego_id,
         predicates=tuple(predicates),
         om=om,
     )
-    validate_asg(asg)
-    return asg
 
 
 def load_asg(path: str, om: ObjectModel) -> AbstractSceneGraph:
@@ -403,6 +443,10 @@ def _is_numeric(t: str) -> bool:
     return t in _NUMERIC
 
 
+def _signature(fn: str, params: tuple[str, ...], result: str) -> str:
+    return f"{fn}({', '.join(params)}) -> {result}"
+
+
 def _check_expr(expr: Expr, nodes: dict[str, str], om: ObjectModel) -> str:
     """Return the expression's base type, raising SpecTypeError on misuse."""
     if isinstance(expr, NumberLit):
@@ -429,30 +473,34 @@ def _check_expr(expr: Expr, nodes: dict[str, str], om: ObjectModel) -> str:
         fn = om.find_function(expr.fn)
         if fn is None:
             raise SpecTypeError(f"unknown function {expr.fn!r}", expr.line, expr.column)
-        from .predicates import BUILTIN_FUNCTIONS  # a top-level import would be circular
-        if expr.fn not in BUILTIN_FUNCTIONS:
+        from .predicates import BUILTINS  # a top-level import would be circular
+        builtin = BUILTINS.get(expr.fn)
+        if builtin is None:
             raise SpecTypeError(f"function {expr.fn!r} has no implementation",
                                 expr.line, expr.column)
-        if len(expr.args) != len(fn.params):
+        params = (NODE_PARAM,) * builtin.nodes
+        if (fn.params, fn.result) != (params, builtin.result):
             raise SpecTypeError(
-                f"function {expr.fn} expects {len(fn.params)} arguments, got {len(expr.args)}",
+                f"function {expr.fn} is declared {_signature(expr.fn, fn.params, fn.result)}, "
+                f"its implementation is {_signature(expr.fn, params, builtin.result)}",
                 expr.line, expr.column)
-        for arg, param in zip(expr.args, fn.params):
-            if param == NODE_PARAM:
-                if not isinstance(arg, NodeRef):
-                    raise SpecTypeError(
-                        f"function {expr.fn} expects a pattern node here",
-                        arg.line, arg.column)
-                if arg.name not in nodes:
-                    raise SpecTypeError(f"unknown pattern node {arg.name!r}",
-                                        arg.line, arg.column)
-            else:
-                t = _check_expr(arg, nodes, om)
-                if t != param and not (_is_numeric(t) and _is_numeric(param)):
-                    raise SpecTypeError(
-                        f"function {expr.fn} expects {param} here, got {t}",
-                        arg.line, arg.column)
-        return fn.result
+        if len(expr.args) != len(params):
+            raise SpecTypeError(
+                f"function {expr.fn} expects {len(params)} arguments, got {len(expr.args)}",
+                expr.line, expr.column)
+        for arg in expr.args:
+            if not isinstance(arg, NodeRef):
+                raise SpecTypeError(
+                    f"function {expr.fn} expects a pattern node here",
+                    arg.line, arg.column)
+        # the AttrRef rule, which also finds an undeclared node
+        for operand, read in zip(expr.operands, builtin.reads * builtin.nodes):
+            t = _check_expr(operand, nodes, om)
+            if t != read.type:
+                raise SpecTypeError(
+                    f"function {expr.fn} reads {operand.to_text()} as {read.type}, got {t}",
+                    operand.line, operand.column)
+        return builtin.result
     if isinstance(expr, Compare):
         lt = _check_expr(expr.left, nodes, om)
         rt = _check_expr(expr.right, nodes, om)

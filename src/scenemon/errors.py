@@ -28,11 +28,8 @@ class SpecSyntaxError(SceneMonError):
 class SpecTypeError(SceneMonError):
     """Well-formed spec text that fails type checking against the object model."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        if line:
-            super().__init__(f"{line}:{column}: {message}")
-        else:
-            super().__init__(message)
+    def __init__(self, message: str, line: int, column: int) -> None:
+        super().__init__(f"{line}:{column}: {message}")
         self.message = message
         self.line = line
         self.column = column

@@ -220,24 +220,29 @@ def find_embeddings(
     return list(iter_embeddings(asg, csg, induced=induced))
 
 
+def require_oracle_size(csg: ConcreteSceneGraph) -> None:
+    """Raise OracleSizeError for a scene of more than ORACLE_SIZE_BOUND
+    objects, which the exhaustive matcher refuses to enumerate."""
+    if len(csg.nodes) > ORACLE_SIZE_BOUND:
+        raise OracleSizeError(
+            f"scene has {len(csg.nodes)} nodes, oracle bound is {ORACLE_SIZE_BOUND}")
+
+
 def brute_force_embeddings(
     asg: AbstractSceneGraph,
     csg: ConcreteSceneGraph,
     *,
-    size_bound: int = ORACLE_SIZE_BOUND,
     induced: bool = False,
 ) -> list[Embedding]:
     """Enumerate embeddings by exhaustive candidate product. Oracle use only.
 
     Independent of the search in iter_embeddings by construction: no shared
     pruning, no shared ordering. Output is sorted canonically (object ids in
-    sorted-pattern-id order). Scenes larger than `size_bound` nodes raise
-    OracleSizeError.
+    sorted-pattern-id order). A scene the oracle refuses raises
+    OracleSizeError (see `require_oracle_size`).
     """
     _require_same_om(asg, csg)
-    if len(csg.nodes) > size_bound:
-        raise OracleSizeError(
-            f"scene has {len(csg.nodes)} nodes, oracle bound is {size_bound}")
+    require_oracle_size(csg)
     pids = sorted(asg.pattern_nodes)
     om = asg.om
     cand_lists: list[list[str]] = []

@@ -22,30 +22,31 @@ mapping, so nothing is copied per embedding; the monitor uses that form.
 `bind` plus `evaluate` interpret the syntax tree over a snapshot of the
 matched objects. They are the reference that tests and the benchmark
 check the compiled form against, as the exhaustive matcher is for the
-search. Both share `BUILTIN_FUNCTIONS` and the interval rule.
+search. Both share `BUILTINS` and the interval rule.
 
-Builtin functions take attribute values, not objects. A pattern-node
-argument is replaced by the values of the attributes `NODE_ARG_READS`
-declares for the function, read in argument order, so `dist(ego, rear)`
-receives `ego.position` and `rear.position`, and a missing one raises
-MissingAttributeError for the first argument first. The interpreter reads
-them through `BoundObject.attribute`, the compiled form through the same
-closure an `AttrRef` lowers to.
+`BUILTINS` describes each builtin once, for the property checker too: its
+implementation, its pattern-node arguments, the typed attributes it reads
+from each and its result type. A node argument stands for those reads, so
+`dist(ego, rear)` receives `ego.position` and `rear.position`, and a
+missing one raises MissingAttributeError for the first argument first.
+`Call.operands` holds the reads as `AttrRef`s, which both forms evaluate
+as any other.
 
 Lowering does once what depends on the predicate alone. A call holds its
 builtin's implementation; a function with none lowers to a closure that
 raises the interpreter's SceneMonError when evaluated, so compiling never
-raises. A comparison holds its operator's rule from `_NUMERIC_RULES` and
-applies it directly when both operands are floats, and a number literal
-on the right, as every bundled comparison has, is held as its value. Any
-other operand goes to `_compare`, which the interpreter always uses: it is
-both the fallback and the reference the table is tested against.
+raises. A comparison with a number literal on the right, as every bundled
+comparison has, holds the literal's value and its operator's rule from
+`_NUMERIC_RULES`, and applies the rule directly when both operands are
+floats. Any other comparison goes to `_compare`, which the interpreter
+always uses: it is both the fallback and the reference the table is
+tested against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingAttributeError, SceneMonError
 from .dsl import (
@@ -56,11 +57,11 @@ from .dsl import (
     Compare,
     Expr,
     InInterval,
-    NodeRef,
     NumberLit,
     StringLit,
 )
 from .matching import Embedding
+from .object_model import AttributeDef
 from .scene_graph import ConcreteSceneGraph, SceneObject
 
 
@@ -102,10 +103,16 @@ def dist(pa: Sequence[float], pb: Sequence[float]) -> float:
     return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
 
-BUILTIN_FUNCTIONS = {"dist": dist}
-# The attributes each builtin function reads from a pattern-node argument.
-# The function receives their values in place of the node, in this order.
-NODE_ARG_READS = {"dist": ("position",)}
+class Builtin(NamedTuple):
+    """A builtin function as the checker and both evaluators see it."""
+
+    impl: Callable[..., object]
+    nodes: int  # the pattern-node arguments it takes; it takes no others
+    reads: tuple[AttributeDef, ...]  # read from each node argument, in order
+    result: str
+
+
+BUILTINS = {"dist": Builtin(dist, 2, (AttributeDef("position", "Vec2"),), "Real")}
 
 
 def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
@@ -117,12 +124,8 @@ def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
         expr = stack.pop()
         if isinstance(expr, AttrRef):
             reads.setdefault(expr.node_id, set()).add(expr.attr)
-        elif isinstance(expr, Call) and expr.fn in NODE_ARG_READS:
-            for arg in expr.args:
-                if isinstance(arg, NodeRef):
-                    reads.setdefault(arg.name, set()).update(NODE_ARG_READS[expr.fn])
-                else:
-                    stack.append(arg)
+        elif isinstance(expr, Call):
+            stack += expr.operands
         elif isinstance(expr, (Compare, And)):
             stack += (expr.left, expr.right)
         elif isinstance(expr, InInterval):
@@ -176,18 +179,10 @@ def _eval(expr: Expr, binding: Binding, epsilon: float) -> object:
     if isinstance(expr, AttrRef):
         return binding[expr.node_id].attribute(expr.attr)
     if isinstance(expr, Call):
-        impl = BUILTIN_FUNCTIONS.get(expr.fn)
-        if impl is None:
+        builtin = BUILTINS.get(expr.fn)
+        if builtin is None:
             raise SceneMonError(f"no implementation for function {expr.fn!r}")
-        reads = NODE_ARG_READS.get(expr.fn, ())
-        args = []
-        for a in expr.args:
-            if isinstance(a, NodeRef):
-                obj = binding[a.name]
-                args += [obj.attribute(name) for name in reads]
-            else:
-                args.append(_eval(a, binding, epsilon))
-        return impl(*args)
+        return builtin.impl(*[_eval(a, binding, epsilon) for a in expr.operands])
     if isinstance(expr, Compare):
         return _compare(expr.op,
                         _eval(expr.left, binding, epsilon),
@@ -252,18 +247,12 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
         return _lower_attribute(expr.node_id, expr.attr)
     if isinstance(expr, Call):
         fn = expr.fn
-        impl = BUILTIN_FUNCTIONS.get(fn)
-        if impl is None:
+        builtin = BUILTINS.get(fn)
+        if builtin is None:
             def missing(nodes, mapping):
                 raise SceneMonError(f"no implementation for function {fn!r}")
             return missing
-        reads = NODE_ARG_READS.get(fn, ())
-        args: list[Compiled] = []
-        for a in expr.args:
-            if isinstance(a, NodeRef):
-                args += [_lower_attribute(a.name, name) for name in reads]
-            else:
-                args.append(_lower(a, epsilon))
+        impl, args = builtin.impl, [_lower(a, epsilon) for a in expr.operands]
         return lambda nodes, mapping: impl(*[arg(nodes, mapping) for arg in args])
     if isinstance(expr, Compare):
         return _lower_compare(expr, epsilon)
@@ -289,8 +278,8 @@ def _lower(expr: Expr, epsilon: float) -> Compiled:
 
 
 def _lower_attribute(pid: str, name: str) -> Compiled:
-    """An attribute of a pattern node: an `AttrRef`, or one value a builtin
-    function receives for a node argument."""
+    """An attribute of a pattern node: an `AttrRef`, written or one of a
+    call's operands."""
     ref = f"{pid}.{name}"
 
     def attribute(nodes, mapping):
@@ -316,10 +305,5 @@ def _lower_compare(expr: Compare, epsilon: float) -> Compiled:
             return _compare(op, a, b, epsilon)
         return compare_to_literal
     left, right = _lower(expr.left, epsilon), _lower(expr.right, epsilon)
-
-    def compare(nodes, mapping):
-        a, b = left(nodes, mapping), right(nodes, mapping)
-        if a.__class__ is float and b.__class__ is float and rule is not None:
-            return rule(a, b, epsilon)
-        return _compare(op, a, b, epsilon)
-    return compare
+    return lambda nodes, mapping: _compare(
+        op, left(nodes, mapping), right(nodes, mapping), epsilon)

@@ -4,8 +4,9 @@ A ConcreteSceneGraph (CSG) is one observed snapshot: typed objects with
 attribute values, labeled directed edges between them, a designated ego
 vehicle, and a timestamp. An AbstractSceneGraph (ASG) is one property: a
 pattern graph over the same vocabulary plus an ordered list of predicates
-over the pattern nodes. Both validate against an ObjectModel at load time;
-matching and verdicts live in the matching and monitor modules. An ASG is
+over the pattern nodes. Both are checked against an ObjectModel at load
+time: a scene by the builder below, a property by `dsl.parse_asg`, its one
+checker. Matching and verdicts live in the matching and monitor modules. An ASG is
 immutable and carries the tables derived from it: the matcher's pattern
 facts and the monitor's compiled plans, each built on first use.
 
@@ -66,7 +67,7 @@ from operator import is_, itemgetter, methodcaller
 from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
-from .object_model import ObjectModel, is_relationship_allowed
+from .object_model import ObjectModel
 
 if TYPE_CHECKING:  # predicate AST lives in dsl.py; only needed for typing
     from .dsl import Expr
@@ -522,49 +523,6 @@ def _read_scene_line(line: str, lineno: int, om: ObjectModel,
         return parse_csg(record, om, previous=previous)
     except SceneValidationError as exc:
         raise SceneValidationError(f"line {lineno}: {exc}") from exc
-
-
-def validate_asg(asg: AbstractSceneGraph) -> None:
-    """Check an ASG's structural invariants against its object model.
-
-    Pattern classes may be abstract (a Vehicle in the scene matches a
-    TrafficParticipant pattern node). The pattern must be connected when
-    read undirected: with an ego-anchored matcher a disconnected component
-    would float free of any spatial constraint.
-    """
-    om = asg.om
-    if not asg.pattern_nodes:
-        raise SceneValidationError(f"pattern {asg.name!r} declares no nodes")
-    for pid, cls in asg.pattern_nodes.items():
-        om.require_class(cls)
-        if not pid:
-            raise SceneValidationError("pattern node with empty id")
-    if asg.ego_pattern_id not in asg.pattern_nodes:
-        raise SceneValidationError(
-            f"pattern {asg.name!r}: ego pattern node {asg.ego_pattern_id!r} not declared")
-    ego_cls = asg.pattern_nodes[asg.ego_pattern_id]
-    if not om.is_subclass(ego_cls, "Vehicle"):
-        raise SceneValidationError(
-            f"pattern {asg.name!r}: ego node has class {ego_cls}, expected a Vehicle")
-    for src, rel, dst in asg.pattern_edges:
-        for pid in (src, dst):
-            if pid not in asg.pattern_nodes:
-                raise SceneValidationError(
-                    f"pattern {asg.name!r}: edge references unknown node {pid}")
-        if not is_relationship_allowed(om, rel, asg.pattern_nodes[src], asg.pattern_nodes[dst]):
-            raise SceneValidationError(
-                f"pattern {asg.name!r}: edge ({src}, {rel}, {dst}) not allowed for "
-                f"{asg.pattern_nodes[src]} -> {asg.pattern_nodes[dst]}")
-    reached = pattern_distances(asg.pattern_edges, next(iter(asg.pattern_nodes)))
-    if len(reached) != len(asg.pattern_nodes):
-        missing = sorted(set(asg.pattern_nodes) - reached.keys())
-        raise SceneValidationError(
-            f"pattern {asg.name!r} is disconnected; unreachable: {', '.join(missing)}")
-    for idx, pred in enumerate(asg.predicates):
-        for pid in sorted(pred.pattern_ids()):
-            if pid not in asg.pattern_nodes:
-                raise SceneValidationError(
-                    f"pattern {asg.name!r}: predicate {idx} references unknown node {pid}")
 
 
 def pattern_distances(

@@ -21,7 +21,7 @@ def _allowed(om, src_cls, dst_cls):
     return [r for r in RELS if is_relationship_allowed(om, r, src_cls, dst_cls)]
 
 
-def _random_predicates(rng, classes):
+def _random_predicates(rng, classes, om):
     movers = [pid for pid, cls in classes.items() if cls in WITH_MOTION]
     preds = []
     for _ in range(rng.randint(0, 3)):
@@ -31,13 +31,14 @@ def _random_predicates(rng, classes):
         if kind < 0.45 and movers:
             preds.append(f"{rng.choice(movers)}.velocity {op} {num}")
         elif kind < 0.85 and len(classes) >= 2:
-            # dist over arbitrary nodes: env nodes have no position, which
-            # exercises the missing-attribute verdict path
+            # dist over arbitrary nodes, kept only when both classes declare
+            # the position it reads: the parser refuses any other. Scenes
+            # reach the missing-attribute verdict through `_motion`'s gaps
             pool = movers if movers and rng.random() < 0.8 else list(classes)
             if len(pool) < 2:
                 pool = list(classes)
             a, b = rng.sample(pool, 2) if len(pool) >= 2 else (pool[0], pool[0])
-            if a != b:
+            if a != b and all(om.find_attribute(classes[p], "position") for p in (a, b)):
                 preds.append(f"dist({a}, {b}) {op} {num}")
         elif movers:
             lo = round(rng.uniform(-2.0, 10.0), 1)
@@ -85,7 +86,7 @@ def random_asg(rng: random.Random, om):
     lines.append("  ego ego;")
     for src, rel, dst in edges:
         lines.append(f"  edge {src} {rel} {dst};")
-    for pred in _random_predicates(rng, classes):
+    for pred in _random_predicates(rng, classes, om):
         lines.append(f"  assert {pred};")
     lines.append("}")
     return parse_asg("\n".join(lines), om)

@@ -233,6 +233,20 @@ def test_check_oracle_refuses_large_scenes(capsys, tmp_path, om):
     assert "scenemon: error:" in err
 
 
+def test_check_oracle_refuses_a_large_scene_before_opening_out(capsys, tmp_path, om):
+    rec = scene_record(halted_obstacle_scene(om))
+    for i in range(10):
+        rec["nodes"].append({"id": f"x{i}", "class": "Static", "attrs": {}})
+    scene = tmp_path / "big.json"
+    scene.write_text(json.dumps(rec))
+    out = tmp_path / "verdicts.jsonl"
+    code, stdout, err = _run(capsys, "check", str(scene), "--builtin", "obstacle-ahead",
+                             "--oracle", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "scenemon: error: scene has 13 nodes, oracle bound is 12\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scene_kw, result, code", [
     ({}, "satisfied", 0),
     ({"obstacle_speed": 1.0}, "violated", 1),
@@ -279,6 +293,41 @@ def _gen_stream(tmp_path, capsys, *extra):
                       "--out", str(path), *extra)
     assert code == 0
     return str(path)
+
+
+_DECLARED = "function dist is declared {}, its implementation is dist(node, node) -> Real"
+
+
+@pytest.mark.parametrize("schema_edit, pred, column, message", [
+    (("fn dist(node, node) -> Real;", "fn dist(Real, Real) -> Real;"), "dist(1, 2) > 0",
+     10, _DECLARED.format("dist(Real, Real) -> Real")),
+    (("fn dist(node, node) -> Real;", "fn dist(node) -> Real;"), "dist(ego) > 0",
+     10, _DECLARED.format("dist(node) -> Real")),
+    (("fn dist(node, node) -> Real;", "fn dist(node, node) -> Bool;"), "dist(ego, other)",
+     10, _DECLARED.format("dist(node, node) -> Bool")),
+    (("position: Vec2;", "position: Real;"), "dist(ego, other) > 0",
+     15, "function dist reads ego.position as Vec2, got Real"),
+    (None, "dist(ego, lane) > 0", 20, "class Lane has no attribute 'position'"),
+], ids=["value-params", "one-node", "bool-result", "real-position", "lane"])
+def test_monitor_refuses_a_builtin_call_it_cannot_run_before_any_scene(
+        capsys, tmp_path, om, schema_edit, pred, column, message):
+    """A call that could never be evaluated is a located load error (exit
+    2) before the stream is read, not a traceback, a float used as a truth
+    value, or a missing-attribute error verdict on every scene."""
+    schema = serialize_object_model(om)
+    if schema_edit is not None:
+        schema = schema.replace(*schema_edit)
+    om_path = tmp_path / "edited.om"
+    om_path.write_text(schema)
+    props = tmp_path / "call.asg"
+    props.write_text('asg "call" {\n  node ego: Vehicle;\n  node other: Vehicle;\n'
+                     '  node lane: Lane;\n  ego ego;\n  edge ego isIn lane;\n'
+                     f'  edge other isIn lane;\n  assert {pred};\n}}\n')
+    stream = _gen_stream(tmp_path, capsys)
+    code, out, err = _run(capsys, "monitor", stream, "--om", str(om_path),
+                          "--props", str(props))
+    assert (code, out) == (2, "")
+    assert err == f"scenemon: error: 8:{column}: {message}\n"
 
 
 def test_monitor_nominal_phases_pass(capsys, tmp_path):

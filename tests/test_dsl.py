@@ -4,6 +4,10 @@ from scenemon import (
     SceneValidationError,
     SpecSyntaxError,
     SpecTypeError,
+    bind,
+    compile_predicates,
+    evaluate,
+    find_embeddings,
     load_asg,
     load_bundled_asg,
     parse_asg,
@@ -11,6 +15,8 @@ from scenemon import (
     serialize_asg,
     serialize_object_model,
 )
+
+from conftest import halted_obstacle_scene
 
 BUNDLED = ("obstacle-ahead", "P1-1", "P1-2", "P1-3",
            "P2-1", "P2-2", "P2-3", "P2-4", "P2-5")
@@ -131,6 +137,32 @@ def test_ego_must_be_vehicle_class(om):
         parse_asg('asg "r" { node ego: Static; ego ego; }', om)
 
 
+def test_parse_asg_rejects_disconnected(om):
+    with pytest.raises(SceneValidationError) as err:
+        parse_asg('asg "broken" { node ego: Vehicle; node far: Lane; ego ego; }', om)
+    assert str(err.value) == "pattern 'broken' is disconnected; unreachable: far"
+
+
+def test_parse_asg_allows_abstract_pattern_classes(om):
+    parse_asg('asg "ok" { node ego: Vehicle; node p: TrafficParticipant; ego ego; '
+              'edge p inFrontOf ego; }', om)
+
+
+def test_parse_asg_ego_class(om):
+    with pytest.raises(SceneValidationError) as err:
+        parse_asg('asg "bad-ego" { node ego: Static; ego ego; }', om)
+    assert str(err.value) == "pattern 'bad-ego': ego node has class Static, expected a Vehicle"
+
+
+def test_parse_asg_rejects_a_pattern_edge_the_schema_does_not_admit(om):
+    """isIn admits only a Lane or a ParkingSpot as its target."""
+    with pytest.raises(SceneValidationError) as err:
+        parse_asg('asg "r" { node ego: Vehicle; node o: Static; ego ego; '
+                  'edge ego isIn o; }', om)
+    assert str(err.value) == (
+        "pattern 'r': edge (ego, isIn, o) not allowed for Vehicle -> Static")
+
+
 # type checking
 
 
@@ -171,6 +203,24 @@ def test_function_without_implementation_located(om):
         parse_asg(text, heading_om)
     assert str(err.value) == "4:10: function 'heading' has no implementation"
     assert (err.value.line, err.value.column) == (4, 10)
+
+
+def test_string_and_bool_literals_round_trip_and_evaluate(om):
+    text = ('asg "lits" { node ego: Vehicle; ego ego; assert "a\\"b" == "a\\"b"; '
+            'assert true != false; assert "a" == "b"; }')
+    asg = parse_asg(text, om)
+    assert [p.to_text() for p in asg.predicates] == [
+        '"a\\"b" == "a\\"b"', "true != false", '"a" == "b"']
+    assert all(p.pattern_ids() == frozenset() for p in asg.predicates)
+    assert serialize_asg(asg) == (
+        'asg "lits" {\n  node ego: Vehicle;\n  ego ego;\n  assert "a\\"b" == "a\\"b";\n'
+        '  assert true != false;\n  assert "a" == "b";\n}\n')
+    assert parse_asg(serialize_asg(asg), om) == asg
+    csg = halted_obstacle_scene(om)
+    (emb,) = find_embeddings(asg, csg)
+    assert evaluate(asg.predicates, bind(emb, csg)) == (False, 2)
+    assert [f(csg.nodes, emb.as_dict()) for f in compile_predicates(asg.predicates)] == [
+        True, True, False]
 
 
 def test_unknown_attribute_names_class(om):

@@ -26,6 +26,7 @@ from scenemon.matching import (
     _require_same_om,
     _visit_order,
 )
+from conftest import halted_obstacle_scene
 from randscene import random_instance
 
 TWO_LANE_PATTERN = """
@@ -162,6 +163,24 @@ def test_check_embedding_accepts_real_and_flags_fakes(ahead_asg, scene_factory):
     assert defects  # not injective and class-incompatible
     missing = type(emb).from_dict({"ego": "ego"})
     assert check_embedding(ahead_asg, csg, missing)
+
+
+def test_check_embedding_names_each_defect(om, ahead_asg):
+    emb = Embedding.from_dict({"ego": "ego", "obstacle": "obs", "lane": "lane1"})
+    scene = halted_obstacle_scene(om)
+    extra = make_csg(om, 0.0, "ego", scene.nodes.values(),
+                     scene.edges | {("ego", "inFrontOf", "obs")})
+    assert check_embedding(ahead_asg, extra, emb) == []
+    assert check_embedding(ahead_asg, extra, emb, induced=True) == [
+        "scene edge (ego, inFrontOf, obs) has no pattern counterpart"]
+    swapped = Embedding.from_dict({"ego": "obs", "obstacle": "ego", "lane": "lane1"})
+    assert "ego pattern node is not mapped to the scene ego" in check_embedding(
+        ahead_asg, scene, swapped)
+    ghost = Embedding.from_dict({"ego": "ego", "obstacle": "ghost", "lane": "lane1"})
+    assert check_embedding(ahead_asg, scene, ghost) == [
+        "obstacle mapped to unknown object ghost",
+        "pattern edge (obstacle, inFrontOf, ego) not preserved",
+        "pattern edge (obstacle, isIn, lane) not preserved"]
 
 
 def test_distinct_object_models_rejected(om, scene_factory):

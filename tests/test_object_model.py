@@ -119,6 +119,17 @@ def test_function_bad_parameter_kind_rejected():
         parse_object_model("fn f(Banana) -> Real;")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("class Lane; rel r: Ghost -> Lane;", "relationship r has unknown source class Ghost"),
+    ("fn f(node) -> Real; fn f(node) -> Real;", "duplicate function: f"),
+    ("fn f(node) -> Banana;", "function f has unknown result type Banana"),
+], ids=["relationship-source", "duplicate-function", "result-type"])
+def test_schema_errors_name_their_declaration(text, message):
+    with pytest.raises(SchemaError) as err:
+        parse_object_model(text)
+    assert str(err.value) == message
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(SpecSyntaxError) as err:
         parse_object_model("class A {\n  speed Real;\n}")

@@ -21,7 +21,7 @@ from scenemon import (
 )
 from scenemon.dsl import And, AttrRef, BoolLit, Call, Compare, NodeRef, NumberLit, StringLit
 from scenemon.object_model import NODE_PARAM
-from scenemon.predicates import BUILTIN_FUNCTIONS, NODE_ARG_READS, _eval
+from scenemon.predicates import BUILTINS, _eval
 
 from randscene import random_instance
 
@@ -334,13 +334,13 @@ def test_compiled_dist_matches_the_interpreter(om, missing):
 
 
 def test_every_builtin_with_a_node_parameter_declares_its_reads(om):
-    """A node argument becomes the values `NODE_ARG_READS` declares, so a
-    builtin that takes a node without an entry would receive none."""
-    for name in BUILTIN_FUNCTIONS:
+    """A node argument becomes the values of the reads `BUILTINS` declares,
+    so a builtin that takes a node with no reads would receive none."""
+    for name, builtin in BUILTINS.items():
         fn = om.find_function(name)
         assert fn is not None, name
         if NODE_PARAM in fn.params:
-            assert NODE_ARG_READS.get(name), name
+            assert builtin.reads, name
 
 
 # -- the compiled comparison rules against `_compare` ------------------------

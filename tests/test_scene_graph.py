@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scenemon import (
-    AbstractSceneGraph,
     ConcreteSceneGraph,
     SceneObject,
     SceneValidationError,
@@ -29,7 +28,6 @@ from scenemon import (
     scene_record,
     serialize_object_model,
     serialize_scene,
-    validate_asg,
 )
 
 from scenemon.matching import candidate_pools
@@ -992,6 +990,18 @@ def test_attribute_type_table_matches_the_full_check(om, value):
             assert attrs == {name: value}
 
 
+def test_a_record_with_one_node_more_than_the_last_is_not_reused(om):
+    """The first three entries repeat the record before, so only the node
+    count tells the topologies apart; a reuse would drop the fourth node."""
+    first = scene_record(halted_obstacle_scene(om))
+    second = scene_record(halted_obstacle_scene(om, t=1.0))
+    second["nodes"].append({"id": "x", "class": "Static", "attrs": {}})
+    before, after = read_scene_stream([json.dumps(first), json.dumps(second)], om)
+    assert sorted(after.nodes) == ["ego", "lane1", "obs", "x"]
+    assert after.class_index is not before.class_index
+    assert scene_record(after) == scene_record(parse_csg(second, om))
+
+
 def test_labels_between_matches_a_scan_of_the_edges(om):
     rng = random.Random(606)
     for _ in range(100):
@@ -1002,44 +1012,6 @@ def test_labels_between_matches_a_scan_of_the_edges(om):
         for src, dst in pairs:
             assert csg.labels_between(src, dst) == {
                 r for s, r, d in csg.edges if s == src and d == dst}
-
-
-def test_validate_asg_rejects_disconnected(om):
-    asg = AbstractSceneGraph(
-        name="broken",
-        pattern_nodes={"ego": "Vehicle", "far": "Lane"},
-        pattern_edges=frozenset(),
-        ego_pattern_id="ego",
-        predicates=(),
-        om=om,
-    )
-    with pytest.raises(SceneValidationError, match="far"):
-        validate_asg(asg)
-
-
-def test_validate_asg_allows_abstract_pattern_classes(om):
-    asg = AbstractSceneGraph(
-        name="ok",
-        pattern_nodes={"ego": "Vehicle", "p": "TrafficParticipant"},
-        pattern_edges=frozenset({("p", "inFrontOf", "ego")}),
-        ego_pattern_id="ego",
-        predicates=(),
-        om=om,
-    )
-    validate_asg(asg)
-
-
-def test_validate_asg_ego_class(om):
-    asg = AbstractSceneGraph(
-        name="bad-ego",
-        pattern_nodes={"ego": "Static"},
-        pattern_edges=frozenset(),
-        ego_pattern_id="ego",
-        predicates=(),
-        om=om,
-    )
-    with pytest.raises(SceneValidationError):
-        validate_asg(asg)
 
 
 # -- DOT export ------------------------------------------------------------
