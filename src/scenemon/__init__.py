@@ -5,6 +5,10 @@ properties written as abstract scene graphs: a typed pattern anchored at the
 ego vehicle plus an ordered list of predicates over the matched objects.
 Streams of scenes can additionally be tracked against an ordered phase
 sequence describing a maneuver.
+
+The scenario generator's names (`builtin_script`, `generate_trace` and the
+script types) are resolved on first use, so monitoring never imports
+`scenemon.scenarios`.
 """
 
 from .errors import (
@@ -36,7 +40,14 @@ from .scene_graph import (
     scene_record,
     serialize_scene,
 )
-from .dsl import load_asg, parse_asg, serialize_asg
+from .dsl import (
+    builtin_asgs,
+    load_asg,
+    load_bundled_asg,
+    parse_asg,
+    scenario_names,
+    serialize_asg,
+)
 from .matching import (
     ORACLE_SIZE_BOUND,
     Embedding,
@@ -57,23 +68,6 @@ from .monitor import (
     serialize_verdict,
     sg_comparison,
     verdict_record,
-)
-from .scenarios import (
-    ActorTrack,
-    LaneStrip,
-    MapLayout,
-    ParticipantState,
-    PerturbationRule,
-    ScenarioScript,
-    SpotBay,
-    builtin_asgs,
-    builtin_script,
-    derive_edges,
-    generate_trace,
-    load_bundled_asg,
-    overtake_script,
-    pull_out_script,
-    scenario_names,
 )
 
 __version__ = "0.1.0"
@@ -143,3 +137,22 @@ __all__ = [
     "verdict_record",
     "__version__",
 ]
+
+# the names `scenemon.scenarios` defines, imported when first read (PEP 562)
+_GENERATOR_NAMES = frozenset({
+    "ActorTrack", "LaneStrip", "MapLayout", "ParticipantState", "PerturbationRule",
+    "ScenarioScript", "SpotBay", "builtin_script", "derive_edges", "generate_trace",
+    "overtake_script", "pull_out_script",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _GENERATOR_NAMES:
+        from . import scenarios
+
+        return getattr(scenarios, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _GENERATOR_NAMES)

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .dsl import load_asg
+from .dsl import builtin_asgs, load_asg, load_bundled_asg, scenario_names
 from .errors import SceneMonError, SceneValidationError
 from .matching import brute_force_embeddings, check_embedding, find_embeddings, require_oracle_size
 from .monitor import (
@@ -50,13 +50,6 @@ from .scene_graph import (
     parse_csg,
     read_scene_stream,
     serialize_scene,
-)
-from .scenarios import (
-    builtin_asgs,
-    builtin_script,
-    iter_trace,
-    load_bundled_asg,
-    scenario_names,
 )
 
 
@@ -372,6 +365,8 @@ def _monitor(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .scenarios import builtin_script, iter_trace  # only gen loads the generator
+
     om = load_object_model(args.om)
     script = builtin_script(args.scenario, offsets=dict(args.perturb))
     if args.dt is not None:

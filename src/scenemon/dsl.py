@@ -22,8 +22,11 @@ pattern nodes, and `and` conjunction; see docs/asg-grammar.ebnf.
 
 The parser is hand-written recursive descent over the shared tokenizer so
 errors carry exact line/column positions, and parsing is total: any input
-either yields an AbstractSceneGraph or raises a package error, located
-unless it is about the pattern as a whole.
+either yields an AbstractSceneGraph or raises a located package error.
+
+The bundled properties are loaded here too (`load_bundled_asg`,
+`builtin_asgs`), with the phase names of each built-in scenario
+(`SCENARIO_PHASES`), so monitoring imports no scenario generator.
 
 `parse_asg` is a property's one checker: one that could never be
 evaluated is refused at load, not reported on every scene. A builtin call
@@ -35,11 +38,11 @@ as `lane.position` would be.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from decimal import Decimal
-from functools import cached_property
+from dataclasses import FrozenInstanceError
+from functools import cached_property, lru_cache
+from importlib import resources
 
-from .errors import SceneValidationError, SpecSyntaxError, SpecTypeError
+from .errors import SpecSyntaxError, SpecTypeError
 from .lexing import (
     KIND_EOF,
     KIND_IDENT,
@@ -49,7 +52,7 @@ from .lexing import (
     TokenStream,
     tokenize,
 )
-from .object_model import NODE_PARAM, ObjectModel, is_relationship_allowed
+from .object_model import NODE_PARAM, ObjectModel, default_object_model, is_relationship_allowed
 from .scene_graph import AbstractSceneGraph, pattern_distances
 
 # "ego" stays legal as a node id: the ego declaration is identified by its
@@ -63,21 +66,46 @@ _COMPARE_OPS = ("==", "!=", "<=", ">=", "<", ">")
 def _fmt_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
+    from decimal import Decimal  # only serialization loads it
+
     # the shortest round-tripping digits, without the exponent repr() may use
     return format(Decimal(repr(float(value))), "f")
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base expression node.
+    """Base expression node: an immutable value of its class and the fields
+    the class annotates, built from its position and then those fields.
 
     Positions point at the node's first token; they inform error messages
     only and are excluded from structural equality so a re-parsed
     serialization compares equal to its source AST.
     """
 
-    line: int = field(compare=False)
-    column: int = field(compare=False)
+    line: int
+    column: int
+
+    def __init__(self, line: int, column: int, *values: object) -> None:
+        fields = ("line", "column", *type(self).__annotations__)
+        self.__dict__.update(zip(fields, (line, column, *values), strict=True))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple[object, ...]:
+        return (self.__class__, *[self.__dict__[name] for name in type(self).__annotations__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Expr) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:  # as a dataclass shows it
+        fields = ("line", "column", *type(self).__annotations__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{type(self).__qualname__}({shown})"
 
     def pattern_ids(self) -> frozenset[str]:
         raise NotImplementedError
@@ -86,7 +114,6 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class NumberLit(Expr):
     value: float
 
@@ -97,7 +124,6 @@ class NumberLit(Expr):
         return _fmt_number(self.value)
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
 
@@ -108,7 +134,6 @@ class BoolLit(Expr):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
 class StringLit(Expr):
     value: str
 
@@ -120,7 +145,6 @@ class StringLit(Expr):
         return f'"{escaped}"'
 
 
-@dataclass(frozen=True)
 class NodeRef(Expr):
     """Bare pattern-node reference; only valid as a function argument."""
 
@@ -133,7 +157,6 @@ class NodeRef(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class AttrRef(Expr):
     node_id: str
     attr: str
@@ -145,7 +168,6 @@ class AttrRef(Expr):
         return f"{self.node_id}.{self.attr}"
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     fn: str
     args: tuple[Expr, ...]
@@ -179,7 +201,6 @@ class Call(Expr):
         return tuple(operands)
 
 
-@dataclass(frozen=True)
 class Compare(Expr):
     op: str
     left: Expr
@@ -192,7 +213,6 @@ class Compare(Expr):
         return f"{self.left.to_text()} {self.op} {self.right.to_text()}"
 
 
-@dataclass(frozen=True)
 class InInterval(Expr):
     """value in (lo, hi] style membership; each bound open or closed."""
 
@@ -212,7 +232,6 @@ class InInterval(Expr):
                 f"{self.hi.to_text()}{hi_b}")
 
 
-@dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
@@ -230,10 +249,12 @@ class And(Expr):
 def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
     """Parse and type-check one property spec against an object model.
 
-    Raises SpecSyntaxError for malformed text, SpecTypeError for well-formed
-    text that misuses the vocabulary, and SceneValidationError for an ego
-    that is no Vehicle, an edge the schema does not admit or a pattern that
-    is disconnected when read undirected. Pattern classes may be abstract.
+    Raises SpecSyntaxError for malformed text, and SpecTypeError for
+    well-formed text that misuses the vocabulary, for an ego that is no
+    Vehicle (at its class), an edge the schema does not admit (at its
+    relationship) and a pattern that is disconnected when read undirected
+    (at the first unreachable node declared). Pattern classes may be
+    abstract.
     """
     ts = TokenStream(tokenize(text))
     open_tok = ts.expect_keyword("asg")
@@ -244,7 +265,7 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
     ts.next()
     ts.expect_punct("{")
     nodes: dict[str, str] = {}
-    node_tokens: dict[str, Token] = {}
+    node_tokens: dict[str, tuple[Token, Token]] = {}  # each node's id and class
     edges: list[tuple[str, str, str]] = []
     edge_tokens: list[Token] = []
     ego_id: str | None = None
@@ -267,7 +288,7 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
                 raise SpecTypeError(f"duplicate pattern node {id_tok.text!r}",
                                     id_tok.line, id_tok.column)
             nodes[id_tok.text] = cls_tok.text
-            node_tokens[id_tok.text] = cls_tok
+            node_tokens[id_tok.text] = (id_tok, cls_tok)
         elif ts.at_keyword("edge"):
             ts.next()
             src_tok = ts.expect_ident("source node id")
@@ -298,7 +319,7 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
     if ego_id not in nodes:
         raise SpecTypeError(f"ego references undeclared node {ego_id!r}",
                             open_tok.line, open_tok.column)
-    for cls_tok in node_tokens.values():
+    for _, cls_tok in node_tokens.values():
         if not om.has_class(cls_tok.text):
             raise SpecTypeError(f"unknown class {cls_tok.text!r}",
                                 cls_tok.line, cls_tok.column)
@@ -316,19 +337,23 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
             raise SpecTypeError(f"assert expression has type {t}, expected Bool",
                                 pred.line, pred.column)
     name = name_tok.text
-    if not om.is_subclass(nodes[ego_id], "Vehicle"):
-        raise SceneValidationError(
-            f"pattern {name!r}: ego node has class {nodes[ego_id]}, expected a Vehicle")
-    for src, rel, dst in edges:
+    if "Vehicle" not in om.ancestors(nodes[ego_id]):
+        _, cls_tok = node_tokens[ego_id]
+        raise SpecTypeError(
+            f"pattern {name!r}: ego node has class {nodes[ego_id]}, expected a Vehicle",
+            cls_tok.line, cls_tok.column)
+    for (src, rel, dst), rel_tok in zip(edges, edge_tokens):
         if not is_relationship_allowed(om, rel, nodes[src], nodes[dst]):
-            raise SceneValidationError(
+            raise SpecTypeError(
                 f"pattern {name!r}: edge ({src}, {rel}, {dst}) not allowed for "
-                f"{nodes[src]} -> {nodes[dst]}")
+                f"{nodes[src]} -> {nodes[dst]}", rel_tok.line, rel_tok.column)
     reached = pattern_distances(edges, next(iter(nodes)))
     if len(reached) != len(nodes):
-        missing = sorted(set(nodes) - reached.keys())
-        raise SceneValidationError(
-            f"pattern {name!r} is disconnected; unreachable: {', '.join(missing)}")
+        missing = [pid for pid in nodes if pid not in reached]
+        id_tok, _ = node_tokens[missing[0]]
+        raise SpecTypeError(
+            f"pattern {name!r} is disconnected; unreachable: {', '.join(sorted(missing))}",
+            id_tok.line, id_tok.column)
     return AbstractSceneGraph(
         name=name,
         pattern_nodes=nodes,
@@ -342,6 +367,51 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
 def load_asg(path: str, om: ObjectModel) -> AbstractSceneGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_asg(fh.read(), om)
+
+
+# The phases of each built-in scenario, in order, each named after the
+# bundled property it is monitored against; the scenario scripts read it
+SCENARIO_PHASES = {
+    "P1": ("P1-1", "P1-2", "P1-3"),
+    "P2": ("P2-1", "P2-2", "P2-3", "P2-4", "P2-5"),
+}
+
+# each bundled property -> its file in scenemon/assets
+_ASSET_FILES = {name: name.lower().replace("-", "_") + ".asg"
+                for name in ("obstacle-ahead", *SCENARIO_PHASES["P1"], *SCENARIO_PHASES["P2"])}
+
+
+def scenario_names() -> tuple[str, ...]:
+    return tuple(sorted(SCENARIO_PHASES))
+
+
+@lru_cache(maxsize=None)
+def _bundled_text(filename: str) -> str:
+    return (resources.files("scenemon.assets") / filename).read_text("utf-8")
+
+
+def load_bundled_asg(name: str, om: ObjectModel | None = None) -> AbstractSceneGraph:
+    """Load one of the shipped properties by name (e.g. ``"P1-2"``)."""
+    if om is None:
+        om = default_object_model()
+    try:
+        filename = _ASSET_FILES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown bundled property {name!r}; expected one of "
+            f"{sorted(_ASSET_FILES)}"
+        ) from None
+    return parse_asg(_bundled_text(filename), om)
+
+
+def builtin_asgs(
+    scenario: str, om: ObjectModel | None = None
+) -> tuple[AbstractSceneGraph, ...]:
+    """The phase properties of a built-in scenario, in phase order."""
+    if scenario not in SCENARIO_PHASES:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; expected one of {scenario_names()}")
+    return tuple(load_bundled_asg(name, om) for name in SCENARIO_PHASES[scenario])
 
 
 def _parse_expr(ts: TokenStream) -> Expr:

@@ -3,11 +3,12 @@
 Both text formats use the same lexical vocabulary: identifiers, numbers,
 quoted strings, punctuation, and // line comments. The parsers differ only
 in grammar, so they share this tokenizer. Every token carries its source
-position for error reporting.
+position for error reporting. A token is a named tuple: the object model
+and every property are tokenized before a monitor reads its first scene.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecSyntaxError
 
@@ -25,8 +26,7 @@ KIND_PUNCT = "PUNCT"
 KIND_EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -67,8 +67,9 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
             continue
         if _is_ident_start(ch):
             start = i

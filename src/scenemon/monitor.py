@@ -51,7 +51,9 @@ A check runs three stages:
      first embedding is first in matcher order.
   3. The error search, after a failure, if the scene holds a gap object.
      The first of its yields that hits missing data gives the error;
-     otherwise the failure decides.
+     otherwise the failure decides. Its check prunes a partial mapping
+     that cannot reach a gap object, or on which a predicate is false
+     before any raises: evaluation stops there on every completion.
 
 What depends on the property alone is computed once per property object
 and epsilon, and kept on the property (`AbstractSceneGraph.plans`): the
@@ -177,7 +179,8 @@ def sg_comparison(
     a miss files its `_Embeddings` there. None searches from scratch."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number at or above 0, got {epsilon!r}")
-    predicates, reads, due, causes = asg.plans.get(epsilon) or _property_plan(asg, epsilon)
+    predicates, reads, due, in_order, causes = (
+        asg.plans.get(epsilon) or _property_plan(asg, epsilon))
     # 1. the first embedding, from the memo's entry or a new one
     entry = None if memo is None else memo.get(id(asg))
     hit = entry is not None
@@ -207,7 +210,7 @@ def sg_comparison(
         asg, csg, induced=induced, check=_witness_check(nodes, due)), None)
     if witness is not None:
         return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=witness)
-    check = _gap_check(asg, csg, reads) if result is _VIOLATED else None
+    check = _gap_check(asg, csg, reads, in_order) if result is _VIOLATED else None
     if check is not None:  # 3. the error search
         for emb in iter_embeddings(asg, csg, induced=induced, check=check):
             try:
@@ -253,34 +256,36 @@ def _first_false(
 
 
 _Reads = tuple[tuple[str, frozenset[str]], ...]  # attributes read, per pattern node
-_Due = dict[str, tuple[tuple[frozenset[str], Compiled], ...]]  # (pattern ids, predicate), per node
+_Scheduled = tuple[tuple[frozenset[str], Compiled], ...]  # (pattern ids, predicate) pairs
+_Due = dict[str, _Scheduled]  # per pattern node
 _Check = Callable[[str, Mapping[str, str]], bool]  # a search's per-depth check
 
 
 def _property_plan(
     asg: AbstractSceneGraph, epsilon: float,
-) -> tuple[tuple[Compiled, ...], _Reads, _Due, tuple[Cause, ...]]:
+) -> tuple[tuple[Compiled, ...], _Reads, _Due, _Scheduled, tuple[Cause, ...]]:
     """What checking a property needs that depends on the property alone,
     built for one epsilon and kept in `asg.plans`, where checks look it up
     before they call this: the compiled predicates in declaration order,
-    their read set, the pushdown schedule, and the `predicate_failed` cause
-    of each predicate, shared by every verdict as `_NO_EMBEDDING` is. The
-    tables are shared: read only. Two threads may both build a plan: the
-    plans are equal, and either is kept.
+    their read set, the pushdown schedule, each predicate with its pattern
+    ids in declaration order, and the `predicate_failed` cause of each
+    predicate, shared by every verdict as `_NO_EMBEDDING` is. The tables
+    are shared: read only. Two threads may both build a plan: the plans are
+    equal, and either is kept.
 
     A predicate is filed under each of its pattern nodes and becomes due
     when the last of them is mapped; one with no node refs is due at depth
     0, where the ego is mapped.
     """
     compiled = compile_predicates(asg.predicates, epsilon=epsilon)
+    in_order = tuple((pred.pattern_ids(), fn) for pred, fn in zip(asg.predicates, compiled))
     due: dict[str, list[tuple[frozenset[str], Compiled]]] = {}
-    for pred, fn in zip(asg.predicates, compiled):
-        ids = pred.pattern_ids()
+    for ids, fn in in_order:
         for pid in ids or (asg.ego_pattern_id,):
             due.setdefault(pid, []).append((ids, fn))
     plan = asg.plans[epsilon] = (
         compiled, tuple(attribute_reads(asg.predicates).items()),
-        {pid: tuple(v) for pid, v in due.items()},
+        {pid: tuple(v) for pid, v in due.items()}, in_order,
         tuple(Cause.predicate_failed(i) for i in range(len(compiled))))
     return plan
 
@@ -300,12 +305,18 @@ def _witness_check(nodes: Mapping[str, SceneObject], due: _Due) -> _Check:
     return check
 
 
-def _gap_check(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) -> _Check | None:
+def _gap_check(
+    asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads, in_order: _Scheduled,
+) -> _Check | None:
     """The error search's per-depth check, or None when the gap table is
     empty. The table lists, per pattern node, the candidates that lack an
     attribute the predicates read from that node. A partial mapping is kept
     while a node in the table is mapped to one of its gap objects, or is
-    still unmapped."""
+    still unmapped, unless a false predicate settles it: the predicates are
+    walked in declaration order while all of a predicate's nodes are mapped.
+    A false one prunes, as `_first_false` stops there on every completion
+    before a later predicate can raise. One that raises, or one not yet
+    bound, ends the walk and keeps the mapping."""
     pools, nodes = candidate_pools(asg, csg), csg.nodes
     gaps = {}
     for pid, names in reads:
@@ -319,8 +330,18 @@ def _gap_check(asg: AbstractSceneGraph, csg: ConcreteSceneGraph, reads: _Reads) 
         for q, objs in gaps.items():
             oid = mapping.get(q)
             if oid is None or oid in objs:
-                return True
-        return False
+                break
+        else:
+            return False
+        try:
+            for ids, pred in in_order:
+                if not ids <= mapping.keys():
+                    break
+                if not pred(nodes, mapping):
+                    return False
+        except MissingAttributeError:
+            pass
+        return True
 
     return check
 

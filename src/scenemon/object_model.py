@@ -30,6 +30,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .errors import SchemaError
 from .lexing import KIND_EOF, TokenStream, tokenize
@@ -40,14 +41,12 @@ BASE_TYPES: tuple[str, ...] = ("Real", "Int", "Bool", "String", "Vec2")
 NODE_PARAM = "node"
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(NamedTuple):
     name: str
     type: str
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     name: str
     parent: str | None
     abstract: bool
@@ -56,8 +55,7 @@ class ClassDef:
     attributes: tuple[AttributeDef, ...] = ()
 
 
-@dataclass(frozen=True)
-class RelationshipType:
+class RelationshipType(NamedTuple):
     """One allowed edge shape: `name` edges from `source` to `target` classes.
 
     The same name may appear in several rows with different endpoints; an
@@ -69,8 +67,7 @@ class RelationshipType:
     target: str
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
+class FunctionSymbol(NamedTuple):
     name: str
     params: tuple[str, ...]  # each NODE_PARAM or a base type
     result: str

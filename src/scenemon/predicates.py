@@ -45,7 +45,6 @@ tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingAttributeError, SceneMonError
@@ -65,8 +64,7 @@ from .object_model import AttributeDef
 from .scene_graph import ConcreteSceneGraph, SceneObject
 
 
-@dataclass(frozen=True)
-class BoundObject:
+class BoundObject(NamedTuple):
     pattern_id: str
     object_id: str
     cls: str
@@ -79,13 +77,12 @@ class BoundObject:
             raise MissingAttributeError(f"{self.pattern_id}.{name}") from None
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """Pattern-id keyed snapshot of the matched objects' attribute values."""
 
     objects: Mapping[str, BoundObject]
 
-    def __getitem__(self, pattern_id: str) -> BoundObject:
+    def __getitem__(self, pattern_id: str) -> BoundObject:  # by pattern id, not position
         return self.objects[pattern_id]
 
 

@@ -6,12 +6,16 @@ segment, and scene graphs are sampled from the resulting trajectories at a
 fixed step. Relationship edges are derived from geometry alone, so the
 generated streams exercise the same derivation rules on every frame.
 
-Two scripts are built in, together with the phase properties they are meant
-to be monitored against:
+Two scripts are built in, each with one phase per phase property it is
+meant to be monitored against, named as `dsl.SCENARIO_PHASES` lists them:
 
 * ``P1`` pull-out: ego leaves a parking spot and merges into lane traffic.
 * ``P2`` overtake: ego crosses into the opposing lane to pass a halted
   obstacle and returns.
+
+The bundled properties themselves are loaded by `dsl`: monitoring never
+imports this module. Only ``scenemon gen`` and the generator's names in
+`scenemon` load it, on first use.
 
 Perturbations inject a fault into one phase: during the target phase the
 named threat actor is repositioned every frame so that its distance to the
@@ -25,14 +29,12 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources
 from typing import Iterator, Sequence
 
-from .dsl import parse_asg
+from .dsl import SCENARIO_PHASES, scenario_names
 from .errors import SceneValidationError
 from .object_model import ObjectModel, default_object_model
-from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, SceneObject, make_csg
+from .scene_graph import ConcreteSceneGraph, SceneObject, make_csg
 
 LANE_WIDTH = 3.5
 HALF_LANE = LANE_WIDTH / 2.0
@@ -350,7 +352,7 @@ def pull_out_script(offsets: dict[str, float] | None = None) -> ScenarioScript:
         scenario_id="P1",
         duration=12.0,
         dt=0.1,
-        phases=("P1-1", "P1-2", "P1-3"),
+        phases=SCENARIO_PHASES["P1"],
         boundaries=(0.0, 3.0, 5.0, 12.0),
         layout=_two_lane_layout(spots=(spot,)),
         actors=(
@@ -388,7 +390,7 @@ def overtake_script(offsets: dict[str, float] | None = None) -> ScenarioScript:
         scenario_id="P2",
         duration=20.0,
         dt=0.1,
-        phases=("P2-1", "P2-2", "P2-3", "P2-4", "P2-5"),
+        phases=SCENARIO_PHASES["P2"],
         boundaries=(0.0, 3.0, 5.5, 9.0, 11.5, 20.0),
         layout=_two_lane_layout(),
         actors=(
@@ -462,22 +464,6 @@ def build_bench_scene(
 
 _SCRIPT_BUILDERS = {"P1": pull_out_script, "P2": overtake_script}
 
-_ASSET_FILES = {
-    "obstacle-ahead": "obstacle_ahead.asg",
-    "P1-1": "p1_1.asg",
-    "P1-2": "p1_2.asg",
-    "P1-3": "p1_3.asg",
-    "P2-1": "p2_1.asg",
-    "P2-2": "p2_2.asg",
-    "P2-3": "p2_3.asg",
-    "P2-4": "p2_4.asg",
-    "P2-5": "p2_5.asg",
-}
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(sorted(_SCRIPT_BUILDERS))
-
 
 def builtin_script(
     scenario: str, offsets: dict[str, float] | None = None
@@ -490,30 +476,3 @@ def builtin_script(
             f"unknown scenario {scenario!r}; expected one of {scenario_names()}"
         ) from None
     return builder(offsets)
-
-
-@lru_cache(maxsize=None)
-def _bundled_text(filename: str) -> str:
-    return (resources.files("scenemon.assets") / filename).read_text("utf-8")
-
-
-def load_bundled_asg(name: str, om: ObjectModel | None = None) -> AbstractSceneGraph:
-    """Load one of the shipped properties by name (e.g. ``"P1-2"``)."""
-    if om is None:
-        om = default_object_model()
-    try:
-        filename = _ASSET_FILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown bundled property {name!r}; expected one of "
-            f"{sorted(_ASSET_FILES)}"
-        ) from None
-    return parse_asg(_bundled_text(filename), om)
-
-
-def builtin_asgs(
-    scenario: str, om: ObjectModel | None = None
-) -> tuple[AbstractSceneGraph, ...]:
-    """The phase properties of a built-in scenario, in phase order."""
-    script = builtin_script(scenario)
-    return tuple(load_bundled_asg(name, om) for name in script.phases)

@@ -287,7 +287,7 @@ def _built_csg(
             edge_set.add((src, rel, dst))
     if not isinstance(ego_id, str) or ego_id not in cls_of:
         raise SceneValidationError(f"ego node {ego_id!r} not present in scene")
-    if not om.is_subclass(cls_of[ego_id], "Vehicle"):
+    if "Vehicle" not in om.ancestors(cls_of[ego_id]):
         raise SceneValidationError(
             f"ego node {ego_id} has class {cls_of[ego_id]}, expected a Vehicle")
     return ConcreteSceneGraph(_timestamp(timestamp), node_map, frozenset(edge_set), ego_id, om)

@@ -37,8 +37,9 @@ from scenemon import (
     sg_comparison,
 )
 from scenemon.cli import main
+from scenemon.dsl import _ASSET_FILES, _bundled_text
 from scenemon.monitor import reference_verdict
-from scenemon.scenarios import _ASSET_FILES, _bundled_text, build_bench_scene
+from scenemon.scenarios import build_bench_scene
 
 from conftest import halted_obstacle_scene
 from randscene import random_instance
@@ -405,3 +406,41 @@ def test_c8_data_gap_latency(om, which):
     assert p50 < 30.0, f"p50 {p50:.1f} ms"
     print(f"ACCEPTANCE C8 (400-node halted-ego scene, gap on the {which} Vehicle, "
           f"p50={p50:.2f}ms): PASS")
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_c8_data_gap_behind_a_false_guard_latency(om, which):
+    """P2-2 with `ego.velocity > 0` moved to the front, on the 1000-object
+    scene with the ego halted and one non-ego `Vehicle` (the first or the
+    last in node order) lacking `position`. Every embedding fails that first
+    predicate before any can hit the gap, so the verdict is its failure,
+    and the error search must settle that at depth 0, not enumerate every
+    embedding that maps the gap object."""
+    dense = build_bench_scene(1000, seed=0, om=om)
+    vehicles = [oid for oid, obj in dense.nodes.items()
+                if obj.cls == "Vehicle" and oid != dense.ego_id]
+    gap = vehicles[0] if which == "first" else vehicles[-1]
+    nodes = []
+    for obj in dense.nodes.values():
+        attrs = dict(obj.attributes)
+        if obj.object_id == dense.ego_id:
+            attrs["velocity"] = 0.0
+        elif obj.object_id == gap:
+            del attrs["position"]
+        nodes.append(SceneObject(obj.object_id, obj.cls, attrs))
+    csg = make_csg(om, dense.timestamp, dense.ego_id, nodes, dense.edges)
+    guard = "  assert ego.velocity > 0;\n"
+    text = _bundled_text(_ASSET_FILES["P2-2"])
+    asg = parse_asg(text.replace(guard, "").replace("  assert ", guard + "  assert ", 1), om)
+    assert asg.predicates[0].to_text() == "ego.velocity > 0"
+    timings = []
+    for _ in range(21):
+        start = time.perf_counter()
+        verdict = sg_comparison(asg, csg)
+        timings.append((time.perf_counter() - start) * 1000.0)
+    assert verdict.result is Result.VIOLATED
+    assert verdict.cause == Cause.predicate_failed(0)
+    p50 = statistics.median(timings)
+    assert p50 < 30.0, f"p50 {p50:.1f} ms"
+    print(f"ACCEPTANCE C8 (1000-node halted-ego scene, gap on the {which} Vehicle "
+          f"behind a false guard, p50={p50:.2f}ms): PASS")

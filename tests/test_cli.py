@@ -3,10 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scenemon
 from scenemon import scene_record, serialize_object_model
 from scenemon.cli import main
 
@@ -687,6 +692,35 @@ def test_monitor_rejects_hostile_records_at_their_line(capsys, tmp_path, om, edi
 
 
 # -- subcommands -----------------------------------------------------------
+
+
+_MONITOR_SET_UP = """
+import io, json, sys
+from scenemon.cli import main
+sys.stdin, sys.stderr = io.StringIO(), io.StringIO()
+code = main(["monitor", "-", "--phases", "P2"])
+loaded = sorted(name for name in sys.modules if name.startswith("scenemon"))
+import scenemon
+unresolved = [name for name in scenemon.__all__ if not hasattr(scenemon, name)]
+unlisted = sorted(set(scenemon.__all__) - set(dir(scenemon)))
+print(json.dumps({"code": code, "loaded": loaded, "unresolved": unresolved,
+                  "unlisted": unlisted}))
+"""
+
+
+def test_monitor_set_up_imports_only_what_it_runs():
+    """In a fresh interpreter, `monitor --phases P2` on an empty stream
+    leaves the scenario generator unloaded, and every public name still
+    resolves from `import scenemon`, the generator's on first use."""
+    src = str(Path(scenemon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _MONITOR_SET_UP], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert "scenemon.cli" in result["loaded"]
+    assert "scenemon.scenarios" not in result["loaded"]
+    assert result["unresolved"] == [] and result["unlisted"] == []
 
 
 def test_bench_is_not_a_subcommand(capsys):

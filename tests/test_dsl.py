@@ -1,7 +1,6 @@
 import pytest
 
 from scenemon import (
-    SceneValidationError,
     SpecSyntaxError,
     SpecTypeError,
     bind,
@@ -15,6 +14,9 @@ from scenemon import (
     serialize_asg,
     serialize_object_model,
 )
+from scenemon.dsl import (
+    And, AttrRef, BoolLit, Call, Compare, InInterval, NodeRef, NumberLit, StringLit)
+from scenemon.lexing import KIND_IDENT, Token, tokenize
 
 from conftest import halted_obstacle_scene
 
@@ -128,19 +130,19 @@ def test_unknown_relationship_rejected(om):
 
 
 def test_disconnected_pattern_rejected(om):
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(SpecTypeError):
         parse_asg('asg "r" { node ego: Vehicle; node l: Lane; ego ego; }', om)
 
 
 def test_ego_must_be_vehicle_class(om):
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(SpecTypeError):
         parse_asg('asg "r" { node ego: Static; ego ego; }', om)
 
 
 def test_parse_asg_rejects_disconnected(om):
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(SpecTypeError) as err:
         parse_asg('asg "broken" { node ego: Vehicle; node far: Lane; ego ego; }', om)
-    assert str(err.value) == "pattern 'broken' is disconnected; unreachable: far"
+    assert str(err.value) == "1:40: pattern 'broken' is disconnected; unreachable: far"
 
 
 def test_parse_asg_allows_abstract_pattern_classes(om):
@@ -149,18 +151,28 @@ def test_parse_asg_allows_abstract_pattern_classes(om):
 
 
 def test_parse_asg_ego_class(om):
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(SpecTypeError) as err:
         parse_asg('asg "bad-ego" { node ego: Static; ego ego; }', om)
-    assert str(err.value) == "pattern 'bad-ego': ego node has class Static, expected a Vehicle"
+    assert str(err.value) == (
+        "1:27: pattern 'bad-ego': ego node has class Static, expected a Vehicle")
+
+
+def test_parse_asg_ego_class_on_a_schema_without_a_vehicle_class(om):
+    """The ego rule names a class the schema need not declare: then no ego
+    is a Vehicle, and the property is refused at the ego's class."""
+    cars = parse_object_model(serialize_object_model(om).replace("Vehicle", "Car"))
+    with pytest.raises(SpecTypeError) as err:
+        parse_asg('asg "cars" {\n  node ego: Car;\n  ego ego;\n}', cars)
+    assert str(err.value) == "2:13: pattern 'cars': ego node has class Car, expected a Vehicle"
 
 
 def test_parse_asg_rejects_a_pattern_edge_the_schema_does_not_admit(om):
     """isIn admits only a Lane or a ParkingSpot as its target."""
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(SpecTypeError) as err:
         parse_asg('asg "r" { node ego: Vehicle; node o: Static; ego ego; '
                   'edge ego isIn o; }', om)
     assert str(err.value) == (
-        "pattern 'r': edge (ego, isIn, o) not allowed for Vehicle -> Static")
+        "1:64: pattern 'r': edge (ego, isIn, o) not allowed for Vehicle -> Static")
 
 
 # type checking
@@ -274,3 +286,94 @@ def test_load_asg_from_file(tmp_path, om):
     path = tmp_path / "p.asg"
     path.write_text(SMALL, encoding="utf-8")
     assert load_asg(str(path), om).name == "parked"
+
+
+# value semantics of the syntax tree and its tokens
+
+
+def _tree(line=1, column=1):
+    """One tree holding each of the nine node types, every node at
+    (`line`, `column`)."""
+    at = (line, column)
+    return And(*at,
+               InInterval(*at, Call(*at, "dist", (NodeRef(*at, "ego"), NodeRef(*at, "v"))),
+                          NumberLit(*at, 0.0), NumberLit(*at, 20.5), False, True),
+               And(*at, Compare(*at, "!=", AttrRef(*at, "ego", "velocity"), NumberLit(*at, -1.0)),
+                   Compare(*at, "==", BoolLit(*at, True), StringLit(*at, 'a"b'))))
+
+
+def test_syntax_tree_equality_ignores_positions():
+    assert _tree(1, 1) == _tree(7, 3)
+    assert hash(_tree(1, 1)) == hash(_tree(7, 3))
+    assert _tree() != _tree().left
+    assert len({_tree(1, 1), _tree(2, 2), _tree().left}) == 2
+
+
+def test_syntax_nodes_of_different_types_differ():
+    assert NodeRef(1, 1, "a") != StringLit(1, 1, "a")
+    assert StringLit(1, 1, "a") != NodeRef(1, 1, "a")
+    assert NodeRef(1, 1, "a") != "a"
+    assert len({NodeRef(1, 1, "a"), StringLit(1, 1, "a"), NodeRef(2, 5, "a")}) == 2
+
+
+def test_syntax_nodes_refuse_assignment():
+    tree = _tree()
+    for node, name in ((tree, "left"), (tree, "line"), (tree.left.value, "fn"),
+                       (tree.left.value, "operands")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert tree == _tree()
+
+
+def test_syntax_tree_repr_is_pinned():
+    assert repr(_tree(2, 9)) == (
+        "And(line=2, column=9, left=InInterval(line=2, column=9, value=Call(line=2, column=9, "
+        "fn='dist', args=(NodeRef(line=2, column=9, name='ego'), NodeRef(line=2, column=9, "
+        "name='v'))), lo=NumberLit(line=2, column=9, value=0.0), hi=NumberLit(line=2, "
+        "column=9, value=20.5), lo_closed=False, hi_closed=True), right=And(line=2, column=9, "
+        "left=Compare(line=2, column=9, op='!=', left=AttrRef(line=2, column=9, node_id='ego', "
+        "attr='velocity'), right=NumberLit(line=2, column=9, value=-1.0)), "
+        "right=Compare(line=2, column=9, op='==', left=BoolLit(line=2, column=9, value=True), "
+        "right=StringLit(line=2, column=9, value='a\"b'))))")
+
+
+def test_a_call_operand_is_an_attribute_reference_at_its_argument():
+    call = _tree(4, 2).left.value
+    assert call.operands == (AttrRef(4, 2, "ego", "position"), AttrRef(4, 2, "v", "position"))
+    assert call.operands is call.operands
+    assert [(o.line, o.column) for o in call.operands] == [(4, 2), (4, 2)]
+
+
+def test_tokens_are_values_with_a_compact_repr():
+    tok = Token(KIND_IDENT, "ego", 2, 5)
+    assert tok == Token(KIND_IDENT, "ego", 2, 5)
+    assert tok != Token(KIND_IDENT, "ego", 2, 6)
+    assert hash(tok) == hash(Token(KIND_IDENT, "ego", 2, 5))
+    assert (tok.kind, tok.text, tok.line, tok.column) == (KIND_IDENT, "ego", 2, 5)
+    assert repr(tokenize('a // c\n "s" 1.5 ->')) == (
+        "[IDENT('a')@1:1, STRING('s')@2:2, NUMBER('1.5')@2:6, PUNCT('->')@2:10, EOF('')@2:12]")
+    with pytest.raises(AttributeError):
+        tok.text = "other"
+
+
+@pytest.mark.parametrize("text, idents, eof", [
+    ("a // to the end", [("a", 1, 1)], (1, 3)),
+    ("a // then\n  b", [("a", 1, 1), ("b", 2, 3)], (2, 4)),
+    ("//\n//x\n\n  c //", [("c", 4, 3)], (4, 5)),
+])
+def test_comments_end_at_the_line_break(text, idents, eof):
+    tokens = tokenize(text)
+    assert [(t.text, t.line, t.column) for t in tokens if t.kind == "IDENT"] == idents
+    assert (tokens[-1].kind, tokens[-1].line, tokens[-1].column) == ("EOF", *eof)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a // ok\n  #", "2:3: unexpected character '#'"),
+    ('a // "\n "open', "2:2: unterminated string literal"),
+])
+def test_errors_after_a_comment_are_located(text, message):
+    with pytest.raises(SpecSyntaxError) as err:
+        tokenize(text)
+    assert str(err.value) == message

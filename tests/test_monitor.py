@@ -784,6 +784,47 @@ def test_error_search_matches_the_reference_verdict(om, monkeypatch):
     assert min(paths.values()) >= 10, paths
 
 
+def test_false_predicates_settle_error_searches(om, monkeypatch):
+    """The error search's check prunes a partial mapping on which a bound
+    predicate is false before any raises, where the gap test alone keeps
+    it. Over the random scenes of the test above, such settled searches
+    occur, and every verdict still equals the exhaustive reference."""
+    import scenemon.monitor
+    from randscene import random_instance
+
+    search = scenemon.monitor.iter_embeddings
+    settled = []  # per error search: whether a false predicate pruned a kept mapping
+
+    def recording(asg, csg, **kwargs):
+        check = kwargs.get("check")
+        if check is not None and check.__qualname__.startswith("_gap_check."):
+            reads = tuple(attribute_reads(asg.predicates).items())
+            gaps_only = scenemon.monitor._gap_check(asg, csg, reads, ())
+            settled.append(False)
+
+            def compared(pid, mapping):
+                keep = check(pid, mapping)
+                settled[-1] |= gaps_only(pid, mapping) and not keep
+                return keep
+
+            kwargs["check"] = compared
+        return search(asg, csg, **kwargs)
+
+    monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
+    rng = random.Random(2026)
+    for _ in range(1000):
+        asg, csg = random_instance(rng, om, edge_p=rng.choice((0.3, 0.9)))
+        csg = _with_gap(rng, asg, csg)
+        if csg is None:
+            continue
+        for epsilon, induced in itertools.product((0.0, 0.5), (False, True)):
+            kwargs = {"epsilon": epsilon, "induced": induced}
+            expected = reference_verdict(asg, csg, **kwargs)
+            got = [sg_comparison(asg, csg, **kwargs), *monitor_stream([asg], [csg] * 3, **kwargs)]
+            assert got == [expected] * 4
+    assert len(settled) >= 50 and sum(settled) >= 10, (len(settled), sum(settled))
+
+
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
     """Pattern facts and compiled predicates cost once per property object,
     however many scenes the stream holds, and a second stream over the same

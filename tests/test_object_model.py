@@ -262,3 +262,27 @@ def test_default_ingest_tables(om):
 @given(model=_acyclic_models())
 def test_random_ingest_tables(model):
     _assert_ingest_tables(model)
+
+
+def test_schema_records_are_values():
+    from scenemon.object_model import FunctionSymbol
+    assert ClassDef("A", None, False) == ClassDef("A", None, False, ())
+    assert ClassDef("A", None, False).attributes == ()
+    assert ClassDef("A", "B", True, (AttributeDef("x", "Real"),)) != ClassDef("A", "B", True)
+    records = [AttributeDef("x", "Real"), ClassDef("A", None, False),
+               RelationshipType("r", "A", "B"), FunctionSymbol("f", ("node",), "Real")]
+    for record in records:
+        copy = type(record)(*(getattr(record, name) for name in _record_fields(record)))
+        assert copy == record and hash(copy) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, _record_fields(record)[0], "other")
+    assert RelationshipType("r", "A", "B") != RelationshipType("r", "B", "A")
+    assert len({RelationshipType("r", "A", "B"), RelationshipType("r", "A", "B")}) == 1
+    assert (AttributeDef("x", "Real").name, AttributeDef("x", "Real").type) == ("x", "Real")
+
+
+def _record_fields(record):
+    return {"AttributeDef": ("name", "type"),
+            "ClassDef": ("name", "parent", "abstract", "attributes"),
+            "RelationshipType": ("name", "source", "target"),
+            "FunctionSymbol": ("name", "params", "result")}[type(record).__name__]

@@ -241,6 +241,15 @@ def test_ego_must_be_vehicle(om):
         make_csg(om, 0.0, "missing", _nodes([("a", "Vehicle", {})]), [])
 
 
+def test_ego_check_on_a_schema_without_a_vehicle_class(om):
+    """The ego rule names a class the schema need not declare: then no ego
+    is a Vehicle, and the scene is rejected as any other scene would be."""
+    cars = parse_object_model(serialize_object_model(om).replace("Vehicle", "Car"))
+    with pytest.raises(SceneValidationError) as err:
+        make_csg(cars, 0.0, "ego", _nodes([("ego", "Car", {})]), [])
+    assert str(err.value) == "ego node ego has class Car, expected a Vehicle"
+
+
 def test_timestamp_must_be_numeric(om):
     with pytest.raises(SceneValidationError):
         make_csg(om, "late", "ego", _nodes([("ego", "Vehicle", {})]), [])
