@@ -16,7 +16,11 @@ Verdicts are emitted as JSON lines on stdout (or ``--out``); diagnostics go
 to stderr. Exit codes: 0 all satisfied, 1 at least one violated verdict
 (under ``--phases``, a phase-sequence violation; off-phase properties are
 expected to be unsatisfied), 2 usage or input validation failure, 3
-evaluation errors or an oracle divergence.
+evaluation errors or an oracle divergence, 141 stdout closed by its reader
+(as ``| head`` does), with nothing on stderr.
+
+``check`` and ``monitor`` share one loop over ``monitor_stream``'s rows,
+each scene with its verdicts.
 """
 
 from __future__ import annotations
@@ -172,6 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _open_out(path: str | None) -> Iterator[TextIO]:
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a reader that left shows here, before any summary
     else:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
@@ -323,34 +328,25 @@ def _monitor(
     `phase_asgs`, the last of `asgs`, are tracked by a phase automaton,
     whose summary goes to stderr."""
     automaton = PhaseAutomaton(tuple(a.name for a in phase_asgs)) if phase_asgs else None
-    phase_names = frozenset(a.name for a in phase_asgs)
+    plain = len(asgs) - len(phase_asgs)  # each row's verdicts before the phase ones
     any_violated = any_error = diverged = False
-    scene: list[ConcreteSceneGraph] = []  # the scene being checked, for --oracle
+    phase = None  # the automaton's index, written into each verdict line
+    violated, error = Result.VIOLATED, Result.ERROR  # locals: no Enum lookup per verdict
     with _open_out(args.out) as out:
-
-        def tracked() -> Iterator[ConcreteSceneGraph]:
-            for csg in scenes:
-                scene[:] = [csg]
-                yield csg
-
-        verdicts = monitor_stream(asgs, tracked(), epsilon=args.epsilon,
-                                  induced=args.induced)
-        # monitor_stream yields a scene's verdicts before it reads the next
-        phase = None  # the automaton's index, written into each verdict line
-        violated, error = Result.VIOLATED, Result.ERROR  # locals: no Enum lookup per verdict
-        for row in zip(*[verdicts] * len(asgs)):
+        for csg, verdicts in monitor_stream(asgs, scenes, epsilon=args.epsilon,
+                                            induced=args.induced):
             if automaton is not None:
-                automaton = automaton.step({v.property_name: v for v in row})
+                automaton = automaton.step({v.property_name: v for v in verdicts[plain:]})
                 phase = automaton.index
             if args.oracle:
-                diverged |= _run_oracle(asgs, scene[0], row, args.epsilon, args.induced)
+                diverged |= _run_oracle(asgs, csg, verdicts, args.epsilon, args.induced)
             # one write per scene, after its last check and before the next read
-            out.write("".join([serialize_verdict(v, phase_index=phase) + "\n" for v in row]))
-            for verdict in row:
-                # a phase property being unsatisfied off-phase is expected;
-                # the automaton decides whether the sequence was violated
-                if verdict.property_name not in phase_names:
-                    any_violated |= verdict.result is violated
+            out.write("".join([serialize_verdict(v, phase_index=phase) + "\n" for v in verdicts]))
+            # a phase property being unsatisfied off-phase is expected; the
+            # automaton decides whether the sequence was violated
+            for verdict in verdicts[:plain]:
+                any_violated |= verdict.result is violated
+            for verdict in verdicts:
                 any_error |= verdict.result is error
     if automaton is not None:
         any_violated |= automaton.violations > 0
@@ -399,6 +395,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout left, as `| head` does: end quietly with the
+        # status a shell gives a process SIGPIPE killed. What stdout still
+        # buffers goes to devnull, so the exit-time flush raises nothing
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (SceneMonError, ValueError, OSError) as exc:
         print(f"scenemon: error: {exc}", file=sys.stderr)
         return 2

@@ -71,12 +71,13 @@ entry's first embedding is the witness of every scene of its run that it
 satisfies, so their text is rendered once, not once a line.
 
 `monitor_stream` applies a list of properties to a time-ordered scene
-stream, yielding per-scene verdicts in (scene order, property order) before
-the next scene is consumed. `PhaseAutomaton` layers maneuver-sequence
-tracking on top: phases advance only when the successor phase is satisfied,
-never skipping. A scene satisfying neither the current nor the next phase
-is a stream-level violation when both are violated, and a gap when either
-is an error: a data gap is inconclusive, not a violation.
+stream, yielding one row per scene, the scene with its verdicts in property
+order, before the next scene is consumed. `PhaseAutomaton` layers
+maneuver-sequence tracking on top, stepped on each row's verdicts: phases
+advance only when the successor phase is satisfied, never skipping. A
+scene satisfying neither the current nor the next phase is a stream-level
+violation when both are violated, and a gap when either is an error: a
+data gap is inconclusive, not a violation.
 """
 from __future__ import annotations
 
@@ -386,13 +387,14 @@ def monitor_stream(
     *,
     epsilon: float = 0.0,
     induced: bool = False,
-) -> Iterator[Verdict]:
-    """Yield one verdict per (scene, property), online.
+) -> Iterator[tuple[ConcreteSceneGraph, tuple[Verdict, ...]]]:
+    """Yield one `(scene, verdicts)` row per scene, online.
 
-    Verdicts for scene i appear in property declaration order and are all
-    yielded before scene i+1 is pulled from the iterable. A timestamp lower
-    than its predecessor raises StreamOrderError; equal timestamps are
-    allowed (two snapshots may legitimately coincide).
+    `verdicts` holds the scene's verdicts in property declaration order,
+    all decided before the next scene is pulled from the iterable; with no
+    properties it is empty. A timestamp lower than its predecessor raises
+    StreamOrderError; equal timestamps are allowed (two snapshots may
+    legitimately coincide).
     """
     last: ConcreteSceneGraph | None = None  # the loop holds it until the next scene anyway
     for csg in scenes:
@@ -402,8 +404,8 @@ def monitor_stream(
         if last is None or not _same_topology(csg, last):
             memo: dict[int, _Embeddings] = {}  # for csg's topology and `induced`
         last = csg
-        for asg in asgs:
-            yield sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)
+        yield csg, tuple([sg_comparison(asg, csg, epsilon=epsilon, induced=induced, memo=memo)
+                          for asg in asgs])
 
 
 def _same_topology(a: ConcreteSceneGraph, b: ConcreteSceneGraph) -> bool:

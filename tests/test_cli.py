@@ -723,6 +723,31 @@ def test_monitor_set_up_imports_only_what_it_runs():
     assert result["unresolved"] == [] and result["unlisted"] == []
 
 
+@pytest.mark.parametrize("command", ["gen", "monitor"])
+def test_a_closed_output_pipe_ends_quietly(tmp_path, command):
+    """A reader that closes stdout after one line, as `| head -1` does: the
+    command exits 141, as a shell reports a process SIGPIPE killed, and
+    writes nothing to stderr, neither where the write fails nor at exit.
+    The output, about 1 MB, is far more than a pipe buffers."""
+    src = str(Path(scenemon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    scenemon_cli = [sys.executable, "-m", "scenemon.cli"]
+    gen = [*scenemon_cli, "gen", "--scenario", "P2", "--dt", "0.02"]
+    argv = gen
+    if command == "monitor":
+        stream = tmp_path / "p2.jsonl"
+        subprocess.run([*gen, "--out", str(stream)], env=env, check=True)
+        argv = [*scenemon_cli, "monitor", str(stream), "--phases", "P2"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert json.loads(line)["t"] == 0.0
+    assert (code, err) == (141, b"")
+
+
 def test_bench_is_not_a_subcommand(capsys):
     """Latency is timed by perfbench and the C8 tests, not by the CLI."""
     code, _, err = _run(capsys, "bench")

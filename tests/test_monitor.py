@@ -150,7 +150,7 @@ def test_a_later_failure_does_not_replace_the_first_on_incomplete_data(om, ahead
     first = Cause.predicate_failed(0)
     assert reference_verdict(ahead_asg, scenes[0]).cause == first
     assert sg_comparison(ahead_asg, scenes[0]).cause == first
-    assert [v.cause for v in monitor_stream([ahead_asg], scenes)] == [first, first]
+    assert [v.cause for _, (v,) in monitor_stream([ahead_asg], scenes)] == [first, first]
 
 
 # -- predicate pushdown: the cause rule with the ego halted ----------------
@@ -259,19 +259,30 @@ IN_LANE = ('asg "in-lane" { node ego: Vehicle; node lane: Lane; '
 def test_stream_verdict_order(om, ahead_asg, scene_factory):
     lane_asg = parse_asg(IN_LANE, om)
     scenes = [scene_factory(t=0.0), scene_factory(t=1.0)]
-    out = list(monitor_stream([ahead_asg, lane_asg], scenes))
+    rows = list(monitor_stream([ahead_asg, lane_asg], scenes))
+    out = [v for _, row in rows for v in row]
     assert [(v.timestamp, v.property_name) for v in out] == [
         (0.0, "obstacle-ahead"), (0.0, "in-lane"),
         (1.0, "obstacle-ahead"), (1.0, "in-lane"),
     ]
+    # one row per scene: the scene itself, with its verdicts in property order
+    assert [csg for csg, _ in rows] == scenes
+    assert all(csg is scene and type(row) is tuple for (csg, row), scene in zip(rows, scenes))
+    flipped = monitor_stream([lane_asg, ahead_asg], scenes)
+    assert [[v.property_name for v in row] for _, row in flipped] == [
+        ["in-lane", "obstacle-ahead"], ["in-lane", "obstacle-ahead"]]
 
 
 def test_stream_rejects_decreasing_timestamps(ahead_asg, scene_factory):
     scenes = [scene_factory(t=1.0), scene_factory(t=0.5)]
     gen = monitor_stream([ahead_asg], scenes)
-    assert next(gen).timestamp == 1.0
+    assert next(gen)[0].timestamp == 1.0
     with pytest.raises(StreamOrderError, match="0.5 after 1.0"):
         next(gen)
+    empty = monitor_stream([], scenes)  # no properties: empty rows, the same order check
+    assert next(empty) == (scenes[0], ())
+    with pytest.raises(StreamOrderError, match="0.5 after 1.0"):
+        next(empty)
 
 
 def test_stream_allows_equal_timestamps(ahead_asg, scene_factory):
@@ -288,12 +299,14 @@ def test_stream_is_online(om, ahead_asg, scene_factory):
             pulled.append(t)
             yield scene_factory(t=t)
 
-    gen = monitor_stream([ahead_asg, lane_asg], scenes())
-    next(gen)
-    next(gen)  # both verdicts of scene 0
-    assert pulled == [0.0]
-    next(gen)
-    assert pulled == [0.0, 1.0]
+    for asgs in ([ahead_asg, lane_asg], []):
+        pulled.clear()
+        gen = monitor_stream(asgs, scenes())
+        csg, row = next(gen)  # the row of scene 0, every verdict decided
+        assert pulled == [0.0] and csg.timestamp == 0.0
+        assert [(v.timestamp, v.property_name) for v in row] == [(0.0, a.name) for a in asgs]
+        next(gen)
+        assert pulled == [0.0, 1.0]
 
 
 def test_stream_concatenation(ahead_asg, scene_factory):
@@ -344,7 +357,7 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
             verdicts = [sg_comparison(asg, halted) for asg in asgs]
             del verdicts, halted, gap, csg, v
             assert [ref() for ref in refs] == [None, None]
-            assert len(list(monitor_stream(asgs, trace[:10]))) == 10 * len(asgs)
+            assert sum(len(row) for _, row in monitor_stream(asgs, trace[:10])) == 10 * len(asgs)
             # a stream reuses embeddings along a run of one topology and pins
             # no scene of an earlier run once it has moved past it
             pending = [_rebuilt(om, csg, lambda o: o.attributes) for csg in trace]
@@ -357,10 +370,10 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
                     yield pending.pop(0)
 
             stream = monitor_stream(asgs, feed())
-            for _ in range((cut + 1) * len(asgs)):  # up to the new run's first scene
+            for _ in range(cut + 1):  # up to the new run's first scene
                 next(stream)
             assert [ref() for ref in first_run] == [None] * cut
-            assert len(list(stream)) == (len(trace) - cut - 1) * len(asgs)
+            assert sum(len(row) for _, row in stream) == (len(trace) - cut - 1) * len(asgs)
             # the same through ingest, where the scenes of a run share one
             # class index and edge set: these pin no scene either
             lines = [serialize_scene(csg) for csg in trace]
@@ -373,11 +386,11 @@ def test_checks_leave_no_reference_cycles(om, monkeypatch):
                     yield csg
 
             stream = monitor_stream(asgs, parsed())
-            for _ in range((cut + 1) * len(asgs)):
+            for _ in range(cut + 1):
                 next(stream)
             assert len(set(tables[:cut])) == 1 and tables[cut] != tables[0]
             assert [ref() for ref in read[:cut]] == [None] * cut
-            assert len(list(stream)) == (len(trace) - cut - 1) * len(asgs)
+            assert sum(len(row) for _, row in stream) == (len(trace) - cut - 1) * len(asgs)
         assert kinds >= {Result.SATISFIED, CauseKind.PREDICATE_FAILED,
                          CauseKind.MISSING_ATTRIBUTE, CauseKind.NO_EMBEDDING}
         assert pushdowns
@@ -430,7 +443,8 @@ def test_stream_reuse_matches_fresh_checks(om, scenario, perturb, epsilon, induc
     asgs = _properties(om)
     trace = generate_trace(builtin_script(scenario, offsets=perturb), om)
     kwargs = {"epsilon": epsilon, "induced": induced}
-    assert list(monitor_stream(asgs, trace, **kwargs)) == _fresh_verdicts(om, asgs, trace, **kwargs)
+    got = [v for _, row in monitor_stream(asgs, trace, **kwargs) for v in row]
+    assert got == _fresh_verdicts(om, asgs, trace, **kwargs)
 
 
 def _other_vehicle(csg):
@@ -507,7 +521,7 @@ def test_stream_reuse_follows_a_topology_change_mid_run(om, monkeypatch, scenari
         yield from search(asg, csg, **kwargs)
 
     monkeypatch.setattr(scenemon.monitor, "iter_embeddings", recording)
-    assert list(monitor_stream(asgs, trace, induced=induced)) == expected
+    assert [v for _, row in monitor_stream(asgs, trace, induced=induced) for v in row] == expected
     around = {t for t in unchecked if before.timestamp <= t <= after.timestamp}
     if mutation == "position_lost":
         # the topology is kept, so every first embedding is reused; the gap
@@ -533,7 +547,7 @@ def test_two_streams_over_the_same_scenes_keep_their_verdicts(om, scenario):
     got: tuple[list, list] = ([], [])
     for _ in trace:
         for out, stream, asgs in zip(got, streams, (first, second)):
-            out += itertools.islice(stream, len(asgs))
+            out += next(stream)[1]
     assert [next(stream, None) for stream in streams] == [None, None]
     assert got == expected
 
@@ -557,7 +571,7 @@ def test_unchecked_search_runs_once_per_topology_run_and_property(om, monkeypatc
     trace = generate_trace(overtake_script(), om)
     runs = 1 + sum(_topology(a) != _topology(b) for a, b in zip(trace, trace[1:]))
     assert 1 < runs < len(trace) / 10
-    assert len(list(monitor_stream(asgs, trace))) == len(trace) * len(asgs)
+    assert sum(len(row) for _, row in monitor_stream(asgs, trace)) == len(trace) * len(asgs)
     assert len(unchecked) == runs * len(asgs)
     unchecked.clear()
     scene = _rebuilt(om, trace[0], lambda o: o.attributes)
@@ -580,7 +594,7 @@ def test_a_stream_leaves_its_scenes_as_it_found_them(om):
     try:
         gc.collect()
         stream = monitor_stream(asgs, trace)
-        assert len(list(stream)) == len(trace) * len(asgs)
+        assert sum(len(row) for _, row in stream) == len(trace) * len(asgs)
         del stream, asgs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -615,13 +629,13 @@ def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, ahead_as
     built, search = _recording_searches(monkeypatch)
     asgs = builtin_asgs("P2", om)
     trace = generate_trace(overtake_script(), om)
-    verdicts = monitor_stream(asgs, trace)
+    streams = [monitor_stream([asg], trace) for asg in asgs]  # a row per check
     decided = undecided = 0
     for prev, csg in zip([None, *trace], trace):
         run_start = prev is None or _topology(prev) != _topology(csg)
-        for asg in asgs:
+        for asg, verdicts in zip(asgs, streams):
             built.clear()
-            v = next(verdicts)
+            _, (v,) = next(verdicts)
             first, second = itertools.islice(itertools.chain(search(asg, csg), [None, None]), 2)
             if run_start:
                 assert built[:1] == [None]
@@ -631,11 +645,11 @@ def test_a_memo_hit_decided_by_its_first_embedding_builds_no_search(om, ahead_as
             else:
                 undecided += 1
                 assert built
-    assert next(verdicts, None) is None
+    assert [next(verdicts, None) for verdicts in streams] == [None] * len(asgs)
     assert decided > 0 and undecided == 0
     moving_first = [_multi_obstacle_scene(om, [("a0", {"velocity": 2.0, "position": (10.0, 0.0)}),
                                                ("b1", _obstacle_at(12.0))])] * 3
-    for v in monitor_stream([ahead_asg], moving_first):
+    for _, (v,) in monitor_stream([ahead_asg], moving_first):
         assert v.witness["obstacle"] == "b1"
         assert built and built[-1] is not None  # a pushdown search, on every scene
         built.clear()
@@ -656,18 +670,18 @@ def test_a_memo_hit_on_a_one_embedding_topology_builds_no_search(om, monkeypatch
         k: v for k, v in o.attributes.items() if k != "velocity" or o.object_id != ego})
         for csg in trace[50:60]]
     expected = _fresh_verdicts(om, asgs, trace)
-    verdicts = monitor_stream(asgs, trace)
+    streams = [monitor_stream([asg], trace) for asg in asgs]  # a row per check
     results = []
     for prev, csg in zip([None, *trace], trace):
         run_start = prev is None or _topology(prev) != _topology(csg)
-        for asg in asgs:
+        for asg, verdicts in zip(asgs, streams):
             built.clear()
-            v = next(verdicts)
+            _, (v,) = next(verdicts)
             assert v == expected.pop(0)
             if not run_start and len(list(itertools.islice(search(asg, csg), 2))) == 1:
                 assert built == [], (csg.timestamp, asg.name, v)
                 results.append(v.result)
-    assert next(verdicts, None) is None
+    assert [next(verdicts, None) for verdicts in streams] == [None] * len(asgs)
     assert all(results.count(r) >= 5 for r in Result), results
 
 
@@ -691,7 +705,7 @@ def test_memo_paths_match_the_reference_verdict(om, monkeypatch):
             verdicts = monitor_stream([asg], run, **kwargs)
             for i, scene in enumerate(run):
                 built.clear()
-                v = next(verdicts)
+                _, (v,) = next(verdicts)
                 assert v == reference_verdict(asg, scene, **kwargs)
                 if v.result is Result.ERROR:
                     paths["error"] += 1
@@ -726,7 +740,7 @@ def test_memo_hits_keep_the_verdict_rules(om, ahead_asg, name, specs, ego_speed)
     csg = _multi_obstacle_scene(om, specs, ego_speed)
     expected = reference_verdict(asg, csg)
     assert sg_comparison(asg, csg) == expected
-    assert list(monitor_stream([asg], [csg] * 3)) == [expected] * 3
+    assert [v for _, (v,) in monitor_stream([asg], [csg] * 3)] == [expected] * 3
 
 
 def _with_gap(rng, asg, csg):
@@ -771,7 +785,7 @@ def test_error_search_matches_the_reference_verdict(om, monkeypatch):
             built.clear()
             got = []
             for v in itertools.chain([sg_comparison(asg, csg, **kwargs)],
-                                     monitor_stream([asg], [csg] * 3, **kwargs)):
+                                     (v for _, (v,) in monitor_stream([asg], [csg] * 3, **kwargs))):
                 got.append(v)
                 if sum(check is not None for check in built) == 2:
                     paths["error search"] += 1
@@ -820,9 +834,47 @@ def test_false_predicates_settle_error_searches(om, monkeypatch):
         for epsilon, induced in itertools.product((0.0, 0.5), (False, True)):
             kwargs = {"epsilon": epsilon, "induced": induced}
             expected = reference_verdict(asg, csg, **kwargs)
-            got = [sg_comparison(asg, csg, **kwargs), *monitor_stream([asg], [csg] * 3, **kwargs)]
+            got = [sg_comparison(asg, csg, **kwargs),
+                   *(v for _, (v,) in monitor_stream([asg], [csg] * 3, **kwargs))]
             assert got == [expected] * 4
     assert len(settled) >= 50 and sum(settled) >= 10, (len(settled), sum(settled))
+
+
+def test_error_search_prunes_a_mapping_that_cannot_reach_a_gap(om, monkeypatch):
+    """The error search's check drops a partial mapping once every gap node
+    is mapped to an object that is no gap, before a predicate is bound.
+    `a` is mapped before `b` (fewer candidates), and `s2`, which lacks
+    `position`, is `a`'s only gap object: `a -> s1` is pruned at once, so
+    `b` is tried only under `a -> s2`, where the error is found. Without
+    the reachability test `a -> s1` would be kept until `dist(a, b)` is
+    bound and false, one call more."""
+    import scenemon.monitor
+
+    asg = parse_asg('asg "far" { node ego: Vehicle; node a: Static; node b: Vehicle; ego ego; '
+                    'edge a inFrontOf ego; edge b inFrontOf ego; assert dist(a, b) > 100; }', om)
+    csg = make_csg(om, 0.0, "ego", [
+        SceneObject("ego", "Vehicle", {"velocity": 5.0, "position": (0.0, 0.0)}),
+        SceneObject("s1", "Static", {"velocity": 0.0, "position": (10.0, 0.0)}),
+        SceneObject("s2", "Static", {"velocity": 0.0}),
+        SceneObject("v1", "Vehicle", {"velocity": 5.0, "position": (20.0, 0.0)}),
+    ], [("s1", "inFrontOf", "ego"), ("s2", "inFrontOf", "ego"), ("v1", "inFrontOf", "ego")])
+    calls = []
+    gap_check = scenemon.monitor._gap_check
+
+    def counting(*args):
+        check = gap_check(*args)
+
+        def counted(pid, mapping):
+            calls.append((pid, mapping[pid]))
+            return check(pid, mapping)
+
+        return counted
+
+    monkeypatch.setattr(scenemon.monitor, "_gap_check", counting)
+    v = sg_comparison(asg, csg)
+    assert v == Verdict(0.0, "far", Result.ERROR, cause=Cause.missing_attribute("a.position"))
+    assert v == reference_verdict(asg, csg)
+    assert calls == [("ego", "ego"), ("a", "s1"), ("a", "s2"), ("b", "v1")]
 
 
 def test_property_facts_are_built_once_per_property(om, monkeypatch):
@@ -843,9 +895,9 @@ def test_property_facts_are_built_once_per_property(om, monkeypatch):
     for n in (1, 10, len(scenes)):
         asgs = builtin_asgs("P1", om)  # parsing validates, which reads distances
         calls.update(dict.fromkeys(calls, 0))
-        assert len(list(monitor_stream(asgs, scenes[:n]))) == n * len(asgs)
+        assert sum(len(row) for _, row in monitor_stream(asgs, scenes[:n])) == n * len(asgs)
         assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
-        assert len(list(monitor_stream(asgs, scenes[:n]))) == n * len(asgs)
+        assert sum(len(row) for _, row in monitor_stream(asgs, scenes[:n])) == n * len(asgs)
         assert calls == {"pattern_distances": len(asgs), "compile_predicates": len(asgs)}
 
 

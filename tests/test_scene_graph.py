@@ -999,6 +999,39 @@ def test_attribute_type_table_matches_the_full_check(om, value):
             assert attrs == {name: value}
 
 
+def test_a_reused_topology_takes_the_second_records_attributes(om):
+    """A record pair of one topology whose second record gives the ego a new
+    velocity and the obstacle no attrs at all: the second scene reuses the
+    first one's topology, and holds the second record's values, as a fresh
+    parse does, none of the first's."""
+    first = scene_record(halted_obstacle_scene(om))
+    second = scene_record(halted_obstacle_scene(om, t=1.0, ego_speed=3.0, obstacle_attrs={}))
+    before, after = read_scene_stream([json.dumps(first), json.dumps(second)], om)
+    assert after.class_index is before.class_index
+    assert {oid: obj.attributes for oid, obj in after.nodes.items()} == {
+        "ego": {"velocity": 3.0, "position": (0.0, 0.0)}, "obs": {}, "lane1": {}}
+    assert scene_record(after) == scene_record(parse_csg(second, om))
+
+
+def test_a_record_naming_another_ego_is_not_reused(om):
+    """A record pair with the same nodes and edges whose second record names
+    another object as ego: the second scene has that ego, as a fresh parse
+    gives it, or the fresh parse's error when the object is no Vehicle."""
+    scene = make_csg(om, 0.0, "ego", [
+        SceneObject("ego", "Vehicle", {"velocity": 8.0, "position": (0.0, 0.0)}),
+        SceneObject("obs", "Static", {"velocity": 0.0, "position": (10.0, 0.0)}),
+        SceneObject("v2", "Vehicle", {"velocity": 5.0, "position": (-10.0, 0.0)}),
+    ], [("obs", "inFrontOf", "ego"), ("ego", "inFrontOf", "v2")])
+    first = scene_record(scene)
+    second = dict(first, t=1.0, ego="v2")
+    before, after = read_scene_stream([json.dumps(first), json.dumps(second)], om)
+    assert after.ego_id == "v2" and after.class_index is not before.class_index
+    assert _scene_fields(after) == _scene_fields(parse_csg(second, om))
+    with pytest.raises(SceneValidationError,
+                       match="line 2: ego node obs has class Static, expected a Vehicle"):
+        list(read_scene_stream([json.dumps(first), json.dumps(dict(first, ego="obs"))], om))
+
+
 def test_a_record_with_one_node_more_than_the_last_is_not_reused(om):
     """The first three entries repeat the record before, so only the node
     count tells the topologies apart; a reuse would drop the fourth node."""
