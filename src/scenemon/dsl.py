@@ -31,9 +31,10 @@ The bundled properties are loaded here too (`load_bundled_asg`,
 `parse_asg` is a property's one checker: one that could never be
 evaluated is refused at load, not reported on every scene. A builtin call
 is checked as it will run: the schema must declare the signature in
-`predicates.BUILTINS`, and a node argument is checked as the `AttrRef`s
-it stands for (`Call.operands`), so `dist(ego, lane)` is refused at `lane`
-as `lane.position` would be.
+`BUILTINS`, the table of builtins defined here for the checker and both
+evaluators in `predicates`, and a node argument is checked as the
+`AttrRef`s it stands for (`Call.operands`), so `dist(ego, lane)` is
+refused at `lane` as `lane.position` would be.
 """
 from __future__ import annotations
 
@@ -41,8 +42,9 @@ import math
 from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
-from .errors import SpecSyntaxError, SpecTypeError
+from .errors import SpecSyntaxError, SpecTypeError, in_file
 from .lexing import (
     KIND_EOF,
     KIND_IDENT,
@@ -52,7 +54,8 @@ from .lexing import (
     TokenStream,
     tokenize,
 )
-from .object_model import NODE_PARAM, ObjectModel, default_object_model, is_relationship_allowed
+from .object_model import (NODE_PARAM, AttributeDef, ObjectModel, default_object_model,
+                           is_relationship_allowed)
 from .scene_graph import AbstractSceneGraph, pattern_distances
 
 # "ego" stays legal as a node id: the ego declaration is identified by its
@@ -74,7 +77,8 @@ def _fmt_number(value: float) -> str:
 
 class Expr:
     """Base expression node: an immutable value of its class and the fields
-    the class annotates, built from its position and then those fields.
+    the class annotates (recorded once, in `_fields`), built from its
+    position and then those fields.
 
     Positions point at the node's first token; they inform error messages
     only and are excluded from structural equality so a re-parsed
@@ -83,10 +87,13 @@ class Expr:
 
     line: int
     column: int
+    _fields: ClassVar[tuple[str, ...]]  # the names a subclass annotates, in order
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, line: int, column: int, *values: object) -> None:
-        fields = ("line", "column", *type(self).__annotations__)
-        self.__dict__.update(zip(fields, (line, column, *values), strict=True))
+        self.__dict__.update(zip(self._fields, values, strict=True), line=line, column=column)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -94,7 +101,7 @@ class Expr:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple[object, ...]:
-        return (self.__class__, *[self.__dict__[name] for name in type(self).__annotations__])
+        return (self.__class__, *[self.__dict__[name] for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if isinstance(other, Expr) else NotImplemented
@@ -103,12 +110,24 @@ class Expr:
         return hash(self._key())
 
     def __repr__(self) -> str:  # as a dataclass shows it
-        fields = ("line", "column", *type(self).__annotations__)
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in ("line", "column", *self._fields))
         return f"{type(self).__qualname__}({shown})"
 
+    def children(self) -> tuple[Expr, ...]:
+        """The subexpressions: each `Expr` field and tuple field member, in order."""
+        out: list[Expr] = []
+        for name in self._fields:
+            value = self.__dict__[name]
+            if isinstance(value, Expr):
+                out.append(value)
+            elif isinstance(value, tuple):
+                out += value
+        return tuple(out)
+
     def pattern_ids(self) -> frozenset[str]:
-        raise NotImplementedError
+        """The pattern nodes the expression names."""
+        return frozenset().union(*[child.pattern_ids() for child in self.children()])
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -117,9 +136,6 @@ class Expr:
 class NumberLit(Expr):
     value: float
 
-    def pattern_ids(self) -> frozenset[str]:
-        return frozenset()
-
     def to_text(self) -> str:
         return _fmt_number(self.value)
 
@@ -127,18 +143,12 @@ class NumberLit(Expr):
 class BoolLit(Expr):
     value: bool
 
-    def pattern_ids(self) -> frozenset[str]:
-        return frozenset()
-
     def to_text(self) -> str:
         return "true" if self.value else "false"
 
 
 class StringLit(Expr):
     value: str
-
-    def pattern_ids(self) -> frozenset[str]:
-        return frozenset()
 
     def to_text(self) -> str:
         escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
@@ -168,15 +178,26 @@ class AttrRef(Expr):
         return f"{self.node_id}.{self.attr}"
 
 
+def dist(pa: Sequence[float], pb: Sequence[float]) -> float:
+    """Euclidean distance between two positions."""
+    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+
+
+class Builtin(NamedTuple):
+    """A builtin function as the checker and both evaluators see it."""
+
+    impl: Callable[..., object]
+    nodes: int  # the pattern-node arguments it takes; it takes no others
+    reads: tuple[AttributeDef, ...]  # read from each node argument, in order
+    result: str
+
+
+BUILTINS = {"dist": Builtin(dist, 2, (AttributeDef("position", "Vec2"),), "Real")}
+
+
 class Call(Expr):
     fn: str
     args: tuple[Expr, ...]
-
-    def pattern_ids(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for a in self.args:
-            out |= a.pattern_ids()
-        return out
 
     def to_text(self) -> str:
         return f"{self.fn}({', '.join(a.to_text() for a in self.args)})"
@@ -187,7 +208,6 @@ class Call(Expr):
         argument becomes an `AttrRef` at its position for each attribute
         the builtin reads, and any other stays. A function with no builtin
         receives none."""
-        from .predicates import BUILTINS  # a top-level import would be circular
         builtin = BUILTINS.get(self.fn)
         if builtin is None:
             return ()
@@ -206,9 +226,6 @@ class Compare(Expr):
     left: Expr
     right: Expr
 
-    def pattern_ids(self) -> frozenset[str]:
-        return self.left.pattern_ids() | self.right.pattern_ids()
-
     def to_text(self) -> str:
         return f"{self.left.to_text()} {self.op} {self.right.to_text()}"
 
@@ -222,9 +239,6 @@ class InInterval(Expr):
     lo_closed: bool
     hi_closed: bool
 
-    def pattern_ids(self) -> frozenset[str]:
-        return self.value.pattern_ids() | self.lo.pattern_ids() | self.hi.pattern_ids()
-
     def to_text(self) -> str:
         lo_b = "[" if self.lo_closed else "("
         hi_b = "]" if self.hi_closed else ")"
@@ -235,9 +249,6 @@ class InInterval(Expr):
 class And(Expr):
     left: Expr
     right: Expr
-
-    def pattern_ids(self) -> frozenset[str]:
-        return self.left.pattern_ids() | self.right.pattern_ids()
 
     def to_text(self) -> str:
         return f"{self.left.to_text()} and {self.right.to_text()}"
@@ -365,7 +376,8 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
 
 
 def load_asg(path: str, om: ObjectModel) -> AbstractSceneGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse the property file `path`; an error in it names the file."""
+    with open(path, "r", encoding="utf-8") as fh, in_file(path):
         return parse_asg(fh.read(), om)
 
 
@@ -543,7 +555,6 @@ def _check_expr(expr: Expr, nodes: dict[str, str], om: ObjectModel) -> str:
         fn = om.find_function(expr.fn)
         if fn is None:
             raise SpecTypeError(f"unknown function {expr.fn!r}", expr.line, expr.column)
-        from .predicates import BUILTINS  # a top-level import would be circular
         builtin = BUILTINS.get(expr.fn)
         if builtin is None:
             raise SpecTypeError(f"function {expr.fn!r} has no implementation",

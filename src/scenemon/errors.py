@@ -6,6 +6,9 @@ type at the CLI boundary and map it to an exit code.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class SceneMonError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,24 +18,34 @@ class SchemaError(SceneMonError):
     """Invalid object-model schema (bad reference, duplicate, type misuse)."""
 
 
-class SpecSyntaxError(SceneMonError):
+class _LocatedError(SceneMonError):
+    """An error at a 1-based line and column of spec text."""
+
+    def __init__(self, message: str, line: int, column: int) -> None:
+        super().__init__(f"{line}:{column}: {message}")
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+class SpecSyntaxError(_LocatedError):
     """Lexical or grammatical error in schema or property-spec text."""
 
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
 
-
-class SpecTypeError(SceneMonError):
+class SpecTypeError(_LocatedError):
     """Well-formed spec text that fails type checking against the object model."""
 
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
+
+@contextmanager
+def in_file(path: str) -> Iterator[None]:
+    """Name the file `path` in a SceneMonError raised from its text:
+    `path:line:column: message` where it is located, `path: message`
+    where it is not."""
+    try:
+        yield
+    except SceneMonError as exc:
+        exc.args = (path + (":" if isinstance(exc, _LocatedError) else ": ") + str(exc),)
+        raise
 
 
 class SceneValidationError(SceneMonError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .errors import SchemaError
+from .errors import SchemaError, SpecSyntaxError, in_file
 from .lexing import KIND_EOF, TokenStream, tokenize
 
 BASE_TYPES: tuple[str, ...] = ("Real", "Int", "Bool", "String", "Vec2")
@@ -260,8 +260,9 @@ def parse_object_model(text: str) -> ObjectModel:
             functions.append(_parse_fn(ts))
         else:
             tok = ts.peek()
-            raise SchemaError(
-                f"{tok.line}:{tok.column}: expected class, rel, or fn declaration, found {tok.text!r}")
+            raise SpecSyntaxError(
+                f"expected class, rel, or fn declaration, found {tok.text!r}",
+                tok.line, tok.column)
     return ObjectModel(tuple(classes), tuple(relationships), tuple(functions))
 
 
@@ -342,11 +343,12 @@ def serialize_object_model(om: ObjectModel) -> str:
 def load_object_model(source: str) -> ObjectModel:
     """Load an ObjectModel from a schema file path, or the bundled default.
 
-    `source` may be a filesystem path or the literal string "default".
+    `source` may be a filesystem path or the literal string "default". An
+    error in the file names the file.
     """
     if source == "default":
         return default_object_model()
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8") as fh, in_file(source):
         return parse_object_model(fh.read())
 
 

@@ -22,15 +22,15 @@ mapping, so nothing is copied per embedding; the monitor uses that form.
 `bind` plus `evaluate` interpret the syntax tree over a snapshot of the
 matched objects. They are the reference that tests and the benchmark
 check the compiled form against, as the exhaustive matcher is for the
-search. Both share `BUILTINS` and the interval rule.
+search. Both call the builtins `dsl.BUILTINS` describes, the table the
+property checker reads too; each writes the interval rule itself, in
+`_eval` and in `_lower`'s `interval`.
 
-`BUILTINS` describes each builtin once, for the property checker too: its
-implementation, its pattern-node arguments, the typed attributes it reads
-from each and its result type. A node argument stands for those reads, so
-`dist(ego, rear)` receives `ego.position` and `rear.position`, and a
-missing one raises MissingAttributeError for the first argument first.
-`Call.operands` holds the reads as `AttrRef`s, which both forms evaluate
-as any other.
+A builtin's node argument stands for the attributes the builtin reads
+from it, so `dist(ego, rear)` receives `ego.position` and
+`rear.position`, and a missing one raises MissingAttributeError for the
+first argument first. `Call.operands` holds the reads as `AttrRef`s,
+which both forms evaluate as any other.
 
 Lowering does once what depends on the predicate alone. A call holds its
 builtin's implementation; a function with none lowers to a closure that
@@ -44,11 +44,11 @@ tested against.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingAttributeError, SceneMonError
 from .dsl import (
+    BUILTINS,
     And,
     AttrRef,
     BoolLit,
@@ -60,7 +60,6 @@ from .dsl import (
     StringLit,
 )
 from .matching import Embedding
-from .object_model import AttributeDef
 from .scene_graph import ConcreteSceneGraph, SceneObject
 
 
@@ -95,23 +94,6 @@ def bind(embedding: Embedding, csg: ConcreteSceneGraph) -> Binding:
     return Binding(objects)
 
 
-def dist(pa: Sequence[float], pb: Sequence[float]) -> float:
-    """Euclidean distance between two positions."""
-    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-
-
-class Builtin(NamedTuple):
-    """A builtin function as the checker and both evaluators see it."""
-
-    impl: Callable[..., object]
-    nodes: int  # the pattern-node arguments it takes; it takes no others
-    reads: tuple[AttributeDef, ...]  # read from each node argument, in order
-    result: str
-
-
-BUILTINS = {"dist": Builtin(dist, 2, (AttributeDef("position", "Vec2"),), "Real")}
-
-
 def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
     """The attributes evaluating `predicates` may read, per pattern node. A
     function with no implementation reads none: it raises first."""
@@ -123,10 +105,8 @@ def attribute_reads(predicates: Sequence[Expr]) -> dict[str, frozenset[str]]:
             reads.setdefault(expr.node_id, set()).add(expr.attr)
         elif isinstance(expr, Call):
             stack += expr.operands
-        elif isinstance(expr, (Compare, And)):
-            stack += (expr.left, expr.right)
-        elif isinstance(expr, InInterval):
-            stack += (expr.value, expr.lo, expr.hi)
+        else:
+            stack += expr.children()
     return {pid: frozenset(names) for pid, names in reads.items()}
 
 

@@ -24,11 +24,11 @@ to a known name, and yields the scene's own string for it, so the
 record's copies die with the record. The few distinct (relation, source
 class, target class) kinds are then admitted, not each edge, and
 `inFrontOf` self-loops found by identity. Only when the columns fail are
-the edges read one by one. The builder raises the first error in record
-order, but a malformed entry (not an object, a key missing, a field of
-the wrong type) comes first: when the builder raises, `parse_csg` raises
-the record's first malformed entry if it has one. The scene keeps no
-adjacency: edge tests read the edge set.
+a record's edges read one by one; `make_csg`'s always are. The builder
+raises the first error in record order, but a malformed entry (not an
+object, a key missing, a field of the wrong type) comes first: when the
+builder raises, `parse_csg` raises the record's first malformed entry if
+it has one. The scene keeps no adjacency: edge tests read the edge set.
 `ConcreteSceneGraph.__post_init__` builds its one table, `class_index`
 (each class, abstract ancestors included -> the sorted ids of its
 objects), class by class; the matcher finds its candidates there.
@@ -215,16 +215,9 @@ def make_csg(
     omits stay absent; predicate evaluation reports them as errors later.
     The given objects are left as they are: the scene holds new ones.
     """
-    edges = list(edges)  # read again when the columns fail
-    try:
-        srcs, rels, dsts = zip(*edges, strict=True)
-    except (TypeError, ValueError):  # no edges, or not all of them three fields
-        columns = None
-    else:
-        columns = srcs, rels, dsts
     return _built_csg(om, timestamp, ego_id,
                       ((obj.object_id, obj.cls, obj.attributes) for obj in nodes),
-                      columns, edges)
+                      None, edges)
 
 
 def _built_csg(

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, stream formats, determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -316,8 +317,8 @@ _DECLARED = "function dist is declared {}, its implementation is dist(node, node
 ], ids=["value-params", "one-node", "bool-result", "real-position", "lane"])
 def test_monitor_refuses_a_builtin_call_it_cannot_run_before_any_scene(
         capsys, tmp_path, om, schema_edit, pred, column, message):
-    """A call that could never be evaluated is a located load error (exit
-    2) before the stream is read, not a traceback, a float used as a truth
+    """A call that could never be evaluated is a load error located in its
+    file (exit 2) before the stream is read, not a traceback, a float used as a truth
     value, or a missing-attribute error verdict on every scene."""
     schema = serialize_object_model(om)
     if schema_edit is not None:
@@ -332,7 +333,32 @@ def test_monitor_refuses_a_builtin_call_it_cannot_run_before_any_scene(
     code, out, err = _run(capsys, "monitor", stream, "--om", str(om_path),
                           "--props", str(props))
     assert (code, out) == (2, "")
-    assert err == f"scenemon: error: 8:{column}: {message}\n"
+    assert err == f"scenemon: error: {props}:8:{column}: {message}\n"
+
+
+def test_a_bad_property_in_a_directory_is_named_by_its_file(capsys, tmp_path, monkeypatch):
+    """Of two property files in one directory, the bad one is named before
+    the position of its error; the message after it is the parser's."""
+    stream = _gen_stream(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    Path("props").mkdir()
+    Path("props/a.asg").write_text(IN_LANE)
+    Path("props/b.asg").write_text(
+        'asg "fast" {\n  node ego: Vehicle;\n  ego ego;\n  assert ego.speed > 0;\n}\n')
+    code, out, err = _run(capsys, "monitor", stream, "--props", "props")
+    assert (code, out) == (2, "")
+    assert err == "scenemon: error: props/b.asg:4:10: class Vehicle has no attribute 'speed'\n"
+
+
+@pytest.mark.parametrize("schema, message", [
+    ("class A;\nbogus", "bad.om:2:1: expected class, rel, or fn declaration, found 'bogus'"),
+    ("class A;\nclass A;", "bad.om: duplicate class: A"),
+], ids=["located", "unlocated"])
+def test_a_bad_schema_is_named_by_its_file(capsys, tmp_path, monkeypatch, schema, message):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.om").write_text(schema)
+    code, out, err = _run(capsys, "monitor", "-", "--om", "bad.om", "--phases", "P1")
+    assert (code, out, err) == (2, "", f"scenemon: error: {message}\n")
 
 
 def test_monitor_nominal_phases_pass(capsys, tmp_path):
@@ -721,6 +747,34 @@ def test_monitor_set_up_imports_only_what_it_runs():
     assert "scenemon.cli" in result["loaded"]
     assert "scenemon.scenarios" not in result["loaded"]
     assert result["unresolved"] == [] and result["unlisted"] == []
+
+
+def _scenemon_imports(node):
+    """The scenemon modules an import statement names, as the package
+    names them (`scenarios` for `from . import scenarios`)."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = ".".join(filter(None, ["scenemon" if node.level else "", node.module]))
+        modules = [module] if node.module else [f"{module}.{a.name}" for a in node.names]
+    else:
+        return []
+    return [m.removeprefix("scenemon.") for m in modules if m.split(".")[0] == "scenemon"]
+
+
+def test_no_function_imports_a_scenemon_module():
+    """Every module imports the package's modules at its top, so the import
+    graph is acyclic as written. The one exception is the scenario
+    generator, which `gen` and the package's lazy names load on first use
+    so that monitoring never does."""
+    package = Path(scenemon.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.stem, fn.name, module)
+                          for node in ast.walk(fn) for module in _scenemon_imports(node)}
+    assert found == {("cli", "_cmd_gen", "scenarios"), ("__init__", "__getattr__", "scenarios")}
 
 
 @pytest.mark.parametrize("command", ["gen", "monitor"])

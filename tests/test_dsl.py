@@ -346,6 +346,37 @@ def test_a_call_operand_is_an_attribute_reference_at_its_argument():
     assert [(o.line, o.column) for o in call.operands] == [(4, 2), (4, 2)]
 
 
+def _walk(expr):
+    yield expr
+    for child in expr.children():
+        yield from _walk(child)
+
+
+def test_pattern_ids_is_the_union_over_the_children():
+    """Every node of `_tree`, in the order `children` gives, with the pattern
+    nodes it names: a reference its node, a literal none, and any other
+    node the union over its children. A call's children are its arguments
+    as written."""
+    tree = _tree()
+    assert tree.left.value.children() == tree.left.value.args
+    assert [(type(e).__name__, e.pattern_ids()) for e in _walk(tree)] == [
+        ("And", {"ego", "v"}),
+        ("InInterval", {"ego", "v"}),
+        ("Call", {"ego", "v"}),
+        ("NodeRef", {"ego"}),
+        ("NodeRef", {"v"}),
+        ("NumberLit", set()),
+        ("NumberLit", set()),
+        ("And", {"ego"}),
+        ("Compare", {"ego"}),
+        ("AttrRef", {"ego"}),
+        ("NumberLit", set()),
+        ("Compare", set()),
+        ("BoolLit", set()),
+        ("StringLit", set()),
+    ]
+
+
 def test_tokens_are_values_with_a_compact_repr():
     tok = Token(KIND_IDENT, "ego", 2, 5)
     assert tok == Token(KIND_IDENT, "ego", 2, 5)

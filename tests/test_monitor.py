@@ -743,6 +743,21 @@ def test_memo_hits_keep_the_verdict_rules(om, ahead_asg, name, specs, ego_speed)
     assert [v for _, (v,) in monitor_stream([asg], [csg] * 3)] == [expected] * 3
 
 
+def test_a_predicates_pattern_nodes_are_the_nodes_it_reads(om):
+    """The monitor schedules a predicate's pushdown at its `pattern_ids` and
+    builds its gap table from `attribute_reads`: for each predicate of the
+    bundled and of 300 random properties, the two name the same nodes."""
+    from randscene import random_asg
+
+    rng = random.Random(30)
+    asgs = [load_bundled_asg(name, om) for name in BUNDLED]
+    asgs += [random_asg(rng, om) for _ in range(300)]
+    predicates = [pred for asg in asgs for pred in asg.predicates]
+    assert len(predicates) > 300
+    for pred in predicates:
+        assert pred.pattern_ids() == set(attribute_reads([pred]))
+
+
 def _with_gap(rng, asg, csg):
     """`csg` with one attribute that `asg` reads from a pattern node removed
     from a class-compatible non-ego object, or None if no object has one."""

@@ -137,6 +137,13 @@ def test_syntax_error_carries_position():
     assert err.value.column >= 1
 
 
+def test_a_stray_word_between_declarations_is_a_located_syntax_error():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_object_model("class A;\nbogus")
+    assert (err.value.line, err.value.column) == (2, 1)
+    assert str(err.value) == "2:1: expected class, rel, or fn declaration, found 'bogus'"
+
+
 def test_direct_construction_validates():
     with pytest.raises(SchemaError, match="cycle"):
         ObjectModel((ClassDef("A", "B", False), ClassDef("B", "A", False)))
