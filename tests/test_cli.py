@@ -318,8 +318,8 @@ _DECLARED = "function dist is declared {}, its implementation is dist(node, node
 def test_monitor_refuses_a_builtin_call_it_cannot_run_before_any_scene(
         capsys, tmp_path, om, schema_edit, pred, column, message):
     """A call that could never be evaluated is a load error located in its
-    file (exit 2) before the stream is read, not a traceback, a float used as a truth
-    value, or a missing-attribute error verdict on every scene."""
+    file (exit 2) before the stream is read, not a traceback, a float used
+    as a truth value, or a missing-attribute error verdict on every scene."""
     schema = serialize_object_model(om)
     if schema_edit is not None:
         schema = schema.replace(*schema_edit)
