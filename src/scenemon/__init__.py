@@ -21,6 +21,7 @@ from .errors import (
     SpecTypeError,
     StreamOrderError,
 )
+from .frozen import FrozenInstanceError
 from .object_model import (
     ObjectModel,
     default_object_model,
@@ -81,6 +82,7 @@ __all__ = [
     "CauseKind",
     "ConcreteSceneGraph",
     "Embedding",
+    "FrozenInstanceError",
     "LaneStrip",
     "MapLayout",
     "MissingAttributeError",

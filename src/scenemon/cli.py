@@ -31,11 +31,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import builtin_asgs, load_asg, load_bundled_asg, scenario_names
-from .errors import SceneMonError, SceneValidationError
+from .errors import SceneMonError, SceneValidationError, in_file
 from .matching import brute_force_embeddings, check_embedding, find_embeddings, require_oracle_size
 from .monitor import (
     PhaseAutomaton,
@@ -218,12 +217,13 @@ def _require_unique_names(asgs: Sequence[AbstractSceneGraph]) -> None:
 
 
 def _load_scene_file(path: str, om: ObjectModel) -> ConcreteSceneGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The scene record in the file `path`; an error in it names the file."""
+    with open(path, "r", encoding="utf-8") as fh, in_file(path):
         try:
             record = json.load(fh)
         except (ValueError, RecursionError) as exc:  # as in read_scene_stream
-            raise SceneValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_csg(record, om)
+            raise SceneValidationError(f"invalid JSON: {exc}") from exc
+        return parse_csg(record, om)
 
 
 def _oracle_problems(
@@ -361,6 +361,8 @@ def _monitor(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .scenarios import builtin_script, iter_trace  # only gen loads the generator
 
     om = load_object_model(args.om)

@@ -39,12 +39,12 @@ refused at `lane` as `lane.position` would be.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import SpecSyntaxError, SpecTypeError, in_file
+from .frozen import Frozen
 from .lexing import (
     KIND_EOF,
     KIND_IDENT,
@@ -75,10 +75,9 @@ def _fmt_number(value: float) -> str:
     return format(Decimal(repr(float(value))), "f")
 
 
-class Expr:
+class Expr(Frozen):
     """Base expression node: an immutable value of its class and the fields
-    the class annotates (recorded once, in `_fields`), built from its
-    position and then those fields.
+    the class annotates, built from its position and then those fields.
 
     Positions point at the node's first token; they inform error messages
     only and are excluded from structural equality so a re-parsed
@@ -87,27 +86,9 @@ class Expr:
 
     line: int
     column: int
-    _fields: ClassVar[tuple[str, ...]]  # the names a subclass annotates, in order
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, line: int, column: int, *values: object) -> None:
         self.__dict__.update(zip(self._fields, values, strict=True), line=line, column=column)
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple[object, ...]:
-        return (self.__class__, *[self.__dict__[name] for name in self._fields])
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, Expr) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:  # as a dataclass shows it
         shown = ", ".join(f"{name}={getattr(self, name)!r}"

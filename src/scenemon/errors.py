@@ -40,12 +40,14 @@ class SpecTypeError(_LocatedError):
 def in_file(path: str) -> Iterator[None]:
     """Name the file `path` in a SceneMonError raised from its text:
     `path:line:column: message` where it is located, `path: message`
-    where it is not."""
+    where it is not. Text that is not UTF-8 is `path: not UTF-8: ...`."""
     try:
         yield
     except SceneMonError as exc:
         exc.args = (path + (":" if isinstance(exc, _LocatedError) else ": ") + str(exc),)
         raise
+    except UnicodeDecodeError as exc:
+        raise SceneMonError(f"{path}: not UTF-8: {exc}") from None
 
 
 class SceneValidationError(SceneMonError):

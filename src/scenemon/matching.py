@@ -53,22 +53,24 @@ the class index; keep it that way so the two routes stay independent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Mapping
 
 from .errors import OracleSizeError, SceneValidationError
+from .frozen import Frozen
 from .scene_graph import AbstractSceneGraph, ConcreteSceneGraph, PatternAdjacency
 
 ORACLE_SIZE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Frozen):
     """Immutable pattern-id to object-id mapping, stored sorted by pattern id."""
 
     mapping: tuple[tuple[str, str], ...]
+
+    def __init__(self, mapping: tuple[tuple[str, str], ...]) -> None:
+        self.__dict__.update(mapping=mapping)
 
     @staticmethod
     def from_dict(d: dict[str, str]) -> "Embedding":

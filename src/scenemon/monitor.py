@@ -83,13 +83,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAttributeError, StreamOrderError
+from .frozen import Frozen
 from .matching import (Embedding, brute_force_embeddings, candidate_pools, iter_embeddings,
                        pattern_order)
 from .predicates import Compiled, attribute_reads, bind, compile_predicates, evaluate
@@ -108,11 +108,13 @@ class CauseKind(str, Enum):
     MISSING_ATTRIBUTE = "missing_attribute"
 
 
-@dataclass(frozen=True)
-class Cause:
+class Cause(Frozen):
     kind: CauseKind
-    index: int | None = None  # failing predicate index, for PREDICATE_FAILED
-    ref: str | None = None  # "<pattern-id>.<attr>", for MISSING_ATTRIBUTE
+    index: int | None  # failing predicate index, for PREDICATE_FAILED
+    ref: str | None  # "<pattern-id>.<attr>", for MISSING_ATTRIBUTE
+
+    def __init__(self, kind: CauseKind, index: int | None = None, ref: str | None = None) -> None:
+        self.__dict__.update(kind=kind, index=index, ref=ref)
 
     @staticmethod
     def no_embedding() -> "Cause":
@@ -147,18 +149,15 @@ _NO_EMBEDDING = Cause(CauseKind.NO_EMBEDDING)  # frozen: one serves every verdic
 _SATISFIED, _VIOLATED, _ERROR = Result.SATISFIED, Result.VIOLATED, Result.ERROR
 
 
-@dataclass(frozen=True, init=False)
-class Verdict:
+class Verdict(Frozen):
     timestamp: float
     property_name: str
     result: Result
-    witness: Embedding | None = None
-    cause: Cause | None = None
+    witness: Embedding | None
+    cause: Cause | None
 
     def __init__(self, timestamp: float, property_name: str, result: Result,
                  witness: Embedding | None = None, cause: Cause | None = None) -> None:
-        # one dict update, where the generated frozen __init__ makes a
-        # call to object.__setattr__ per field
         self.__dict__.update(timestamp=timestamp, property_name=property_name, result=result,
                              witness=witness, cause=cause)
 
@@ -417,8 +416,7 @@ def _same_topology(a: ConcreteSceneGraph, b: ConcreteSceneGraph) -> bool:
             and (a.edges is b.edges or a.edges == b.edges))
 
 
-@dataclass(frozen=True)
-class PhaseAutomaton:
+class PhaseAutomaton(Frozen):
     """Progress tracker over an ordered phase sequence.
 
     `step` consumes the per-scene verdicts and returns the successor state:
@@ -435,24 +433,25 @@ class PhaseAutomaton:
     """
 
     phases: tuple[str, ...]
-    index: int = 0
-    dwell: tuple[int, ...] = field(default=())
-    completed: bool = False
-    violations: int = 0
-    gaps: int = 0
+    index: int
+    dwell: tuple[int, ...]
+    completed: bool
+    violations: int
+    gaps: int
 
-    def __post_init__(self) -> None:
-        n = len(self.phases)
+    def __init__(self, phases: tuple[str, ...], index: int = 0, dwell: tuple[int, ...] = (),
+                 completed: bool = False, violations: int = 0, gaps: int = 0) -> None:
+        n = len(phases)
         if not n:
             raise ValueError("phase automaton needs at least one phase")
-        if len(set(self.phases)) != n:
-            raise ValueError(f"phase names must be unique, got {self.phases!r}")
-        if not (type(self.index) is int and 0 <= self.index < n):
-            raise ValueError(f"phase index {self.index!r} is not an int in 0..{n - 1}")
-        if not self.dwell:
-            object.__setattr__(self, "dwell", (0,) * n)
-        elif len(self.dwell) != n:
-            raise ValueError(f"dwell {self.dwell!r} needs one count per phase, {n}")
+        if len(set(phases)) != n:
+            raise ValueError(f"phase names must be unique, got {phases!r}")
+        if not (type(index) is int and 0 <= index < n):
+            raise ValueError(f"phase index {index!r} is not an int in 0..{n - 1}")
+        if dwell and len(dwell) != n:
+            raise ValueError(f"dwell {dwell!r} needs one count per phase, {n}")
+        self.__dict__.update(phases=phases, index=index, dwell=dwell or (0,) * n,
+                             completed=completed, violations=violations, gaps=gaps)
 
     @property
     def current_phase(self) -> str:
@@ -482,7 +481,7 @@ class PhaseAutomaton:
             violations += 1
         dwell = list(self.dwell)
         dwell[index] += 1
-        # one dict update, as Verdict.__init__; `self` passed __post_init__'s checks
+        # `self` passed __init__'s checks, and the step keeps them
         successor = object.__new__(PhaseAutomaton)
         successor.__dict__.update(phases=phases, index=index, dwell=tuple(dwell),
                                   completed=completed, violations=violations, gaps=gaps)

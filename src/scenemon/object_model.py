@@ -28,11 +28,11 @@ The exact grammar ships in docs/schema-grammar.ebnf.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
 from .errors import SchemaError, SpecSyntaxError, in_file
+from .frozen import Frozen
 from .lexing import KIND_EOF, TokenStream, tokenize
 
 BASE_TYPES: tuple[str, ...] = ("Real", "Int", "Bool", "String", "Vec2")
@@ -73,34 +73,20 @@ class FunctionSymbol(NamedTuple):
     result: str
 
 
-@dataclass(frozen=True)
-class ObjectModel:
-    classes: tuple[ClassDef, ...] = ()
-    relationships: tuple[RelationshipType, ...] = ()
-    functions: tuple[FunctionSymbol, ...] = ()
-    # Lookup tables, built once by __post_init__ and read only by this class.
-    _by_name: dict[str, ClassDef] = field(init=False, compare=False, repr=False)
-    # each class -> the class itself and all its ancestors
-    _ancestors: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
-    # each class -> attribute name -> declaration, inherited ones first
-    _attributes: dict[str, dict[str, AttributeDef]] = field(
-        init=False, compare=False, repr=False)
-    # each concrete class -> (its name, attribute name -> declared type)
-    _concrete_classes: dict[str, tuple[str, dict[str, str]]] = field(
-        init=False, compare=False, repr=False)
-    # each relationship name -> every (source, target) class pair it admits
-    _admitted: dict[str, frozenset[tuple[str, str]]] = field(
-        init=False, compare=False, repr=False)
-    # each relationship name -> that name, the string this model holds
-    _relationship_table: dict[str, str] = field(init=False, compare=False, repr=False)
+class ObjectModel(Frozen):
+    classes: tuple[ClassDef, ...]
+    relationships: tuple[RelationshipType, ...]
+    functions: tuple[FunctionSymbol, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, classes: tuple[ClassDef, ...] = (),
+                 relationships: tuple[RelationshipType, ...] = (),
+                 functions: tuple[FunctionSymbol, ...] = ()) -> None:
         by_name: dict[str, ClassDef] = {}
-        for cls in self.classes:
+        for cls in classes:
             if cls.name in by_name:
                 raise SchemaError(f"duplicate class: {cls.name}")
             by_name[cls.name] = cls
-        for cls in self.classes:
+        for cls in classes:
             if cls.parent is not None and cls.parent not in by_name:
                 raise SchemaError(f"class {cls.name} extends unknown class {cls.parent}")
             for a in cls.attributes:
@@ -108,7 +94,7 @@ class ObjectModel:
                     raise SchemaError(f"attribute {cls.name}.{a.name} has unknown type {a.type}")
         # the one walk up each parent chain, leaf first; it also finds cycles
         chains: dict[str, dict[str, ClassDef]] = {}
-        for cls in self.classes:
+        for cls in classes:
             chain: dict[str, ClassDef] = {}
             cur: str | None = cls.name
             while cur is not None:
@@ -128,7 +114,7 @@ class ObjectModel:
         ancestors = {name: frozenset(chain) for name, chain in chains.items()}
         admitted: dict[str, set[tuple[str, str]]] = {}
         seen_rel: set[RelationshipType] = set()
-        for r in self.relationships:
+        for r in relationships:
             if r.source not in by_name:
                 raise SchemaError(f"relationship {r.name} has unknown source class {r.source}")
             if r.target not in by_name:
@@ -140,7 +126,7 @@ class ObjectModel:
             dsts = [n for n, anc in ancestors.items() if r.target in anc]
             admitted.setdefault(r.name, set()).update(product(srcs, dsts))
         seen_fn: set[str] = set()
-        for f in self.functions:
+        for f in functions:
             if f.name in seen_fn:
                 raise SchemaError(f"duplicate function: {f.name}")
             seen_fn.add(f.name)
@@ -149,14 +135,17 @@ class ObjectModel:
                     raise SchemaError(f"function {f.name} has unknown parameter kind {p}")
             if f.result not in BASE_TYPES:
                 raise SchemaError(f"function {f.name} has unknown result type {f.result}")
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_ancestors", ancestors)
-        object.__setattr__(self, "_attributes", attributes)
-        object.__setattr__(self, "_concrete_classes", {
-            name: (name, {a.name: a.type for a in attributes[name].values()})
-            for name, cls in by_name.items() if not cls.abstract})
-        object.__setattr__(self, "_admitted", {k: frozenset(v) for k, v in admitted.items()})
-        object.__setattr__(self, "_relationship_table", {k: k for k in admitted})
+        # lookup tables, read only here: each class -> its declaration, ->
+        # itself and its ancestors, -> attribute name -> declaration (inherited
+        # first); each concrete class -> (its name, attribute name -> type);
+        # each relationship name -> its (source, target) class pairs, -> itself
+        self.__dict__.update(
+            classes=classes, relationships=relationships, functions=functions,
+            _by_name=by_name, _ancestors=ancestors, _attributes=attributes,
+            _concrete_classes={name: (name, {a.name: a.type for a in attributes[name].values()})
+                               for name, cls in by_name.items() if not cls.abstract},
+            _admitted={k: frozenset(v) for k, v in admitted.items()},
+            _relationship_table={k: k for k in admitted})
 
     # -- class hierarchy -------------------------------------------------
 

@@ -29,7 +29,7 @@ raises the first error in record order, but a malformed entry (not an
 object, a key missing, a field of the wrong type) comes first: when the
 builder raises, `parse_csg` raises the record's first malformed entry if
 it has one. The scene keeps no adjacency: edge tests read the edge set.
-`ConcreteSceneGraph.__post_init__` builds its one table, `class_index`
+`ConcreteSceneGraph.__init__` builds its one table, `class_index`
 (each class, abstract ancestors included -> the sorted ids of its
 objects), class by class; the matcher finds its candidates there.
 
@@ -60,54 +60,50 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import is_, itemgetter, methodcaller
 from typing import TYPE_CHECKING
 
 from .errors import SceneValidationError, SchemaError
+from .frozen import Frozen
 from .object_model import ObjectModel
 
 if TYPE_CHECKING:  # predicate AST lives in dsl.py; only needed for typing
     from .dsl import Expr
 
 
-@dataclass(frozen=True)
-class SceneObject:
+class SceneObject(Frozen):
     object_id: str
     cls: str
-    attributes: Mapping[str, object] = field(default_factory=dict)
+    attributes: dict[str, object]  # its own copy
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", dict(self.attributes))
+    def __init__(self, object_id: str, cls: str, attributes: Mapping[str, object] = {}) -> None:
+        self.__dict__.update(object_id=object_id, cls=cls, attributes=dict(attributes))
 
     def __hash__(self) -> int:
         return hash((self.object_id, self.cls))
 
 
-@dataclass(frozen=True)
-class ConcreteSceneGraph:
+class ConcreteSceneGraph(Frozen):
     timestamp: float
     nodes: dict[str, SceneObject]
     edges: frozenset[tuple[str, str, str]]
     ego_id: str
-    om: ObjectModel = field(compare=False, repr=False)
-    # Built once by __post_init__: each class, abstract ancestors
-    # included -> sorted ids of its objects.
-    class_index: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     __hash__ = None  # type: ignore[assignment]  # holds dicts: unhashable, though frozen
 
-    def __post_init__(self) -> None:
+    def __init__(self, timestamp: float, nodes: dict[str, SceneObject],
+                 edges: frozenset[tuple[str, str, str]], ego_id: str, om: ObjectModel) -> None:
         ids_of: dict[str, list[str]] = {}
-        for nid, obj in self.nodes.items():
+        for nid, obj in nodes.items():
             ids_of.setdefault(obj.cls, []).append(nid)
         members: dict[str, list[str]] = {}
         for cls, ids in ids_of.items():  # class by class, not node by node
-            for ancestor in self.om.ancestors(cls):
+            for ancestor in om.ancestors(cls):
                 members.setdefault(ancestor, []).extend(ids)
-        object.__setattr__(self, "class_index",
-                           {cls: tuple(sorted(ids)) for cls, ids in members.items()})
+        # `om` and `class_index` are not compared or shown
+        self.__dict__.update(timestamp=timestamp, nodes=nodes, edges=edges, ego_id=ego_id, om=om,
+                             class_index={cls: tuple(sorted(ids)) for cls, ids in members.items()})
 
     def has_edge(self, src: str, rel: str, dst: str) -> bool:
         return (src, rel, dst) in self.edges
@@ -120,17 +116,20 @@ class ConcreteSceneGraph:
 PatternAdjacency = dict[str, tuple[tuple[str, frozenset[str]], ...]]
 
 
-@dataclass(frozen=True)
-class AbstractSceneGraph:
+class AbstractSceneGraph(Frozen):
     name: str
     pattern_nodes: dict[str, str]  # pattern id -> class name (may be abstract)
     pattern_edges: frozenset[tuple[str, str, str]]
     ego_pattern_id: str
     predicates: "tuple[Expr, ...]"
-    om: ObjectModel = field(compare=False, repr=False)
-    # epsilon -> the monitor's compiled checking plan, filled on first use
-    plans: dict[float, tuple] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+
+    def __init__(self, name: str, pattern_nodes: dict[str, str],
+                 pattern_edges: frozenset[tuple[str, str, str]], ego_pattern_id: str,
+                 predicates: tuple[Expr, ...], om: ObjectModel) -> None:
+        # not compared or shown: `om`, and `plans`, epsilon -> the
+        # monitor's compiled checking plan, filled on first use
+        self.__dict__.update(name=name, pattern_nodes=pattern_nodes, pattern_edges=pattern_edges,
+                             ego_pattern_id=ego_pattern_id, predicates=predicates, om=om, plans={})
 
     @cached_property
     def pattern_facts(self) -> tuple[dict[str, int], PatternAdjacency, PatternAdjacency]:
@@ -314,9 +313,8 @@ def _column_edges(
 
 
 def _new_object(oid: str, cls: str, attributes: dict[str, object]) -> SceneObject:
-    """A SceneObject that holds `attributes` itself. Its fields are set in
-    one dict update, where the generated __init__ would set each through
-    object.__setattr__ and `__post_init__` would copy the dict again."""
+    """A SceneObject that holds `attributes` itself, where its constructor
+    would copy the dict again."""
     obj = object.__new__(SceneObject)
     obj.__dict__.update(object_id=oid, cls=cls, attributes=attributes)
     return obj
@@ -397,7 +395,7 @@ def _reused_csg(
     node_map = {oid: old if not (attrs or old.attributes)
                 else _new_object(oid, old.cls, _normalized(om, old.cls, classes[old.cls][1], attrs))
                 for attrs, (oid, old) in zip(attrs_list, previous.nodes.items())}
-    scene = object.__new__(ConcreteSceneGraph)  # `previous`'s fields, without __post_init__
+    scene = object.__new__(ConcreteSceneGraph)  # `previous`'s class index, not a new one
     vars(scene).update(vars(previous), timestamp=_timestamp(timestamp), nodes=node_map)
     return scene
 

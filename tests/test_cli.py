@@ -361,6 +361,34 @@ def test_a_bad_schema_is_named_by_its_file(capsys, tmp_path, monkeypatch, schema
     assert (code, out, err) == (2, "", f"scenemon: error: {message}\n")
 
 
+@pytest.mark.parametrize("option, name", [("--props", "bad.asg"), ("--om", "bad.om")])
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, monkeypatch, option, name):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, "monitor", "-", option, name, "--phases", "P1")
+    assert (code, out) == (2, "")
+    assert err == (f"scenemon: error: {name}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "s.json", "--builtin", "P1-1", "--out", "v.jsonl"],
+    ["export", "--scene", "s.json", "--out", "s.dot"],
+], ids=["check", "export"])
+@pytest.mark.parametrize("text, message", [
+    ('{"t": 0, "ego": "ghost", "nodes": [], "edges": []}',
+     "s.json: ego node 'ghost' not present in scene"),
+    ("nope", "s.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["invalid", "not-json"])
+def test_a_bad_scene_file_is_named(capsys, tmp_path, monkeypatch, argv, text, message):
+    """A scene file's errors name it, and no `--out` file is made."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.json").write_text(text)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"scenemon: error: {message}\n")
+    assert not Path(argv[-1]).exists()
+
+
 def test_monitor_nominal_phases_pass(capsys, tmp_path):
     stream = _gen_stream(tmp_path, capsys)
     code, out, err = _run(capsys, "monitor", stream, "--phases", "P1")
@@ -725,7 +753,8 @@ import io, json, sys
 from scenemon.cli import main
 sys.stdin, sys.stderr = io.StringIO(), io.StringIO()
 code = main(["monitor", "-", "--phases", "P2"])
-loaded = sorted(name for name in sys.modules if name.startswith("scenemon"))
+loaded = sorted(name for name in sys.modules
+                if name.startswith("scenemon") or name in ("dataclasses", "inspect"))
 import scenemon
 unresolved = [name for name in scenemon.__all__ if not hasattr(scenemon, name)]
 unlisted = sorted(set(scenemon.__all__) - set(dir(scenemon)))
@@ -736,8 +765,9 @@ print(json.dumps({"code": code, "loaded": loaded, "unresolved": unresolved,
 
 def test_monitor_set_up_imports_only_what_it_runs():
     """In a fresh interpreter, `monitor --phases P2` on an empty stream
-    leaves the scenario generator unloaded, and every public name still
-    resolves from `import scenemon`, the generator's on first use."""
+    leaves the scenario generator, `dataclasses` and `inspect` unloaded,
+    and every public name still resolves from `import scenemon`, the
+    generator's on first use."""
     src = str(Path(scenemon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _MONITOR_SET_UP], env=env,
@@ -746,6 +776,7 @@ def test_monitor_set_up_imports_only_what_it_runs():
     assert result["code"] == 0
     assert "scenemon.cli" in result["loaded"]
     assert "scenemon.scenarios" not in result["loaded"]
+    assert "dataclasses" not in result["loaded"] and "inspect" not in result["loaded"]
     assert result["unresolved"] == [] and result["unlisted"] == []
 
 

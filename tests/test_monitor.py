@@ -13,6 +13,7 @@ from scenemon import (
     Cause,
     CauseKind,
     Embedding,
+    FrozenInstanceError,
     PhaseAutomaton,
     Result,
     SceneObject,
@@ -540,7 +541,7 @@ def test_two_streams_over_the_same_scenes_keep_their_verdicts(om, scenario):
     the same names other patterns."""
     trace = generate_trace(builtin_script(scenario), om)
     first = _properties(om)
-    second = [dataclasses.replace(a, name=b.name) for a, b in zip(first, reversed(first))]
+    second = [a.replace(name=b.name) for a, b in zip(first, reversed(first))]
     second += first
     expected = (_fresh_verdicts(om, first, trace), _fresh_verdicts(om, second, trace, induced=True))
     streams = (monitor_stream(first, trace), monitor_stream(second, trace, induced=True))
@@ -934,7 +935,7 @@ def test_equal_properties_parsed_twice_compare_equal(om, scene_factory):
 
 
 def _reference_step(pa, verdicts):
-    """The automaton rule, with the successor built by dataclasses.replace."""
+    """The automaton rule, with the successor built by `replace`."""
     current = verdicts[pa.phases[pa.index]]
     nxt = verdicts[pa.phases[pa.index + 1]] if pa.index + 1 < len(pa.phases) else None
     index, violations, gaps = pa.index, pa.violations, pa.gaps
@@ -949,8 +950,8 @@ def _reference_step(pa, verdicts):
     dwell[index] += 1
     completed = pa.completed or (
         index == len(pa.phases) - 1 and verdicts[pa.phases[index]].satisfied)
-    return dataclasses.replace(pa, index=index, dwell=tuple(dwell),
-                               completed=completed, violations=violations, gaps=gaps)
+    return pa.replace(index=index, dwell=tuple(dwell),
+                      completed=completed, violations=violations, gaps=gaps)
 
 
 def test_automaton_steps_match_the_replace_reference():
@@ -1077,14 +1078,14 @@ def test_automaton_is_immutable():
     pa = PhaseAutomaton(("A", "B"))
     stepped = pa.step({"A": _v("A", True), "B": _v("B", True)})
     assert pa.index == 0 and stepped.index == 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         pa.index = 5
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AbstractSceneGraph)])
+@pytest.mark.parametrize("name", [*AbstractSceneGraph._fields, "om", "plans"])
 def test_property_is_immutable(ahead_asg, name):
     """Plans and pattern facts are kept on the property, so its fields stay put."""
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         setattr(ahead_asg, name, getattr(ahead_asg, name))
 
 
@@ -1108,9 +1109,9 @@ def test_verdict_keeps_the_generated_dataclass_contract(args):
     """Fields, defaults, immutability, `replace`, `==`, `hash` and `repr`
     are those of the generated frozen dataclass, built positionally or by
     keyword."""
-    assert [(f.name, f.default) for f in dataclasses.fields(Verdict)] == [
-        (f.name, f.default) for f in dataclasses.fields(_GENERATED_VERDICT)]
-    names = [f.name for f in dataclasses.fields(Verdict)]
+    names = [f.name for f in dataclasses.fields(_GENERATED_VERDICT)]
+    assert Verdict._fields == tuple(names)
+    assert repr(Verdict(*args[:3])) == repr(_GENERATED_VERDICT(*args[:3]))  # the defaults
     kwargs = dict(zip(names, args))
     for v, ref in ((Verdict(*args), _GENERATED_VERDICT(*args)),
                    (Verdict(**kwargs), _GENERATED_VERDICT(**kwargs))):
@@ -1119,13 +1120,13 @@ def test_verdict_keeps_the_generated_dataclass_contract(args):
         assert v == v and (v != v) is False
         assert (v == Verdict(*args)) == (ref == _GENERATED_VERDICT(*args))
         for name in names:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError):
                 setattr(v, name, getattr(v, name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError):
                 delattr(v, name)
         for other in VERDICT_ARGS:
             changes = dict(zip(names[1:], other[1:]))
-            changed = dataclasses.replace(v, **changes)
+            changed = v.replace(**changes)
             assert type(changed) is Verdict
             assert repr(changed) == repr(dataclasses.replace(ref, **changes))
             assert (changed == v) == (dataclasses.replace(ref, **changes) == ref)
@@ -1303,9 +1304,8 @@ def test_serialize_verdict_matches_the_reference_encoder(v, stamp):
 def _uncached(v):
     """`v` with fresh copies of its witness and cause, whose fragments have
     not been rendered."""
-    return dataclasses.replace(
-        v, witness=v.witness if v.witness is None else dataclasses.replace(v.witness),
-        cause=v.cause if v.cause is None else dataclasses.replace(v.cause))
+    return v.replace(witness=v.witness if v.witness is None else v.witness.replace(),
+                     cause=v.cause if v.cause is None else v.cause.replace())
 
 
 @settings(max_examples=200, deadline=None)
