@@ -30,11 +30,11 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence, TextIO
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .dsl import builtin_asgs, load_asg, load_bundled_asg, scenario_names
-from .errors import SceneMonError, SceneValidationError, in_file
+from .errors import SceneMonError, parse_file
 from .matching import brute_force_embeddings, check_embedding, find_embeddings, require_oracle_size
 from .monitor import (
     PhaseAutomaton,
@@ -50,7 +50,7 @@ from .scene_graph import (
     AbstractSceneGraph,
     ConcreteSceneGraph,
     export_dot,
-    parse_csg,
+    parse_scene_json,
     read_scene_stream,
     serialize_scene,
 )
@@ -127,13 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_monitor = sub.add_parser(
         "monitor", parents=[om_parent, props_parent, eval_parent, out_parent],
-        help="evaluate a scene stream (JSON lines)")
+        help="evaluate a scene stream (JSON lines)",
+        allow_abbrev=False)  # so a stale `--in FILE` is refused, not read as --induced
     p_monitor.add_argument(
-        "stream", nargs="?", default=None,
-        help="scene stream file with one record per line, or '-' for stdin")
-    p_monitor.add_argument(
-        "--in", dest="in_stream", default=None, metavar="FILE",
-        help="alternative way to name the scene stream file")
+        "stream", help="scene stream file with one record per line, or '-' for stdin")
     p_monitor.add_argument(
         "--phases", choices=scenario_names(), default=None,
         help="also track this scenario's phase sequence; its phase "
@@ -181,13 +178,12 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
             yield fh
 
 
-@contextmanager
-def _open_in(path: str) -> Iterator[TextIO]:
+def _open_in(path: str) -> ContextManager[TextIO]:
+    """The stream `path`, or stdin for `-`. A path is read as CPython reads
+    stdin in the C and C.UTF-8 locales, so both give the same lines."""
     if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+        return nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
 def _resolve_props(
@@ -214,16 +210,6 @@ def _require_unique_names(asgs: Sequence[AbstractSceneGraph]) -> None:
         if asg.name in seen:
             raise ValueError(f"duplicate property name {asg.name!r}")
         seen.add(asg.name)
-
-
-def _load_scene_file(path: str, om: ObjectModel) -> ConcreteSceneGraph:
-    """The scene record in the file `path`; an error in it names the file."""
-    with open(path, "r", encoding="utf-8") as fh, in_file(path):
-        try:
-            record = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # as in read_scene_stream
-            raise SceneValidationError(f"invalid JSON: {exc}") from exc
-        return parse_csg(record, om)
 
 
 def _oracle_problems(
@@ -294,17 +280,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not asgs:
         raise ValueError("no properties given; use --props or --builtin")
     _require_unique_names(asgs)
-    csg = _load_scene_file(args.scene, om)  # before --out opens: a bad scene writes no file
+    # before --out opens: a bad scene writes no file
+    csg = parse_file(args.scene, parse_scene_json, om)
     if args.oracle:  # nor does one too large for the oracle
         require_oracle_size(csg)
     return _monitor(args, asgs, [csg])
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    if (args.stream is None) == (args.in_stream is None):
-        raise ValueError(
-            "name the scene stream exactly once, positionally or via --in")
-    stream_path = args.stream if args.stream is not None else args.in_stream
     om = load_object_model(args.om)
     asgs = _resolve_props(args.props, args.builtin, om)
     phase_asgs = () if args.phases is None else builtin_asgs(args.phases, om)
@@ -313,7 +296,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(
             "no properties given; use --props, --builtin or --phases")
     _require_unique_names(asgs)
-    with _open_in(stream_path) as stream:
+    with _open_in(args.stream) as stream:
         return _monitor(args, asgs, read_scene_stream(stream, om), phase_asgs)
 
 
@@ -378,8 +361,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     om = load_object_model(args.om)
     if args.scene is not None:
-        graph: ConcreteSceneGraph | AbstractSceneGraph = _load_scene_file(
-            args.scene, om)
+        graph: ConcreteSceneGraph | AbstractSceneGraph = parse_file(
+            args.scene, parse_scene_json, om)
     elif args.asg is not None:
         graph = load_asg(args.asg, om)
     else:

@@ -39,11 +39,11 @@ refused at `lane` as `lane.position` would be.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import SpecSyntaxError, SpecTypeError, in_file
+from .errors import SpecSyntaxError, SpecTypeError, parse_file
 from .frozen import Frozen
 from .lexing import (
     KIND_EOF,
@@ -358,8 +358,7 @@ def parse_asg(text: str, om: ObjectModel) -> AbstractSceneGraph:
 
 def load_asg(path: str, om: ObjectModel) -> AbstractSceneGraph:
     """Parse the property file `path`; an error in it names the file."""
-    with open(path, "r", encoding="utf-8") as fh, in_file(path):
-        return parse_asg(fh.read(), om)
+    return parse_file(path, parse_asg, om)
 
 
 # The phases of each built-in scenario, in order, each named after the
@@ -378,7 +377,6 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(SCENARIO_PHASES))
 
 
-@lru_cache(maxsize=None)
 def _bundled_text(filename: str) -> str:
     return (resources.files("scenemon.assets") / filename).read_text("utf-8")
 

@@ -6,8 +6,9 @@ type at the CLI boundary and map it to an exit code.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class SceneMonError(Exception):
@@ -36,18 +37,21 @@ class SpecTypeError(_LocatedError):
     """Well-formed spec text that fails type checking against the object model."""
 
 
-@contextmanager
-def in_file(path: str) -> Iterator[None]:
-    """Name the file `path` in a SceneMonError raised from its text:
-    `path:line:column: message` where it is located, `path: message`
-    where it is not. Text that is not UTF-8 is `path: not UTF-8: ...`."""
+def parse_file(path: str, parse: Callable[..., T], *args: Any) -> T:
+    """`parse(text, *args)` of the text of the file `path`, read as UTF-8.
+    A SceneMonError it raises names the file: `path:line:column: message`
+    where it is located, `path: message` where it is not. Text that is
+    not UTF-8 is `path: not UTF-8: ...`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SceneMonError(f"{path}: not UTF-8: {exc}") from None
     try:
-        yield
+        return parse(text, *args)
     except SceneMonError as exc:
         exc.args = (path + (":" if isinstance(exc, _LocatedError) else ": ") + str(exc),)
         raise
-    except UnicodeDecodeError as exc:
-        raise SceneMonError(f"{path}: not UTF-8: {exc}") from None
 
 
 class SceneValidationError(SceneMonError):

@@ -31,7 +31,7 @@ import importlib.resources
 from itertools import product
 from typing import NamedTuple
 
-from .errors import SchemaError, SpecSyntaxError, in_file
+from .errors import SchemaError, SpecSyntaxError, parse_file
 from .frozen import Frozen
 from .lexing import KIND_EOF, TokenStream, tokenize
 
@@ -337,8 +337,7 @@ def load_object_model(source: str) -> ObjectModel:
     """
     if source == "default":
         return default_object_model()
-    with open(source, "r", encoding="utf-8") as fh, in_file(source):
-        return parse_object_model(fh.read())
+    return parse_file(source, parse_object_model)
 
 
 def default_object_model() -> ObjectModel:

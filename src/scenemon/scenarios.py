@@ -121,6 +121,8 @@ class ScenarioScript:
             raise ValueError("dt must be positive")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
+        if not math.isfinite(self.duration / self.dt):  # a subnormal dt overflows it
+            raise ValueError(f"duration / dt must be finite, got dt={self.dt!r}")
         if len(self.boundaries) != len(self.phases) + 1:
             raise ValueError("boundaries must bracket every phase segment")
         if self.boundaries[0] != 0.0 or self.boundaries[-1] != self.duration:

@@ -490,6 +490,23 @@ def serialize_scene(csg: ConcreteSceneGraph) -> str:
     return json.dumps(scene_record(csg), separators=(", ", ": "), allow_nan=False)
 
 
+def parse_scene_json(text: str, om: ObjectModel, *,
+                     previous: ConcreteSceneGraph | None = None) -> ConcreteSceneGraph:
+    """The scene of one scene record's JSON text, as `parse_csg` reads it.
+    Stream text keeps a byte that is not UTF-8 as a lone surrogate (read
+    with errors="surrogateescape"), refused here; ASCII is passed in O(1)."""
+    try:
+        if not text.isascii():
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        record = json.loads(text)
+    except UnicodeError as exc:
+        raise SceneValidationError(f"not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # malformed text, an int literal past the digit limit, or nesting too deep
+        raise SceneValidationError(f"invalid JSON: {exc}") from exc
+    return parse_csg(record, om, previous=previous)
+
+
 def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[ConcreteSceneGraph]:
     """Parse a JSONL scene stream lazily, one validated CSG per nonblank line.
     Each line is parsed with the scene of the line before as `previous`."""
@@ -503,15 +520,10 @@ def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[Concret
 def _read_scene_line(line: str, lineno: int, om: ObjectModel,
                      previous: ConcreteSceneGraph | None) -> ConcreteSceneGraph:
     """One stream line's scene. The stripped line and its decoded record die
-    with this frame, so neither stays alive while the scene is monitored
+    with this call, so neither stays alive while the scene is monitored
     and the next line is decoded."""
     try:
-        record = json.loads(line.strip())
-    except (ValueError, RecursionError) as exc:
-        # malformed text, an int literal past the digit limit, or nesting too deep
-        raise SceneValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-    try:
-        return parse_csg(record, om, previous=previous)
+        return parse_scene_json(line.strip(), om, previous=previous)
     except SceneValidationError as exc:
         raise SceneValidationError(f"line {lineno}: {exc}") from exc
 

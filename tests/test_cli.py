@@ -8,9 +8,12 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scenemon
 from scenemon import scene_record, serialize_object_model
@@ -54,6 +57,14 @@ def test_gen_dt_override(capsys):
     code, out, _ = _run(capsys, "gen", "--scenario", "P1", "--dt", "1.0")
     assert code == 0
     assert len(out.splitlines()) == 13
+
+
+def test_gen_refuses_a_dt_that_overflows_the_step_count(capsys):
+    """A subnormal step makes duration / dt infinite: one error line and
+    exit 2, not an OverflowError traceback."""
+    code, out, err = _run(capsys, "gen", "--scenario", "P1", "--dt", "1e-320")
+    assert (code, out) == (2, "")
+    assert err == "scenemon: error: duration / dt must be finite, got dt=1e-320\n"
 
 
 def test_gen_writes_each_scene_before_making_the_next(capsys, monkeypatch):
@@ -389,6 +400,176 @@ def test_a_bad_scene_file_is_named(capsys, tmp_path, monkeypatch, argv, text, me
     assert not Path(argv[-1]).exists()
 
 
+# -- one reader for every input ---------------------------------------------
+
+
+def _c_utf8_stdin(data: bytes) -> io.TextIOWrapper:
+    """stdin over `data`, as CPython builds it in the C and C.UTF-8 locales."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape", newline="\n")
+
+
+@pytest.fixture(scope="module")
+def p1_stream(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("p1") / "p1.jsonl"
+    assert main(["gen", "--scenario", "P1", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _monitor_both_ways(capsys, monkeypatch, tmp_path, data):
+    """`monitor --phases P1` of the stream `data`, read from a path and
+    from stdin: a (code, stdout, stderr) triple for each."""
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(data)
+    by_path = _run(capsys, "monitor", str(path), "--phases", "P1")
+    monkeypatch.setattr("sys.stdin", _c_utf8_stdin(data))
+    return by_path, _run(capsys, "monitor", "-", "--phases", "P1")
+
+
+def _not_utf8(data: bytes) -> str:
+    """The error text for the first 0xff in `data`, which is otherwise UTF-8."""
+    at = data.index(b"\xff")
+    return f"not UTF-8: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+
+
+# each input: a word on its line 4 to put 0xff inside (the schema language
+# has no strings, so a word of a comment there), and the argv that reads the
+# file `bad` (None for a stream)
+_READ_BY = {
+    "stream-path": ("ego", None),
+    "stdin": ("ego", None),
+    "scene": ("ego", ["check", "bad", "--builtin", "P1-1"]),
+    "asg": ("P1-1", ["check", "s.json", "--props", "bad"]),
+    "om": ("Default", ["check", "s.json", "--om", "bad", "--builtin", "P1-1"]),
+}
+
+
+@pytest.mark.parametrize("where", ["line-start", "in-string"])
+@pytest.mark.parametrize("source", list(_READ_BY))
+def test_a_byte_that_is_not_utf8_is_refused_where_it_is(
+        capsys, monkeypatch, tmp_path, p1_stream, source, where):
+    """0xff at the start of line 4, or inside a string on it, is one error
+    line and exit 2, whichever way the input is read. A stream error names
+    the line, after the verdicts of the scenes before it, which are the same
+    from a path and from stdin; a file error names the file."""
+    word, argv = _READ_BY[source]
+    lines = p1_stream.split(b"\n")
+    if argv is None:
+        data = lines
+    else:
+        scene = json.dumps(json.loads(lines[0]), indent=1).encode()
+        monkeypatch.chdir(tmp_path)
+        Path("s.json").write_bytes(scene)
+        data = {
+            "scene": scene,
+            "asg": resources.files("scenemon.assets").joinpath("p1_1.asg").read_bytes(),
+            "om": resources.files("scenemon.assets").joinpath("default.om").read_bytes(),
+        }[source].split(b"\n")
+        line = next(i for i, text in enumerate(data) if word.encode() in text)
+        data.insert(3, data.pop(line))  # the string's line is line 4
+    if where == "line-start":
+        data[3] = b"\xff" + data[3]
+    else:
+        data[3] = data[3].replace(word.encode(), word[:1].encode() + b"\xff" + word[1:].encode(), 1)
+    bad = b"\n".join(data)
+    if argv is None:
+        by_path, by_stdin = _monitor_both_ways(capsys, monkeypatch, tmp_path, bad)
+        code, out, err = by_path if source == "stream-path" else by_stdin
+        assert by_path == by_stdin
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(p1_stream)
+        earlier = _run(capsys, "monitor", str(good), "--phases", "P1")[1].splitlines(True)[:9]
+        assert (code, out) == (2, "".join(earlier))
+        assert err == f"scenemon: error: line 4: {_not_utf8(data[3])}\n"
+    else:
+        Path("bad").write_bytes(bad)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"scenemon: error: bad: {_not_utf8(bad)}\n"
+    assert "\\udc" not in out
+
+
+def test_a_raw_cr_is_json_whitespace_from_a_path_and_from_stdin(
+        capsys, monkeypatch, tmp_path, p1_stream):
+    """A stream line ends at LF only, so a raw CR neither shifts the line
+    numbers after it nor splits a record, from a path or from stdin."""
+    good = tmp_path / "good.jsonl"
+    good.write_bytes(p1_stream)
+    clean = _run(capsys, "monitor", str(good), "--phases", "P1")
+    lines = p1_stream.split(b"\n")
+    shifted = [lines[0], b"\r" + lines[1], *lines[2:4], b"{not json", *lines[5:]]
+    by_path, by_stdin = _monitor_both_ways(capsys, monkeypatch, tmp_path, b"\n".join(shifted))
+    assert by_path == by_stdin
+    code, out, err = by_path
+    assert (code, out) == (2, "".join(clean[1].splitlines(True)[:12]))
+    assert err.startswith("scenemon: error: line 5: invalid JSON: ")
+    split = [lines[0], lines[1].replace(b", ", b",\r", 1), *lines[2:]]
+    by_path, by_stdin = _monitor_both_ways(capsys, monkeypatch, tmp_path, b"\n".join(split))
+    assert by_path == by_stdin == clean
+
+
+_BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b'"{}[],:\\\r\n \x80\xc3\xed\xf4\xff'))
+_EDITS = st.lists(st.tuples(st.sampled_from("rid"), st.integers(min_value=0), _BYTE),
+                  min_size=1, max_size=4)
+
+
+def _edit(data: bytes, edits) -> bytes:
+    """`data` after each (op, where, byte) edit: replace, insert or delete."""
+    buf = bytearray(data)
+    for op, where, byte in edits:
+        if op == "i":
+            buf.insert(where % (len(buf) + 1), byte)
+        elif buf and op == "r":
+            buf[where % len(buf)] = byte
+        elif buf:
+            del buf[where % len(buf)]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, p1_stream):
+    """The path of the file `bad`, and each fuzzed input's clean bytes with
+    the argv that reads them from `bad` (or from stdin)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bad, scene = str(root / "bad"), root / "s.json"
+    lines = p1_stream.split(b"\n")
+    scene.write_bytes(lines[0])
+    stream = b"\n".join(lines[:4]) + b"\n"
+    asset = resources.files("scenemon.assets").joinpath
+    return bad, {
+        "stream-path": (stream, ["monitor", bad, "--phases", "P1"]),
+        "stdin": (stream, ["monitor", "-", "--phases", "P1"]),
+        "scene": (lines[0], ["check", bad, "--builtin", "P1-1"]),
+        "asg": (asset("p1_1.asg").read_bytes(), ["check", str(scene), "--props", bad]),
+        "om": (asset("default.om").read_bytes(),
+               ["check", str(scene), "--om", bad, "--builtin", "P1-1"]),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.sampled_from(list(_READ_BY)), edits=_EDITS)
+def test_hostile_bytes_end_in_verdicts_or_one_error_line(fuzz_inputs, source, edits):
+    """Byte edits to a stream (from a path and from stdin), a scene file, a
+    property file or a schema end in exit 0, 1 or 3 with only JSON lines on
+    stdout, or in exit 2 with one `scenemon: error:` line; nothing escapes."""
+    bad, inputs = fuzz_inputs
+    clean, argv = inputs[source]
+    data = _edit(clean, edits)
+    Path(bad).write_bytes(data)
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    try:
+        sys.stdin = _c_utf8_stdin(data)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("scenemon: error:")]
+    assert code in (0, 1, 2, 3)
+    assert len(errors) == (code == 2)
+    for line in out.getvalue().splitlines():
+        assert isinstance(json.loads(line), dict)
+
+
 def test_monitor_nominal_phases_pass(capsys, tmp_path):
     stream = _gen_stream(tmp_path, capsys)
     code, out, err = _run(capsys, "monitor", stream, "--phases", "P1")
@@ -430,22 +611,18 @@ def test_monitor_runs_are_byte_identical(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_monitor_in_flag_is_equivalent(capsys, tmp_path):
-    stream = _gen_stream(tmp_path, capsys)
-    code_a, out_a, _ = _run(capsys, "monitor", stream, "--phases", "P1")
-    code_b, out_b, _ = _run(capsys, "monitor", "--in", stream,
-                            "--phases", "P1")
-    assert (code_a, out_a) == (code_b, out_b)
-
-
-def test_monitor_needs_exactly_one_stream(capsys, tmp_path):
-    stream = _gen_stream(tmp_path, capsys)
-    code, _, err = _run(capsys, "monitor", stream, "--in", stream,
-                        "--phases", "P1")
-    assert code == 2
-    assert "exactly once" in err
+def test_monitor_needs_exactly_one_stream(capsys):
     code, _, err = _run(capsys, "monitor", "--phases", "P1")
     assert code == 2
+
+
+def test_monitor_refuses_the_removed_in_flag(capsys, tmp_path):
+    """`--in` is no abbreviation of `--induced`: a stale `--in FILE` exits 2
+    and reads no stream, where it would otherwise run under --induced."""
+    stream = _gen_stream(tmp_path, capsys)
+    code, out, err = _run(capsys, "monitor", "--in", stream, "--phases", "P1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --in" in err
 
 
 def test_monitor_reads_stdin(capsys, tmp_path, om, monkeypatch):
