@@ -82,10 +82,8 @@ def _kv_offset(text: str) -> tuple[str, float]:
 def _build_parser() -> argparse.ArgumentParser:
     om_parent = argparse.ArgumentParser(add_help=False)
     om_parent.add_argument(
-        "--om", default=os.environ.get("SCENEMON_OM", "default"),
-        metavar="PATH",
-        help="object model schema file, or 'default' for the bundled one "
-             "(env: SCENEMON_OM)")
+        "--om", default="default", metavar="PATH",
+        help="object model schema file, or 'default' for the bundled one")
 
     props_parent = argparse.ArgumentParser(add_help=False)
     props_parent.add_argument(

@@ -481,11 +481,7 @@ class PhaseAutomaton(Frozen):
             violations += 1
         dwell = list(self.dwell)
         dwell[index] += 1
-        # `self` passed __init__'s checks, and the step keeps them
-        successor = object.__new__(PhaseAutomaton)
-        successor.__dict__.update(phases=phases, index=index, dwell=tuple(dwell),
-                                  completed=completed, violations=violations, gaps=gaps)
-        return successor
+        return PhaseAutomaton(phases, index, tuple(dwell), completed, violations, gaps)
 
 
 # -- verdict records -------------------------------------------------------

@@ -36,15 +36,17 @@ objects), class by class; the matcher finds its candidates there.
 A stream's topology rarely changes from one snapshot to the next: positions
 and speeds move, but the objects, their classes and the relations stay.
 `read_scene_stream` therefore parses each record with the scene before it
-as `previous`, and `parse_csg` tests that first, on the decoded record as
-it is. When the record's object model, ego, (id, class) list in order and
-edge set are those of `previous`, and its node entries and their attrs are
-dicts, every check that reads only them (entry structure, ids, classes,
-edge admission, the ego's class) passed on `previous` already, so it is
-skipped. The new scene shares `previous`'s class index, edge set and its
-objects that carry no attributes; its attribute values and timestamp are
-checked as always. A run of such scenes thus shares one class index and
-one edge set, which the monitor compares by identity.
+as `previous`, and `parse_csg` first tries one reuse step, which tests the
+decoded record as it is and builds the scene if the test passes. When the
+record's object model, ego, (id, class) list in order and edge set are
+those of `previous`, and its node entries and their attrs are dicts, every
+check that reads only them (entry structure, ids, classes, edge admission,
+the ego's class) passed on `previous` already, so it is skipped. The new
+scene shares `previous`'s class index, edge set and its objects that carry
+no attributes; its attribute values and timestamp are checked as always.
+Otherwise the step gives nothing, and the builder reads the record. A run
+of such scenes thus shares one class index and one edge set, which the
+monitor compares by identity.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -247,7 +249,7 @@ def _built_csg(
         if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
             raise SceneValidationError(f"node {oid}: attrs must be an object")
         cls, types = known  # the model's own string for the class name
-        node_map[oid] = _new_object(oid, cls, _normalized(om, cls, types, attrs))
+        node_map[oid] = SceneObject(oid, cls, _normalized(om, cls, types, attrs))
         cls_of[oid] = cls
     edge_set = None if columns is None else _column_edges(om, cls_of, *columns)
     if edge_set is None:  # edge by edge: raises at the first rejected one
@@ -312,14 +314,6 @@ def _column_edges(
     return frozenset(zip(srcs, rels, dsts))
 
 
-def _new_object(oid: str, cls: str, attributes: dict[str, object]) -> SceneObject:
-    """A SceneObject that holds `attributes` itself, where its constructor
-    would copy the dict again."""
-    obj = object.__new__(SceneObject)
-    obj.__dict__.update(object_id=oid, cls=cls, attributes=attributes)
-    return obj
-
-
 def _normalized(om: ObjectModel, cls: str, types: Mapping[str, str],
                 attrs: Mapping[str, object]) -> dict[str, object]:
     """A copy of `attrs` with each value checked against `types`, the
@@ -356,14 +350,18 @@ _EDGE_FIELDS = itemgetter("src", "rel", "dst")
 _SRC, _REL, _DST = itemgetter("src"), itemgetter("rel"), itemgetter("dst")
 
 
-def _attrs_on_topology(
+def _reused_csg(
     previous: ConcreteSceneGraph, om: ObjectModel, record: Mapping,
     raw_nodes: list, raw_edges: list,
-) -> list[dict] | None:
-    """Each node entry's attrs when the record has `previous`'s object
-    model, ego, (id, class) list in order and edge set, and every node
-    entry and its attrs are dicts; None otherwise. The test reads the
-    decoded record as it is, before any other check."""
+) -> ConcreteSceneGraph | None:
+    """The record's scene on `previous`'s topology, or None unless the record
+    has `previous`'s object model, ego, (id, class) list in order and edge
+    set, and every node entry and its attrs are dicts. That test reads the
+    decoded record as it is, before any other check; ids, classes, the ego
+    and the edges were then validated for `previous`, and only attribute
+    values and the timestamp are checked. The scene shares `previous`'s
+    class index and edge set, and each object that has no attributes in
+    either scene, being the same value in both."""
     if previous.om is not om or record["ego"] != previous.ego_id:
         return None
     if len(raw_nodes) != len(previous.nodes):  # consecutive dense scenes rarely match here
@@ -377,26 +375,16 @@ def _attrs_on_topology(
             return None
         attrs_list.append(attrs)
     try:
-        same_edges = frozenset(map(_EDGE_FIELDS, raw_edges)) == previous.edges
+        if frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges:
+            return None
     except (KeyError, TypeError):  # a malformed entry or an unhashable field
         return None
-    return attrs_list if same_edges else None
-
-
-def _reused_csg(
-    previous: ConcreteSceneGraph, timestamp: object, attrs_list: list[dict],
-) -> ConcreteSceneGraph:
-    """A scene with `previous`'s ids, classes, ego and edges, all validated
-    for `previous`, and its own attribute values and timestamp, checked now.
-    It shares `previous`'s class index and edge set, and each object that
-    has no attributes in either scene, being the same value in both."""
-    om = previous.om
     classes = om.concrete_class_table()
     node_map = {oid: old if not (attrs or old.attributes)
-                else _new_object(oid, old.cls, _normalized(om, old.cls, classes[old.cls][1], attrs))
+                else SceneObject(oid, old.cls, _normalized(om, old.cls, classes[old.cls][1], attrs))
                 for attrs, (oid, old) in zip(attrs_list, previous.nodes.items())}
     scene = object.__new__(ConcreteSceneGraph)  # `previous`'s class index, not a new one
-    vars(scene).update(vars(previous), timestamp=_timestamp(timestamp), nodes=node_map)
+    vars(scene).update(vars(previous), timestamp=_timestamp(record["t"]), nodes=node_map)
     return scene
 
 
@@ -406,12 +394,13 @@ def parse_csg(
     """Parse one scene record (a decoded JSON object) into a validated CSG.
 
     `previous`, if given, is the scene parsed just before this one in the
-    same stream. It is tested first: when it was parsed against `om` and
-    the record has its ego, (id, class) list in order and edge set, the
-    new scene shares its class index, edge set and attribute-free objects,
-    and only attribute values and the timestamp are checked: the other
-    checks read nothing else, and `previous` passed them. Otherwise the
-    scene builder reads the record's fields as they are. Only when it
+    same stream. The reuse step `_reused_csg` goes first: when `previous`
+    was parsed against `om` and the record has its ego, (id, class) list
+    in order and edge set, it returns a scene that shares `previous`'s
+    class index, edge set and attribute-free objects, with only attribute
+    values and the timestamp checked: the other checks read nothing else,
+    and `previous` passed them. When it returns None, the scene builder
+    reads the record's fields as they are. Only when the builder
     raises are the entries walked, to report the first malformed one, or
     else the builder's error. The result, or the error raised, is the
     same whichever path gives it; only the time taken differs.
@@ -426,9 +415,9 @@ def parse_csg(
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SceneValidationError("scene record fields nodes/edges must be arrays")
     if previous is not None:
-        attrs_list = _attrs_on_topology(previous, om, record, raw_nodes, raw_edges)
-        if attrs_list is not None:
-            return _reused_csg(previous, record["t"], attrs_list)
+        scene = _reused_csg(previous, om, record, raw_nodes, raw_edges)
+        if scene is not None:
+            return scene
     try:
         return _built_csg(
             om, record["t"], record["ego"],
@@ -494,7 +483,10 @@ def parse_scene_json(text: str, om: ObjectModel, *,
                      previous: ConcreteSceneGraph | None = None) -> ConcreteSceneGraph:
     """The scene of one scene record's JSON text, as `parse_csg` reads it.
     Stream text keeps a byte that is not UTF-8 as a lone surrogate (read
-    with errors="surrogateescape"), refused here; ASCII is passed in O(1)."""
+    with errors="surrogateescape"), refused here; ASCII is passed in O(1).
+    A `\\u` escape can decode to a lone surrogate too, which is no Unicode
+    scalar value: a record decoded from text with a backslash is refused
+    if one of its strings holds one."""
     try:
         if not text.isascii():
             text.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -504,28 +496,29 @@ def parse_scene_json(text: str, om: ObjectModel, *,
     except (ValueError, RecursionError) as exc:
         # malformed text, an int literal past the digit limit, or nesting too deep
         raise SceneValidationError(f"invalid JSON: {exc}") from exc
+    if "\\" in text:
+        try:  # UTF-8 encodes a surrogate pair, decoded as one character, but no lone one
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SceneValidationError(
+                f"lone surrogate {exc.object[exc.start]!r} in a string") from None
     return parse_csg(record, om, previous=previous)
 
 
 def read_scene_stream(lines: Iterable[str], om: ObjectModel) -> Iterator[ConcreteSceneGraph]:
     """Parse a JSONL scene stream lazily, one validated CSG per nonblank line.
-    Each line is parsed with the scene of the line before as `previous`."""
+    Each line is parsed with the scene of the line before as `previous`. The
+    stripped line and its decoded record are temporaries of the parse call,
+    so neither stays alive while the scene is monitored and the next line
+    is decoded."""
     scene: ConcreteSceneGraph | None = None
     for lineno, line in enumerate(lines, start=1):
         if line and not line.isspace():  # what str.strip leaves nonempty
-            scene = _read_scene_line(line, lineno, om, scene)
+            try:
+                scene = parse_scene_json(line.strip(), om, previous=scene)
+            except SceneValidationError as exc:
+                raise SceneValidationError(f"line {lineno}: {exc}") from exc
             yield scene
-
-
-def _read_scene_line(line: str, lineno: int, om: ObjectModel,
-                     previous: ConcreteSceneGraph | None) -> ConcreteSceneGraph:
-    """One stream line's scene. The stripped line and its decoded record die
-    with this call, so neither stays alive while the scene is monitored
-    and the next line is decoded."""
-    try:
-        return parse_scene_json(line.strip(), om, previous=previous)
-    except SceneValidationError as exc:
-        raise SceneValidationError(f"line {lineno}: {exc}") from exc
 
 
 def pattern_distances(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenemon
-from scenemon import scene_record, serialize_object_model
+from scenemon import read_scene_stream, scene_record, serialize_object_model
 from scenemon.cli import main
 
 from conftest import halted_obstacle_scene
@@ -508,6 +508,55 @@ def test_a_raw_cr_is_json_whitespace_from_a_path_and_from_stdin(
     assert by_path == by_stdin == clean
 
 
+def _ego_renamed(line: bytes, escaped: bytes) -> bytes:
+    """A stream line with the ego's id, in every field value, written as the
+    JSON text `escaped`."""
+    return line.replace(b': "ego"', b': "' + escaped + b'"')
+
+
+def _witness_renamed(verdicts: str) -> str:
+    """Verdict lines with the ego's id in each witness as U+1F600 between
+    `e` and `go`, written as the encoder escapes it."""
+    return verdicts.replace('"ego": "ego"', '"ego": "e\\ud83d\\ude00go"')
+
+
+@pytest.mark.parametrize("source", ["stream-path", "stdin", "scene"])
+def test_a_lone_surrogate_escape_is_refused_where_it_is(
+        capsys, monkeypatch, tmp_path, p1_stream, source):
+    """The ego's id written as `e\\udcffgo` on line 4 is ASCII, and decodes
+    to a string that is no Unicode scalar value: one located error line and
+    exit 2, from a path, from stdin and from a scene file. A valid surrogate
+    pair (U+1F600) in its place is accepted."""
+    monkeypatch.chdir(tmp_path)
+    lines = p1_stream.split(b"\n")
+    if source == "scene":
+        clean = lines[0]
+        Path("s.json").write_bytes(_ego_renamed(clean, b"e\\udcffgo"))
+        code, out, err = _run(capsys, "check", "s.json", "--builtin", "P1-1")
+        assert (code, out) == (2, "")
+        assert err == "scenemon: error: s.json: lone surrogate '\\udcff' in a string\n"
+        Path("s.json").write_bytes(clean)
+        expected = _run(capsys, "check", "s.json", "--builtin", "P1-1")
+        Path("s.json").write_bytes(_ego_renamed(clean, b"e\\ud83d\\ude00go"))
+        code, out, err = _run(capsys, "check", "s.json", "--builtin", "P1-1")
+        assert (code, out, err) == (expected[0], _witness_renamed(expected[1]), expected[2])
+        return
+    good = tmp_path / "good.jsonl"
+    good.write_bytes(p1_stream)
+    clean = _run(capsys, "monitor", str(good), "--phases", "P1")
+    bad = [*lines[:3], _ego_renamed(lines[3], b"e\\udcffgo"), *lines[4:]]
+    by_path, by_stdin = _monitor_both_ways(capsys, monkeypatch, tmp_path, b"\n".join(bad))
+    assert by_path == by_stdin
+    code, out, err = by_path if source == "stream-path" else by_stdin
+    assert (code, out) == (2, "".join(clean[1].splitlines(True)[:9]))
+    assert err == "scenemon: error: line 4: lone surrogate '\\udcff' in a string\n"
+    paired = [*lines[:3], _ego_renamed(lines[3], b"e\\ud83d\\ude00go"), *lines[4:]]
+    by_path, by_stdin = _monitor_both_ways(capsys, monkeypatch, tmp_path, b"\n".join(paired))
+    verdicts = clean[1].splitlines(True)
+    verdicts[9:12] = map(_witness_renamed, verdicts[9:12])
+    assert by_path == by_stdin == (clean[0], "".join(verdicts), clean[2])
+
+
 _BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b'"{}[],:\\\r\n \x80\xc3\xed\xf4\xff'))
 _EDITS = st.lists(st.tuples(st.sampled_from("rid"), st.integers(min_value=0), _BYTE),
                   min_size=1, max_size=4)
@@ -799,29 +848,21 @@ def _reverse_nodes_of_every_other_line(stream):
 def test_monitor_output_does_not_depend_on_record_node_order(capsys, monkeypatch, scenario,
                                                              perturb, oracle, om):
     """With every other line's nodes reversed, ingest rebuilds every scene
-    in full, yet the scenes along a run still have one topology, so the
-    monitor's topology test holds by equality instead of identity. The
-    output is the plain stream's."""
-    import scenemon.scene_graph
-
+    in full: no scene shares its predecessor's class index or edge set. Yet
+    the scenes along a run still have one topology, so the monitor's
+    topology test holds by equality instead of identity. The output is the
+    plain stream's."""
     code, stream, _ = _run(capsys, "gen", "--scenario", scenario, *perturb)
     assert code == 0
     reordered = _reverse_nodes_of_every_other_line(stream)
     argv = ("monitor", "-", "--phases", scenario, *oracle)
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     plain = _run(capsys, *argv)
-    reused = []
-    reuse = scenemon.scene_graph._reused_csg
-
-    def recording(previous, *args):
-        reused.append(previous.timestamp)
-        return reuse(previous, *args)
-
-    monkeypatch.setattr(scenemon.scene_graph, "_reused_csg", recording)
     monkeypatch.setattr("sys.stdin", io.StringIO(reordered))
     assert _run(capsys, *argv) == plain
-    assert reused == []
-    scenes = list(scenemon.scene_graph.read_scene_stream(reordered.splitlines(), om))
+    scenes = list(read_scene_stream(reordered.splitlines(), om))
+    assert not any(a.class_index is b.class_index or a.edges is b.edges
+                   for a, b in zip(scenes, scenes[1:]))
     same = sum(_topology(a) == _topology(b) for a, b in zip(scenes, scenes[1:]))
     assert same > 0.9 * (len(scenes) - 1)
 
@@ -1062,22 +1103,20 @@ def test_no_subcommand(capsys):
     assert code == 2
 
 
-def test_om_env_var_is_honored(capsys, tmp_path, om, monkeypatch):
-    om_path = tmp_path / "custom.om"
-    om_path.write_text(serialize_object_model(om))
-    monkeypatch.setenv("SCENEMON_OM", str(om_path))
-    scene = _write_scene(tmp_path, om)
-    code, _, _ = _run(capsys, "check", scene, "--builtin", "obstacle-ahead")
+def test_monitor_ignores_the_scenemon_om_environment_variable(capsys, tmp_path, om,
+                                                               monkeypatch):
+    """`--om` is the one way to choose the object model: with SCENEMON_OM
+    naming a missing file, `monitor` still loads the bundled model, and
+    `check --om default` names it too."""
+    code, stream, _ = _run(capsys, "gen", "--scenario", "P1")
     assert code == 0
+    argv = ("monitor", "-", "--phases", "P1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    plain = _run(capsys, *argv)
+    assert plain[0] == 0
     monkeypatch.setenv("SCENEMON_OM", str(tmp_path / "missing.om"))
-    code, _, err = _run(capsys, "check", scene,
-                        "--builtin", "obstacle-ahead")
-    assert code == 2
-
-
-def test_om_flag_overrides_env(capsys, tmp_path, om, monkeypatch):
-    monkeypatch.setenv("SCENEMON_OM", str(tmp_path / "missing.om"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    assert _run(capsys, *argv) == plain
     scene = _write_scene(tmp_path, om)
-    code, _, _ = _run(capsys, "check", scene, "--om", "default",
-                      "--builtin", "obstacle-ahead")
+    code, _, _ = _run(capsys, "check", scene, "--om", "default", "--builtin", "obstacle-ahead")
     assert code == 0
