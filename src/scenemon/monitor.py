@@ -192,7 +192,7 @@ def sg_comparison(
             memo[id(asg)] = entry
     first = entry.first
     if first is None:
-        return Verdict(csg.timestamp, asg.name, _VIOLATED, cause=_NO_EMBEDDING)
+        return Verdict(csg.timestamp, asg.name, _VIOLATED, None, _NO_EMBEDDING)
     nodes = csg.nodes
     try:
         idx = _first_false(predicates, nodes, entry.mapping)
@@ -200,25 +200,25 @@ def sg_comparison(
         result, cause = _ERROR, Cause.missing_attribute(exc.ref)
     else:
         if idx is None:
-            return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=first)
+            return Verdict(csg.timestamp, asg.name, _SATISFIED, first)
         cause = causes[idx]  # the plan's shared cause
         result = _VIOLATED
     if hit and entry.only():  # the first embedding is the only one: it decides
-        return Verdict(csg.timestamp, asg.name, result, cause=cause)
+        return Verdict(csg.timestamp, asg.name, result, None, cause)
     # 2. the witness search, on every scene
     witness = next(iter_embeddings(
         asg, csg, induced=induced, check=_witness_check(nodes, due)), None)
     if witness is not None:
-        return Verdict(csg.timestamp, asg.name, _SATISFIED, witness=witness)
+        return Verdict(csg.timestamp, asg.name, _SATISFIED, witness)
     check = _gap_check(asg, csg, reads, in_order) if result is _VIOLATED else None
     if check is not None:  # 3. the error search
         for emb in iter_embeddings(asg, csg, induced=induced, check=check):
             try:
                 _first_false(predicates, nodes, emb.as_dict())
             except MissingAttributeError as exc:
-                return Verdict(csg.timestamp, asg.name, _ERROR,
-                               cause=Cause.missing_attribute(exc.ref))
-    return Verdict(csg.timestamp, asg.name, result, cause=cause)
+                return Verdict(csg.timestamp, asg.name, _ERROR, None,
+                               Cause.missing_attribute(exc.ref))
+    return Verdict(csg.timestamp, asg.name, result, None, cause)
 
 
 class _Embeddings:

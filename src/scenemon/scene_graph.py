@@ -14,15 +14,19 @@ One builder checks and builds every scene: `parse_csg` hands it a decoded
 record's fields as they are, `make_csg` its objects and edge tuples. Nodes
 are read in order: one lookup in the object model's per-concrete-class
 table tells that a class may have instances, and gives the model's own
-string for its name and its attribute types, against which a finite
-`float` for a Real and a pair of them for a Vec2 pass at once; anything
-else goes through the full check. Edges are read in canonical-id columns,
-because a dense scene carries thousands of them: each `src` and `dst`
-through the scene's {id: id} table, each `rel` through the object model's
-relationship table. A lookup that succeeds proves a field a string equal
-to a known name, and yields the scene's own string for it, so the
-record's copies die with the record. The few distinct (relation, source
-class, target class) kinds are then admitted, not each edge, and
+string for its name and its attribute types. The object is built on the
+given attributes, which `SceneObject` copies, and that one copy's values
+are checked and normalized in place, before the object is shared: a
+finite `float` for a Real and a pair of them for a Vec2 pass at once;
+anything else goes through the full check. A node id or a String value
+that holds a lone surrogate is refused, since no text could carry it: an
+ASCII string passes that test in O(1). Edges are read in canonical-id
+columns, because a dense scene carries thousands of them: each `src` and
+`dst` through the scene's {id: id} table, each `rel` through the object
+model's relationship table. A lookup that succeeds proves a field a
+string equal to a known name, and yields the scene's own string for it,
+so the record's copies die with the record. The few distinct (relation,
+source class, target class) kinds are then admitted, not each edge, and
 `inFrontOf` self-loops found by identity. Only when the columns fail are
 a record's edges read one by one; `make_csg`'s always are. The builder
 raises the first error in record order, but a malformed entry (not an
@@ -37,16 +41,18 @@ A stream's topology rarely changes from one snapshot to the next: positions
 and speeds move, but the objects, their classes and the relations stay.
 `read_scene_stream` therefore parses each record with the scene before it
 as `previous`, and `parse_csg` first tries one reuse step, which tests the
-decoded record as it is and builds the scene if the test passes. When the
-record's object model, ego, (id, class) list in order and edge set are
+decoded record as it is and builds the scene as it goes. When the
+record's object model, ego, edge set and (id, class) list in order are
 those of `previous`, and its node entries and their attrs are dicts, every
 check that reads only them (entry structure, ids, classes, edge admission,
-the ego's class) passed on `previous` already, so it is skipped. The new
-scene shares `previous`'s class index, edge set and its objects that carry
-no attributes; its attribute values and timestamp are checked as always.
-Otherwise the step gives nothing, and the builder reads the record. A run
-of such scenes thus shares one class index and one edge set, which the
-monitor compares by identity.
+the ego's class) passed on `previous` already, so it is skipped. The edge
+set is compared first; then one pass over the node entries tests each
+entry and builds its object. The new scene shares `previous`'s class
+index, edge set and its objects that carry no attributes; its attribute
+values and timestamp are checked as always. Otherwise, or when a value
+fails its check, the step gives nothing, and the builder reads the record
+and reports the error where it is. A run of such scenes thus shares one
+class index and one edge set, which the monitor compares by identity.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -167,6 +173,18 @@ def _finite(value: object) -> float | None:
     return out if math.isfinite(out) else None
 
 
+def _refuse_lone_surrogate(text: str, where: str) -> None:
+    """SceneValidationError, prefixed with `where`, if `text` holds a lone
+    surrogate: no Unicode scalar value, so UTF-8 cannot encode it, and a
+    scene holding one would serialize to text that `parse_scene_json`
+    refuses. Callers test `isascii()` first, which passes ASCII in O(1)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SceneValidationError(
+            f"{where}: lone surrogate {exc.object[exc.start]!r} in a string") from None
+
+
 def _check_attr_value(om: ObjectModel, cls: str, name: str, value: object) -> object:
     """Type-check one attribute value against its declaration; returns the
     normalized value (Real -> float, Vec2 -> tuple of floats)."""
@@ -190,6 +208,8 @@ def _check_attr_value(om: ObjectModel, cls: str, name: str, value: object) -> ob
     if t == "String":
         if not isinstance(value, str):
             raise SceneValidationError(f"attribute {name} expects String, got {value!r}")
+        if not value.isascii():
+            _refuse_lone_surrogate(value, f"attribute {name}")
         return value
     if t == "Vec2":
         if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -240,6 +260,8 @@ def _built_csg(
             raise SceneValidationError("node with empty id")
         if not isinstance(oid, str):
             raise SceneValidationError(f"node id must be a string, got {oid!r}")
+        if not oid.isascii():
+            _refuse_lone_surrogate(oid, f"node {oid!r}")
         if oid in node_map:
             raise SceneValidationError(f"duplicate node id: {oid}")
         known = classes.get(cls) if isinstance(cls, str) else None
@@ -249,7 +271,8 @@ def _built_csg(
         if not (isinstance(attrs, dict) or isinstance(attrs, Mapping)):
             raise SceneValidationError(f"node {oid}: attrs must be an object")
         cls, types = known  # the model's own string for the class name
-        node_map[oid] = SceneObject(oid, cls, _normalized(om, cls, types, attrs))
+        obj = node_map[oid] = SceneObject(oid, cls, attrs)
+        _normalized(om, cls, types, obj.attributes)  # the object's own copy
         cls_of[oid] = cls
     edge_set = None if columns is None else _column_edges(om, cls_of, *columns)
     if edge_set is None:  # edge by edge: raises at the first rejected one
@@ -315,12 +338,13 @@ def _column_edges(
 
 
 def _normalized(om: ObjectModel, cls: str, types: Mapping[str, str],
-                attrs: Mapping[str, object]) -> dict[str, object]:
-    """A copy of `attrs` with each value checked against `types`, the
-    attribute types of `cls`: a finite `float` for a Real and a list of two
-    for a Vec2 pass at once, anything else goes through the full check."""
-    normalized = dict(attrs)
-    for name, value in normalized.items():  # replaces values only
+                attrs: dict[str, object]) -> None:
+    """Check each value of `attrs` against `types`, the attribute types of
+    `cls`, and replace it by its normalized value in place: a finite
+    `float` for a Real and a list of two for a Vec2 pass at once, anything
+    else goes through the full check. `attrs` is a new object's own copy,
+    not yet shared."""
+    for name, value in attrs.items():  # replaces values only
         t = types.get(name)
         if t == "Real":
             if type(value) is float and value - value == 0.0:  # finite: inf - inf is nan
@@ -328,14 +352,16 @@ def _normalized(om: ObjectModel, cls: str, types: Mapping[str, str],
         elif t == "Vec2" and type(value) is list and len(value) == 2:
             x, y = value
             if type(x) is float and type(y) is float and x - x == 0.0 == y - y:
-                normalized[name] = (x, y)
+                attrs[name] = (x, y)
                 continue
-        normalized[name] = _check_attr_value(om, cls, name, value)
-    return normalized
+        attrs[name] = _check_attr_value(om, cls, name, value)
 
 
 def _timestamp(value: object) -> float:
-    """A record's timestamp as a float; SceneValidationError unless finite."""
+    """A record's timestamp as a float; SceneValidationError unless finite.
+    A finite `float` passes at once, as a Real value does."""
+    if type(value) is float and value - value == 0.0:
+        return value
     t = _finite(value)
     if t is None:
         raise SceneValidationError(f"timestamp must be a finite number, got {value!r}")
@@ -343,8 +369,8 @@ def _timestamp(value: object) -> float:
 
 
 _ID, _CLASS = itemgetter("id"), itemgetter("class")
-# The one `{}` stands for every missing attrs: `_normalized` copies it, and
-# nothing writes it.
+# The one `{}` stands for every missing attrs: `SceneObject` copies it, and
+# `_normalized` writes only that copy.
 _ATTRS = methodcaller("get", "attrs", {})
 _EDGE_FIELDS = itemgetter("src", "rel", "dst")
 _SRC, _REL, _DST = itemgetter("src"), itemgetter("rel"), itemgetter("dst")
@@ -355,34 +381,41 @@ def _reused_csg(
     raw_nodes: list, raw_edges: list,
 ) -> ConcreteSceneGraph | None:
     """The record's scene on `previous`'s topology, or None unless the record
-    has `previous`'s object model, ego, (id, class) list in order and edge
-    set, and every node entry and its attrs are dicts. That test reads the
-    decoded record as it is, before any other check; ids, classes, the ego
-    and the edges were then validated for `previous`, and only attribute
-    values and the timestamp are checked. The scene shares `previous`'s
-    class index and edge set, and each object that has no attributes in
-    either scene, being the same value in both."""
+    has `previous`'s object model, ego, edge set and (id, class) list in
+    order, every node entry and its attrs are dicts, and every attribute
+    value passes its check. The test reads the decoded record as it is,
+    before any other check: the edge set first, so that a changed dense
+    topology builds no objects, then one pass over the node entries that
+    tests each entry and builds its object. Ids, classes, the ego and the
+    edges were validated for `previous`; only attribute values and the
+    timestamp are checked. A value that fails gives None as well, so the
+    builder reports it, located, after any malformed entry. The scene
+    shares `previous`'s class index and edge set, and each object that has
+    no attributes in either scene, being the same value in both."""
     if previous.om is not om or record["ego"] != previous.ego_id:
         return None
     if len(raw_nodes) != len(previous.nodes):  # consecutive dense scenes rarely match here
         return None
-    attrs_list = []
-    for item, (oid, old) in zip(raw_nodes, previous.nodes.items()):
-        if not isinstance(item, dict) or item.get("id") != oid or item.get("class") != old.cls:
-            return None
-        attrs = item.get("attrs", {})
-        if not isinstance(attrs, dict):
-            return None
-        attrs_list.append(attrs)
     try:
         if frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges:
             return None
     except (KeyError, TypeError):  # a malformed entry or an unhashable field
         return None
     classes = om.concrete_class_table()
-    node_map = {oid: old if not (attrs or old.attributes)
-                else SceneObject(oid, old.cls, _normalized(om, old.cls, classes[old.cls][1], attrs))
-                for attrs, (oid, old) in zip(attrs_list, previous.nodes.items())}
+    node_map = {}
+    try:
+        for item, (oid, old) in zip(raw_nodes, previous.nodes.items()):
+            if not isinstance(item, dict) or item.get("id") != oid or item.get("class") != old.cls:
+                return None
+            attrs = item.get("attrs", {})
+            if not isinstance(attrs, dict):
+                return None
+            obj = old if not (attrs or old.attributes) else SceneObject(oid, old.cls, attrs)
+            if attrs:
+                _normalized(om, obj.cls, classes[obj.cls][1], obj.attributes)
+            node_map[oid] = obj
+    except SceneValidationError:  # a later entry may be malformed, which comes first
+        return None
     scene = object.__new__(ConcreteSceneGraph)  # `previous`'s class index, not a new one
     vars(scene).update(vars(previous), timestamp=_timestamp(record["t"]), nodes=node_map)
     return scene
@@ -395,17 +428,18 @@ def parse_csg(
 
     `previous`, if given, is the scene parsed just before this one in the
     same stream. The reuse step `_reused_csg` goes first: when `previous`
-    was parsed against `om` and the record has its ego, (id, class) list
-    in order and edge set, it returns a scene that shares `previous`'s
+    was parsed against `om` and the record has its ego, edge set and
+    (id, class) list in order, it returns a scene that shares `previous`'s
     class index, edge set and attribute-free objects, with only attribute
     values and the timestamp checked: the other checks read nothing else,
-    and `previous` passed them. When it returns None, the scene builder
-    reads the record's fields as they are. Only when the builder
+    and `previous` passed them. When it returns None, as it does for an
+    attribute value that fails its check, the scene builder reads the
+    record's fields as they are. Only when the builder
     raises are the entries walked, to report the first malformed one, or
     else the builder's error. The result, or the error raised, is the
     same whichever path gives it; only the time taken differs.
     """
-    if not isinstance(record, Mapping):
+    if not (isinstance(record, dict) or isinstance(record, Mapping)):
         raise SceneValidationError(f"scene record must be an object, got {type(record).__name__}")
     for key in ("t", "ego", "nodes", "edges"):
         if key not in record:

@@ -39,10 +39,37 @@ MUTANTS = {
         "if frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges:",
         "if frozenset(map(_EDGE_FIELDS, raw_edges)) is None:",
     ),
+    "class not compared on reuse": (
+        "scene_graph.py",
+        'item.get("id") != oid or item.get("class") != old.cls:',
+        'item.get("id") != oid:',
+    ),
+    "value error raised on reuse, not left to the builder": (
+        "scene_graph.py",
+        "    except SceneValidationError:  # a later entry may be malformed, which comes first\n"
+        "        return None",
+        "    except SceneValidationError:  # a later entry may be malformed, which comes first\n"
+        "        raise",
+    ),
     "error search without its reachability test": (
         "monitor.py",
         "        else:\n            return False\n        try:",
         "        else:\n            pass\n        try:",
+    ),
+    "error search walks on past an unbound predicate": (
+        "monitor.py",
+        "                if not ids <= mapping.keys():\n                    break",
+        "                if not ids <= mapping.keys():\n                    continue",
+    ),
+    "error search prunes on a predicate that raises": (
+        "monitor.py",
+        "        except MissingAttributeError:\n            pass\n        return True",
+        "        except MissingAttributeError:\n            return False\n        return True",
+    ),
+    "error search without its settle walk": (
+        "monitor.py",
+        "            for ids, pred in in_order:\n                if not ids",
+        "            for ids, pred in ():\n                if not ids",
     ),
 }
 

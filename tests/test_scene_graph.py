@@ -32,7 +32,7 @@ from scenemon import (
 
 from scenemon.matching import candidate_pools
 from scenemon.scenarios import build_bench_scene
-from scenemon.scene_graph import _check_attr_value, _finite, _normalized
+from scenemon.scene_graph import _check_attr_value, _finite, _normalized, parse_scene_json
 
 from conftest import halted_obstacle_scene
 from randscene import random_asg, random_csg
@@ -994,7 +994,13 @@ def test_attribute_type_table_matches_the_full_check(om, value):
         types = {a.name: a.type for a in om.attributes_of(cls)}
         for name in names:
             attrs = {name: value}
-            checked = _typed_outcome(lambda: _normalized(om, cls, types, attrs)[name])
+
+            def normalized():
+                copied = dict(attrs)  # `_normalized` rewrites the dict it is given
+                _normalized(om, cls, types, copied)
+                return copied[name]
+
+            checked = _typed_outcome(normalized)
             assert checked == _typed_outcome(_check_attr_value, om, cls, name, value)
             assert attrs == {name: value}
 
@@ -1042,6 +1048,86 @@ def test_a_record_with_one_node_more_than_the_last_is_not_reused(om):
     assert sorted(after.nodes) == ["ego", "lane1", "obs", "x"]
     assert after.class_index is not before.class_index
     assert scene_record(after) == scene_record(parse_csg(second, om))
+
+
+def test_a_bad_value_on_a_reused_topology_is_reported_as_a_fresh_parse_reports_it(om):
+    """A record with its predecessor's ids, classes and edges and a bad
+    value on node 0 gives the located value error, as a fresh parse does;
+    with a malformed entry later in the record as well, the malformed entry
+    is the error, also when it is a node entry the reuse pass reaches only
+    after the bad value."""
+    record = scene_record(halted_obstacle_scene(om))
+    previous = parse_csg(record, om)
+    value_error = "attribute velocity expects a finite Real, got 'fast'"
+    cases = {
+        "bad value": ([], value_error),
+        "and a malformed last edge entry": (
+            [_set(_record, "edges", lambda r: r["edges"][:-1] + [list(r["edges"][-1].values())])],
+            "malformed edge entry: ['obs', 'isIn', 'lane1']"),
+        "and a malformed last node entry": (
+            [_set(lambda r: r["nodes"][-1], "attrs", [])], "node obs: attrs must be an object"),
+    }
+    for faults, message in cases.values():
+        faulty = copy.deepcopy(record)
+        faulty["nodes"][0]["attrs"]["velocity"] = "fast"
+        for fault in faults:
+            fault(faulty)
+        with pytest.raises(SceneValidationError) as raised:
+            parse_csg(faulty, om, previous=previous)
+        assert str(raised.value) == message == _ingest(faulty, om) == _reference_ingest(faulty, om)
+        with pytest.raises(SceneValidationError, match=re.escape(f"line 2: {message}")):
+            list(read_scene_stream([json.dumps(record), json.dumps(faulty)], om))
+
+
+_SURROGATE_OM = """
+class Vehicle { plate: String; }
+class Lane;
+rel isIn: Vehicle -> Lane;
+"""
+# ids and String values with non-ASCII characters, pairs of surrogates that
+# are two lone ones in a Python string, and lone surrogates
+_TEXTS = st.one_of(
+    st.text(st.sampled_from(["a", "\u00e9", "\U0001f697", "\ud83d", "\ude97", "\udcff"]),
+            min_size=1, max_size=4),
+    st.text(st.characters(codec=None, exclude_categories=()), min_size=1, max_size=4),
+)
+
+
+@given(ego=_TEXTS, lane=_TEXTS, plate=_TEXTS)
+@example(ego="e\udcffgo", lane="l", plate="p")
+@example(ego="ego", lane="l", plate="\ud83d\ude97")
+def test_a_scene_the_api_accepts_round_trips_through_its_text(ego, lane, plate):
+    """Every scene `parse_csg` and `make_csg` accept serializes to text
+    that `parse_scene_json` reads back as the same scene: a node id or a
+    String value that holds a lone surrogate is refused where it is given."""
+    om = parse_object_model(_SURROGATE_OM)
+    record = {"t": 0.0, "ego": ego, "nodes": [
+        {"id": ego, "class": "Vehicle", "attrs": {"plate": plate}}, {"id": lane, "class": "Lane"}],
+        "edges": [{"src": ego, "rel": "isIn", "dst": lane}]}
+    objects = [SceneObject(ego, "Vehicle", {"plate": plate}), SceneObject(lane, "Lane")]
+    # in the order the builder reads them
+    lone = [where for text, where in ((ego, f"node {ego!r}"), (plate, "attribute plate"),
+                                      (lane, f"node {lane!r}")) if not _utf8_encodes(text)]
+    for build in (lambda: parse_csg(record, om),
+                  lambda: make_csg(om, 0.0, ego, objects, [(ego, "isIn", lane)])):
+        try:
+            csg = build()
+        except SceneValidationError as exc:
+            if lone:
+                assert str(exc).startswith(f"{lone[0]}: lone surrogate ")
+            else:
+                assert ego == lane and str(exc) == f"duplicate node id: {ego}"
+            continue
+        assert not lone
+        assert scene_record(parse_scene_json(serialize_scene(csg), om)) == scene_record(csg)
+
+
+def _utf8_encodes(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def test_labels_between_matches_a_scan_of_the_edges(om):
