@@ -40,19 +40,19 @@ objects), class by class; the matcher finds its candidates there.
 A stream's topology rarely changes from one snapshot to the next: positions
 and speeds move, but the objects, their classes and the relations stay.
 `read_scene_stream` therefore parses each record with the scene before it
-as `previous`, and `parse_csg` first tries one reuse step, which tests the
-decoded record as it is and builds the scene as it goes. When the
-record's object model, ego, edge set and (id, class) list in order are
-those of `previous`, and its node entries and their attrs are dicts, every
-check that reads only them (entry structure, ids, classes, edge admission,
-the ego's class) passed on `previous` already, so it is skipped. The edge
-set is compared first; then one pass over the node entries tests each
-entry and builds its object. The new scene shares `previous`'s class
-index, edge set and its objects that carry no attributes; its attribute
-values and timestamp are checked as always. Otherwise, or when a value
-fails its check, the step gives nothing, and the builder reads the record
-and reports the error where it is. A run of such scenes thus shares one
-class index and one edge set, which the monitor compares by identity.
+as `previous`. `parse_csg` hands `previous` on to the builder when the
+record has its object model, ego, node count and edge set; the edge set
+is compared last, on the decoded entries as they are. In its one node
+loop the builder then skips the id and class checks of each node that
+repeats `previous`'s (id, class) in order with dict attrs, as `previous`
+passed them, and shares the object when neither scene gives it
+attributes. Past the first node that does not repeat, every node is
+checked in full and the edges are read one by one. When all repeat, the
+ego's class and the edges passed on `previous` as well: the scene shares
+its class index and edge set, and only attribute values and the
+timestamp are checked. Either way the scene or the error is a fresh
+parse's. A run of such scenes thus shares one class index and one edge
+set, which the monitor compares by identity.
 
 Scene records travel as JSON objects (one per line in a stream):
 
@@ -246,16 +246,32 @@ def _built_csg(
     nodes: Iterable[tuple[object, object, object]],
     columns: tuple[Iterable[object], Iterable[object], Iterable[object]] | None,
     edges: Iterable[tuple[object, object, object]],
+    previous: ConcreteSceneGraph | None = None,
 ) -> ConcreteSceneGraph:
     """The scene of (id, class, attrs) `nodes` and of edges given twice: as
     (src, rel, dst) `columns`, and as `edges` triples, read one by one only
     when the columns fail or are None, to raise at the first rejected edge.
     Nodes, edges, the ego and the timestamp are checked in that order, and
-    the first error is raised. Node ids and classes must be strings."""
+    the first error is raised. Node ids and classes must be strings.
+
+    `previous`, if given, is a scene of `om` with this ego, node count and
+    edge set. The nodes that repeat its (id, class) list in order, up to
+    the first that does not, skip the checks it passed and take its
+    strings; if all do, the scene shares its class index and edge set."""
     classes = om.concrete_class_table()
     node_map: dict[str, SceneObject] = {}
-    cls_of: dict[str, str] = {}
+    olds = None if previous is None else iter(previous.nodes.values())
     for oid, cls, attrs in nodes:
+        if olds is not None:
+            old = next(olds)
+            if oid == old.object_id and cls == old.cls and isinstance(attrs, dict):
+                if attrs or old.attributes:
+                    obj = node_map[old.object_id] = SceneObject(old.object_id, old.cls, attrs)
+                    _normalized(om, old.cls, classes[old.cls][1], obj.attributes)
+                else:  # no attributes in either scene: the same value
+                    node_map[old.object_id] = old
+                continue
+            olds = None  # past the first mismatch, every node is checked in full
         if not oid:
             raise SceneValidationError("node with empty id")
         if not isinstance(oid, str):
@@ -273,7 +289,11 @@ def _built_csg(
         cls, types = known  # the model's own string for the class name
         obj = node_map[oid] = SceneObject(oid, cls, attrs)
         _normalized(om, cls, types, obj.attributes)  # the object's own copy
-        cls_of[oid] = cls
+    if olds is not None:  # every node repeats `previous`'s
+        scene = object.__new__(ConcreteSceneGraph)  # `previous`'s class index, not a new one
+        vars(scene).update(vars(previous), timestamp=_timestamp(timestamp), nodes=node_map)
+        return scene
+    cls_of = {oid: obj.cls for oid, obj in node_map.items()}
     edge_set = None if columns is None else _column_edges(om, cls_of, *columns)
     if edge_set is None:  # edge by edge: raises at the first rejected one
         edge_set = set()
@@ -376,68 +396,20 @@ _EDGE_FIELDS = itemgetter("src", "rel", "dst")
 _SRC, _REL, _DST = itemgetter("src"), itemgetter("rel"), itemgetter("dst")
 
 
-def _reused_csg(
-    previous: ConcreteSceneGraph, om: ObjectModel, record: Mapping,
-    raw_nodes: list, raw_edges: list,
-) -> ConcreteSceneGraph | None:
-    """The record's scene on `previous`'s topology, or None unless the record
-    has `previous`'s object model, ego, edge set and (id, class) list in
-    order, every node entry and its attrs are dicts, and every attribute
-    value passes its check. The test reads the decoded record as it is,
-    before any other check: the edge set first, so that a changed dense
-    topology builds no objects, then one pass over the node entries that
-    tests each entry and builds its object. Ids, classes, the ego and the
-    edges were validated for `previous`; only attribute values and the
-    timestamp are checked. A value that fails gives None as well, so the
-    builder reports it, located, after any malformed entry. The scene
-    shares `previous`'s class index and edge set, and each object that has
-    no attributes in either scene, being the same value in both."""
-    if previous.om is not om or record["ego"] != previous.ego_id:
-        return None
-    if len(raw_nodes) != len(previous.nodes):  # consecutive dense scenes rarely match here
-        return None
-    try:
-        if frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges:
-            return None
-    except (KeyError, TypeError):  # a malformed entry or an unhashable field
-        return None
-    classes = om.concrete_class_table()
-    node_map = {}
-    try:
-        for item, (oid, old) in zip(raw_nodes, previous.nodes.items()):
-            if not isinstance(item, dict) or item.get("id") != oid or item.get("class") != old.cls:
-                return None
-            attrs = item.get("attrs", {})
-            if not isinstance(attrs, dict):
-                return None
-            obj = old if not (attrs or old.attributes) else SceneObject(oid, old.cls, attrs)
-            if attrs:
-                _normalized(om, obj.cls, classes[obj.cls][1], obj.attributes)
-            node_map[oid] = obj
-    except SceneValidationError:  # a later entry may be malformed, which comes first
-        return None
-    scene = object.__new__(ConcreteSceneGraph)  # `previous`'s class index, not a new one
-    vars(scene).update(vars(previous), timestamp=_timestamp(record["t"]), nodes=node_map)
-    return scene
-
-
 def parse_csg(
     record: Mapping, om: ObjectModel, *, previous: ConcreteSceneGraph | None = None,
 ) -> ConcreteSceneGraph:
     """Parse one scene record (a decoded JSON object) into a validated CSG.
 
     `previous`, if given, is the scene parsed just before this one in the
-    same stream. The reuse step `_reused_csg` goes first: when `previous`
-    was parsed against `om` and the record has its ego, edge set and
-    (id, class) list in order, it returns a scene that shares `previous`'s
-    class index, edge set and attribute-free objects, with only attribute
-    values and the timestamp checked: the other checks read nothing else,
-    and `previous` passed them. When it returns None, as it does for an
-    attribute value that fails its check, the scene builder reads the
-    record's fields as they are. Only when the builder
-    raises are the entries walked, to report the first malformed one, or
-    else the builder's error. The result, or the error raised, is the
-    same whichever path gives it; only the time taken differs.
+    same stream. The scene builder reads the record's fields as they are,
+    with `previous` when it was parsed against `om` and the record has its
+    ego, node count and edge set: the builder then skips the checks that
+    `previous` passed on the nodes that repeat it, and reads the edges one
+    by one if any does not. Only when the builder raises are the entries
+    walked, to report the first malformed one, or else the builder's
+    error. The result, or the error raised, is the same with `previous`
+    or without; only the time taken differs.
     """
     if not (isinstance(record, dict) or isinstance(record, Mapping)):
         raise SceneValidationError(f"scene record must be an object, got {type(record).__name__}")
@@ -448,16 +420,19 @@ def parse_csg(
     raw_edges = record["edges"]
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SceneValidationError("scene record fields nodes/edges must be arrays")
-    if previous is not None:
-        scene = _reused_csg(previous, om, record, raw_nodes, raw_edges)
-        if scene is not None:
-            return scene
     try:
+        if previous is not None and (
+                previous.om is not om or record["ego"] != previous.ego_id
+                # a dense scene's node count rarely repeats: its edge set is then not built
+                or len(raw_nodes) != len(previous.nodes)
+                or frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges):
+            previous = None
+        columns = None if previous is not None else (
+            map(_SRC, raw_edges), map(_REL, raw_edges), map(_DST, raw_edges))
         return _built_csg(
             om, record["t"], record["ego"],
             zip(map(_ID, raw_nodes), map(_CLASS, raw_nodes), map(_ATTRS, raw_nodes)),
-            (map(_SRC, raw_edges), map(_REL, raw_edges), map(_DST, raw_edges)),
-            map(_EDGE_FIELDS, raw_edges))
+            columns, map(_EDGE_FIELDS, raw_edges), previous)
     except (SceneValidationError, KeyError, TypeError, AttributeError):
         # entry by entry: the first malformed one is the error to report;
         # AttributeError comes from a node entry with no `get`

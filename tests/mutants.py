@@ -26,30 +26,38 @@ TESTS = ["tests/test_scene_graph.py", "tests/test_monitor.py", "tests/test_cli.p
 MUTANTS = {
     "stale attrs on reuse": (
         "scene_graph.py",
-        "old if not (attrs or old.attributes)",
-        "old if old.attributes or not attrs",
+        "if attrs or old.attributes:",
+        "if attrs:",
     ),
     "ego test skipped on reuse": (
         "scene_graph.py",
-        'if previous.om is not om or record["ego"] != previous.ego_id:',
-        "if previous.om is not om:",
+        'previous.om is not om or record["ego"] != previous.ego_id',
+        "previous.om is not om",
     ),
     "edge set not compared on reuse": (
         "scene_graph.py",
-        "if frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges:",
-        "if frozenset(map(_EDGE_FIELDS, raw_edges)) is None:",
+        "frozenset(map(_EDGE_FIELDS, raw_edges)) != previous.edges",
+        "frozenset(map(_EDGE_FIELDS, raw_edges)) is None",
     ),
     "class not compared on reuse": (
         "scene_graph.py",
-        'item.get("id") != oid or item.get("class") != old.cls:',
-        'item.get("id") != oid:',
+        "if oid == old.object_id and cls == old.cls and isinstance(attrs, dict):",
+        "if oid == old.object_id and isinstance(attrs, dict):",
     ),
-    "value error raised on reuse, not left to the builder": (
+    "attrs not tested for a dict on reuse": (
         "scene_graph.py",
-        "    except SceneValidationError:  # a later entry may be malformed, which comes first\n"
-        "        return None",
-        "    except SceneValidationError:  # a later entry may be malformed, which comes first\n"
-        "        raise",
+        "if oid == old.object_id and cls == old.cls and isinstance(attrs, dict):",
+        "if oid == old.object_id and cls == old.cls:",
+    ),
+    "node loop kept open past its first mismatch": (
+        "scene_graph.py",
+        "            olds = None  # past the first mismatch",
+        "            pass  # past the first mismatch",
+    ),
+    "value error raised past the malformed-entry walk": (
+        "scene_graph.py",
+        "    except (SceneValidationError, KeyError, TypeError, AttributeError):",
+        "    except (KeyError, TypeError, AttributeError):",
     ),
     "error search without its reachability test": (
         "monitor.py",

@@ -387,9 +387,15 @@ def _substituted(document, path, value):
     return out
 
 
+# lone surrogates, alone or in a name, and surrogate pairs: a character past
+# U+FFFF, which JSON text writes as a pair, and a pair's two code units,
+# which a Python string holds as two lone ones; `st.text()` draws none
+_SURROGATES = (st.sampled_from(["\ud83d", "e\udcffgo", "\ude97o", "\U0001f697", "\ud83d\ude97"])
+               | st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                       exclude_categories=()), min_size=1, max_size=2))
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
-    | st.text(max_size=6)
+    | st.text(max_size=6) | _SURROGATES
     | st.sampled_from(["", "ego", "obs", "lane1", "Vehicle", "Lane", "Bike", "isIn"]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
@@ -419,8 +425,9 @@ def _reference_ingest(record, om):
     """Scene ingest the way it worked before the lookup tables: a
     typing.Mapping structural pass and `is_relationship_allowed` on every
     edge, in record order. Returns (timestamp, ego, nodes, edges), or the
-    SceneValidationError message. Attribute values and the timestamp go
-    through the unchanged `_check_attr_value` and `_finite`."""
+    SceneValidationError message. A node id holding a surrogate code point,
+    which UTF-8 cannot encode, is refused. Attribute values and the
+    timestamp go through the unchanged `_check_attr_value` and `_finite`."""
     try:
         if not isinstance(record, typing.Mapping):
             raise SceneValidationError(
@@ -456,6 +463,9 @@ def _reference_ingest(record, om):
         for oid, cls, attrs in objects:
             if not oid:
                 raise SceneValidationError("node with empty id")
+            lone = [char for char in oid if "\ud800" <= char <= "\udfff"]
+            if lone:
+                raise SceneValidationError(f"node {oid!r}: lone surrogate {lone[0]!r} in a string")
             if oid in nodes:
                 raise SceneValidationError(f"duplicate node id: {oid}")
             if not om.has_class(cls):
@@ -537,16 +547,25 @@ def test_ingest_matches_reference_on_random_scenes(om):
     (("nodes", 2, "id"), "ego"), (("nodes", 2, "id"), ""), (("nodes", 0, "attrs"), []),
     (("nodes", 2, "attrs", "velocity"), "fast"), (("ego",), "lane1"), (("ego",), "ghost"),
     (("t",), float("nan")), (("t",), True),
+    # node 1 takes node 2's id: after the clean scene, node 1 is the first
+    # that does not repeat it, and node 2 a duplicate that would repeat it
+    (("nodes", 1, "id"), "obs"),
 ])
 def test_single_fault_records_match_reference(om, scene_factory, path, value):
-    record = _substituted(scene_record(scene_factory()), path, value)
+    """One fault in a record, parsed alone and with the clean record's scene
+    as `previous`: the same message both ways, and the reference's."""
+    clean = scene_record(scene_factory())
+    record = _substituted(clean, path, value)
     message = _ingest(record, om)
     assert isinstance(message, str)
     assert message == _reference_ingest(record, om)
+    with pytest.raises(SceneValidationError) as raised:
+        parse_csg(record, om, previous=parse_csg(clean, om))
+    assert str(raised.value) == message
 
 
 _NAMES = st.sampled_from(["o0", "o1", "o9", "", "Vehicle", "Static", "Road", "Entity",
-                          "isIn", "isPartOf", "inFrontOf", "follows"])
+                          "isIn", "isPartOf", "inFrontOf", "follows"]) | _SURROGATES
 
 
 @settings(max_examples=300, deadline=None)
