@@ -295,6 +295,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             "no properties given; use --props, --builtin or --phases")
     _require_unique_names(asgs)
     with _open_in(args.stream) as stream:
+        # opening --out truncates it before the stream's first line is read
+        if (args.stream != "-" and args.out not in (None, "-") and os.path.exists(args.out)
+                and os.path.samefile(args.stream, args.out)):
+            raise ValueError(f"--out {args.out} is the stream being read")
         return _monitor(args, asgs, read_scene_stream(stream, om), phase_asgs)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, stream formats, determinism."""
 
 import ast
+import copy
 import hashlib
 import io
 import json
@@ -16,8 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenemon
-from scenemon import read_scene_stream, scene_record, serialize_object_model
+from scenemon import (
+    builtin_asgs,
+    parse_csg,
+    read_scene_stream,
+    scene_record,
+    serialize_object_model,
+    serialize_scene,
+)
 from scenemon.cli import main
+from scenemon.errors import SceneValidationError
+from scenemon.scenarios import build_bench_scene
 
 from conftest import halted_obstacle_scene
 from test_monitor import _topology
@@ -325,12 +335,16 @@ _DECLARED = "function dist is declared {}, its implementation is dist(node, node
     (("position: Vec2;", "position: Real;"), "dist(ego, other) > 0",
      15, "function dist reads ego.position as Vec2, got Real"),
     (None, "dist(ego, lane) > 0", 20, "class Lane has no attribute 'position'"),
-], ids=["value-params", "one-node", "bool-result", "real-position", "lane"])
+    (("fn dist(node, node) -> Real;", "fn dist(node, node) -> Real;\nfn heading(node) -> Real;"),
+     "heading(ego) > 0", 10, "function 'heading' has no implementation"),
+], ids=["value-params", "one-node", "bool-result", "real-position", "lane", "no-implementation"])
 def test_monitor_refuses_a_builtin_call_it_cannot_run_before_any_scene(
         capsys, tmp_path, om, schema_edit, pred, column, message):
-    """A call that could never be evaluated is a load error located in its
-    file (exit 2) before the stream is read, not a traceback, a float used
-    as a truth value, or a missing-attribute error verdict on every scene."""
+    """A call that could never be evaluated, of a builtin or of a function
+    the schema declares and the monitor does not implement, is a load error
+    located in its file (exit 2) before the stream is read, not a traceback,
+    a float used as a truth value, or a missing-attribute error verdict on
+    every scene."""
     schema = serialize_object_model(om)
     if schema_edit is not None:
         schema = schema.replace(*schema_edit)
@@ -660,6 +674,21 @@ def test_monitor_runs_are_byte_identical(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_monitor_refuses_an_out_that_is_its_stream(capsys, tmp_path):
+    """`--out` naming the stream file, by its path or through a link, exits 2
+    before it is opened, which would empty the stream before its first line
+    is read; the stream is left as it was."""
+    stream = _gen_stream(tmp_path, capsys)
+    data = Path(stream).read_bytes()
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(stream)
+    for out in (stream, str(link)):
+        code, stdout, err = _run(capsys, "monitor", stream, "--phases", "P1", "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err == f"scenemon: error: --out {out} is the stream being read\n"
+        assert Path(stream).read_bytes() == data
+
+
 def test_monitor_needs_exactly_one_stream(capsys):
     code, _, err = _run(capsys, "monitor", "--phases", "P1")
     assert code == 2
@@ -842,22 +871,37 @@ def _reverse_nodes_of_every_other_line(stream):
     return "".join(records)
 
 
-@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
-@pytest.mark.parametrize("perturb", [(), REAR_GAP], ids=["nominal", "rear_gap"])
-@pytest.mark.parametrize("scenario", ["P1", "P2"])
+# every perturbation key: each makes its phase's distance predicate fail,
+# P1-2 and P2-1 to P2-4
+PERTURBED = [("P1", ()), ("P1", REAR_GAP), ("P2", ()), ("P2", REAR_GAP),
+             ("P2", ("--perturb", "approach_gap=-2")), ("P2", ("--perturb", "pass_gap=-1")),
+             ("P2", ("--perturb", "return_gap=-8"))]
+
+
+@pytest.mark.parametrize("flags", [
+    (), ("--oracle",), ("--oracle", *INDUCED), ("--oracle", *EPSILON),
+    ("--oracle", *INDUCED, *EPSILON),
+], ids=["plain", "oracle", "oracle-induced", "oracle-epsilon", "oracle-induced-epsilon"])
+@pytest.mark.parametrize("scenario, perturb", PERTURBED, ids=[
+    f"{scenario}-{perturb[-1].partition('=')[0] if perturb else 'nominal'}"
+    for scenario, perturb in PERTURBED])
 def test_monitor_output_does_not_depend_on_record_node_order(capsys, monkeypatch, scenario,
-                                                             perturb, oracle, om):
+                                                             perturb, flags, om):
     """With every other line's nodes reversed, ingest rebuilds every scene
     in full: no scene shares its predecessor's class index or edge set. Yet
     the scenes along a run still have one topology, so the monitor's
     topology test holds by equality instead of identity. The output is the
-    plain stream's."""
+    plain stream's, and ends in exit 0 or 1. Under `--oracle` each scene's
+    embeddings are derived again without the search, so a stale reused
+    embedding is a divergence (exit 3); `--epsilon` applies to the oracle's
+    reference verdicts too."""
     code, stream, _ = _run(capsys, "gen", "--scenario", scenario, *perturb)
     assert code == 0
     reordered = _reverse_nodes_of_every_other_line(stream)
-    argv = ("monitor", "-", "--phases", scenario, *oracle)
+    argv = ("monitor", "-", "--phases", scenario, *flags)
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     plain = _run(capsys, *argv)
+    assert plain[0] <= 1
     monkeypatch.setattr("sys.stdin", io.StringIO(reordered))
     assert _run(capsys, *argv) == plain
     scenes = list(read_scene_stream(reordered.splitlines(), om))
@@ -867,14 +911,22 @@ def test_monitor_output_does_not_depend_on_record_node_order(capsys, monkeypatch
     assert same > 0.9 * (len(scenes) - 1)
 
 
-def _drop_ego_velocity(stream, lines=range(99, 109)):
-    """`stream` with the ego's velocity left out of the given (0-based) lines."""
+def _ego(record):
+    return next(node for node in record["nodes"] if node["id"] == record["ego"])
+
+
+def _first_other_vehicle(record):
+    return next(node for node in record["nodes"]
+                if node["class"] == "Vehicle" and node["id"] != record["ego"])
+
+
+def _drop_attribute(stream, name, node_of, lines=range(99, 109)):
+    """`stream` with attribute `name` left out of the node `node_of` picks
+    on each of the given (0-based) lines."""
     records = stream.splitlines(keepends=True)
     for i in lines:
         rec = json.loads(records[i])
-        for node in rec["nodes"]:
-            if node["id"] == rec["ego"]:
-                del node["attrs"]["velocity"]
+        del node_of(rec)["attrs"][name]
         records[i] = json.dumps(rec) + "\n"
     return "".join(records)
 
@@ -886,18 +938,28 @@ def _drop_ego_velocity(stream, lines=range(99, 109)):
 def test_monitor_counts_data_gaps_apart_from_phase_violations(capsys, monkeypatch, perturb,
                                                                summary):
     """Scenes the ego's velocity is missing from give error verdicts; the
-    phase summary counts them as gaps, and counts real violations as before."""
+    phase summary counts them as gaps, and counts real violations as before.
+    The error verdicts give exit 3, so only stderr tells an oracle
+    divergence; memo hits that end in an error are cross-checked too. With
+    `position` left out of the first non-ego Vehicle instead, the gaps sit
+    on objects the search maps, and the oracle agrees there as well."""
     code, stream, _ = _run(capsys, "gen", "--scenario", "P2", *perturb)
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     code, _, err = _run(capsys, "monitor", "-", "--phases", "P2")
     assert "gaps=" not in err
-    monkeypatch.setattr("sys.stdin", io.StringIO(_drop_ego_velocity(stream)))
-    code, out, err = _run(capsys, "monitor", "-", "--phases", "P2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_drop_attribute(stream, "velocity", _ego)))
+    code, out, err = _run(capsys, "monitor", "-", "--phases", "P2", "--oracle")
     assert code == 3
     assert summary in err
+    assert "oracle divergence" not in err
     errors = {rec["t"] for rec in map(json.loads, out.splitlines()) if rec["result"] == "error"}
     assert len(errors) == 10
+    gaps = _drop_attribute(stream, "position", _first_other_vehicle)
+    monkeypatch.setattr("sys.stdin", io.StringIO(gaps))
+    code, _, err = _run(capsys, "monitor", "-", "--phases", "P2", "--oracle")
+    assert code == 3
+    assert "oracle divergence" not in err
 
 
 def test_monitor_writes_each_scene_before_reading_the_next(capsys, monkeypatch):
@@ -961,6 +1023,106 @@ def test_monitor_rejects_hostile_records_at_their_line(capsys, tmp_path, om, edi
         raise ValueError(f"non-JSON token {token}")
 
     assert len([json.loads(line, parse_constant=reject) for line in out.splitlines()]) == 1
+
+
+@pytest.fixture(scope="module")
+def p2_stream(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("p2") / "p2.jsonl"
+    assert main(["gen", "--scenario", "P2", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def _set(path, value):
+    """An edit that sets the record field at `path` to `value`."""
+    def edit(record):
+        *keys, last = path
+        for key in keys:
+            record = record[key]
+        record[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("nodes", 1, "class"), "Road",
+     "edge (ego, isIn, lane1) not allowed: isIn does not admit Vehicle -> Road"),
+    (("edges", 0, "rel"), "follows",
+     "edge (ego, follows, oncoming): unknown relationship: follows"),
+    (("nodes", 0, "attrs", "velocity"), "fast",
+     "attribute velocity expects a finite Real, got 'fast'"),
+    (("nodes", 3, "id"), "lane2", "duplicate node id: lane2"),
+    (("nodes", 2, "id"), "", "node with empty id"),
+], ids=["class", "rel", "value", "duplicate-id", "empty-id"])
+def test_a_fault_on_a_reused_record_is_refused_at_its_line(capsys, monkeypatch, om, p2_stream,
+                                                           path, value, message):
+    """Line 100 of the P2 stream has line 99's topology, so ingest reuses
+    line 99's scene for it. A class or a relation changed there, a value of
+    the wrong type, or a node id changed on the same edges and node count is
+    refused with the message a fresh parse gives, at line 100 (exit 2),
+    after the verdicts of the 99 lines before it."""
+    lines = p2_stream.splitlines(keepends=True)
+    previous, record = (json.loads(line) for line in lines[98:100])
+    previous = parse_csg(previous, om)
+    assert parse_csg(record, om, previous=previous).edges is previous.edges
+    _set(path, value)(record)
+    with pytest.raises(SceneValidationError) as fresh:
+        parse_csg(record, om)
+    assert str(fresh.value) == message
+    lines[99] = json.dumps(record) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    code, out, err = _run(capsys, "monitor", "-", "--phases", "P2")
+    assert (code, err) == (2, f"scenemon: error: line 100: {message}\n")
+    assert len(out.splitlines()) == 99 * len(builtin_asgs("P2", om))
+
+
+@pytest.fixture(scope="module")
+def dense_record() -> dict:
+    """A 200-object record, 9,718 edges, that ingest reads in columns."""
+    return json.loads(serialize_scene(build_bench_scene(200)))
+
+
+def _last_edge_as_a_list(record):
+    edge = record["edges"][-1]
+    record["edges"][-1] = [edge["src"], edge["rel"], edge["dst"]]
+
+
+def _drop_last_dst(record):
+    del record["edges"][-1]["dst"]
+
+
+_BIKE = _set(("nodes", 1, "class"), "Bike")
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    ([_set(("edges", -1, "dst"), "ghost")], 1, None),
+    ([_set(("edges", -1, "rel"), "follows")], 1, None),
+    ([_set(("edges", -1, "src"), 7)], 1, None),
+    ([_drop_last_dst], 1, None),
+    ([_BIKE, _set(("edges", -1, "src"), 7)], 1,
+     "edge fields src, rel and dst must be strings: {'src': 7, 'rel': 'isIn', 'dst': 'lane1'}"),
+    ([_BIKE, _last_edge_as_a_list], 1, "malformed edge entry: ['v99', 'isIn', 'lane1']"),
+    ([_set(("edges", -1, "src"), "ghost")], 2, "edge references unknown node ghost"),
+], ids=["unknown-dst", "unknown-rel", "int-src", "no-dst", "unknown-class-then-int-src",
+        "unknown-class-then-list-edge", "after-a-clean-line"])
+def test_a_fault_in_a_dense_record_is_refused_at_its_line(capsys, monkeypatch, om, dense_record,
+                                                          edits, line, message):
+    """A dense record's last edge corrupted: ingest, which reads the edges in
+    columns, falls back to the located pass and exits 2 with the message a
+    fresh `parse_csg` gives. Where a line has two faults, a class the model
+    lacks on node 1 and then a malformed last edge, the malformed entry is
+    the error reported. After a clean line, a copy of it with one endpoint
+    changed must fail the reuse test and be refused at line 2."""
+    record = copy.deepcopy(dense_record)
+    for edit in edits:
+        edit(record)
+    if message is None:
+        with pytest.raises(SceneValidationError) as fresh:
+            parse_csg(record, om)
+        message = str(fresh.value)
+    stream = [dense_record] * (line - 1) + [record]
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(r) + "\n" for r in stream)))
+    code, out, err = _run(capsys, "monitor", "-", "--phases", "P2")
+    assert (code, err) == (2, f"scenemon: error: line {line}: {message}\n")
+    assert len(out.splitlines()) == (line - 1) * len(builtin_asgs("P2", om))
 
 
 # -- subcommands -----------------------------------------------------------

@@ -68,6 +68,9 @@ def test_negative_literal_and_interval(om):
         'asg "n" { node ego: Vehicle; ego ego; '
         'assert ego.velocity in [-1, 2.5); }', om)
     assert asg.predicates[0].to_text() == "ego.velocity in [-1, 2.5)"
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_asg('asg "a" { node e: Vehicle; ego e; assert e.velocity > - x; }', om)
+    assert str(err.value) == "1:57: expected number after '-'"
 
 
 @pytest.mark.parametrize("literal, column", [
@@ -114,6 +117,9 @@ def test_missing_ego_rejected(om):
 def test_duplicate_node_rejected(om):
     with pytest.raises(SpecTypeError):
         parse_asg('asg "r" { node ego: Vehicle; node ego: Vehicle; ego ego; }', om)
+    with pytest.raises(SpecTypeError) as err:
+        parse_asg('asg "a" { node e: Vehicle; ego e; ego e; }', om)
+    assert str(err.value) == "1:35: duplicate ego declaration"
 
 
 def test_unknown_class_located(om):

@@ -163,6 +163,9 @@ def test_check_embedding_accepts_real_and_flags_fakes(ahead_asg, scene_factory):
     assert defects  # not injective and class-incompatible
     missing = type(emb).from_dict({"ego": "ego"})
     assert check_embedding(ahead_asg, csg, missing)
+    with pytest.raises(KeyError) as err:
+        Embedding((("ego", "e"),))["x"]
+    assert err.value.args == ("x",)
 
 
 def test_check_embedding_names_each_defect(om, ahead_asg):

@@ -46,6 +46,9 @@ def test_scenario_names():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="P9"):
         builtin_script("P9")
+    with pytest.raises(ValueError) as err:
+        builtin_asgs("P3")
+    assert str(err.value) == "unknown scenario 'P3'; expected one of ('P1', 'P2')"
 
 
 def test_unknown_perturbation_key_rejected():
